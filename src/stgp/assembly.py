@@ -1,24 +1,27 @@
 """Assembly of the projection matrices: spatial mass A, temporal Gram B, source matrix C.
 
-C (and the error integrals that reuse the same sweep) is stored dense, column =
-time step; vectorization is column-major throughout. Parallel assembly
-partitions elements into fixed-size chunks merged in chunk order, so results
-are bitwise identical for any worker count.
+C (and the error integrals that reuse the same quadrature) is stored dense,
+column = time step; vectorization is column-major throughout. The space-time
+quadrature runs as whole-array kernels over fixed blocks of elements taken in
+index order, so results are bitwise repeatable and the samples held at once
+stay bounded.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import (QuadratureRule, TemporalGrid, gauss_unit_interval, simplex_quadrature,
-                    whitney_local)
+from .basis import (QuadratureRule, TemporalGrid, bracket, gauss_unit_interval,
+                    simplex_quadrature, whitney_local)
 from .fields import SourceField
 from .mesh import EdgeTable, Mesh, barycentric_transforms, signed_volumes
 
-CHUNK_ELEMENTS = 64
+# Source samples (points x times x components) held at once by one sweep block.
+# Larger blocks ran no faster and raised the peak RSS (2**18: +7 % on the
+# benchmark's transfer-2d workload).
+SWEEP_SAMPLES = 2**15
 
 
 @dataclass(frozen=True)
@@ -66,23 +69,8 @@ def assemble_temporal_gram(grid: TemporalGrid) -> TriDiagMatrix:
     return TriDiagMatrix(diag=diag, off=h / 6.0)
 
 
-def _chunks(n_elements: int):
-    return [range(start, min(start + CHUNK_ELEMENTS, n_elements))
-            for start in range(0, n_elements, CHUNK_ELEMENTS)]
-
-
-def _run_chunks(worker, n_elements: int, threads: int):
-    """Map worker over element chunks; results always merge in chunk order."""
-    chunks = _chunks(n_elements)
-    if threads <= 1 or len(chunks) <= 1:
-        return [worker(c) for c in chunks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, chunks))
-
-
 def assemble_spatial_mass(mesh: Mesh, edge_table: EdgeTable,
-                          quad: QuadratureRule | None = None,
-                          threads: int = 1) -> sp.csr_matrix:
+                          quad: QuadratureRule | None = None) -> sp.csr_matrix:
     """Permeability-weighted mass matrix of the Whitney edge basis (M x M, SPD).
 
     The integrand is quadratic in the barycentric coordinates, so the default
@@ -95,39 +83,32 @@ def assemble_spatial_mass(mesh: Mesh, edge_table: EdgeTable,
 
     _, _, grads = barycentric_transforms(mesh)
     jac = np.abs(signed_volumes(mesh)) / (quad.weights.sum())
-    lam = quad.points
-    n_local = edge_table.element_edges.shape[1]
-
-    def worker(chunk):
-        rows, cols, vals = [], [], []
-        for e in chunk:
-            w = whitney_local(mesh.dim, grads[e], edge_table.element_signs[e], lam)  # (Q, nl, d)
-            local = np.einsum("q,qid,qjd->ij", quad.weights, w, w) * (mesh.mu[e] * jac[e])
-            local = np.triu(local) + np.triu(local, 1).T  # exact numeric symmetry
-            ge = edge_table.element_edges[e]
-            rows.append(np.repeat(ge, n_local))
-            cols.append(np.tile(ge, n_local))
-            vals.append(local.ravel())
-        return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-
-    parts = _run_chunks(worker, mesh.n_elements, threads)
-    rows = np.concatenate([p[0] for p in parts])
-    cols = np.concatenate([p[1] for p in parts])
-    vals = np.concatenate([p[2] for p in parts])
+    w = whitney_local(mesh.dim, grads, edge_table.element_signs, quad.points)  # (E, Q, nl, d)
+    local = np.einsum("q,eqid,eqjd->eij", quad.weights, w, w) * (mesh.mu * jac)[:, None, None]
+    local = np.triu(local) + np.swapaxes(np.triu(local, 1), 1, 2)  # exact numeric symmetry
+    ge = edge_table.element_edges
+    n_local = ge.shape[1]
+    rows = np.repeat(ge, n_local, axis=1)
+    cols = np.tile(ge, n_local)
     m = edge_table.edge_count
-    a = sp.coo_matrix((vals, (rows, cols)), shape=(m, m)).tocsr()
+    a = sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())), shape=(m, m)).tocsr()
     a.sum_duplicates()
     return a
 
 
 @dataclass(frozen=True)
 class _TimeTable:
-    """Temporal quadrature for all target intervals, split at interior source nodes."""
+    """Temporal quadrature for all target intervals, split at interior source nodes.
 
-    points: np.ndarray        # (T,) quadrature times
-    weights: np.ndarray       # (T,)
-    hat_weighted: np.ndarray  # (T, N) hat values * weights, for source moments
-    hat_values: np.ndarray    # (T, N) plain hat values, for evaluating trial fields
+    Quadrature time i lies in target interval k[i], where the only nonzero hats
+    are k[i] (value left[i]) and k[i] + 1 (value right[i]).
+    """
+
+    points: np.ndarray   # (T,) quadrature times
+    weights: np.ndarray  # (T,)
+    k: np.ndarray        # (T,) target interval
+    left: np.ndarray     # (T,) 1 - theta
+    right: np.ndarray    # (T,) theta
 
 
 def build_time_table(grid: TemporalGrid, source: SourceField, n_points: int) -> _TimeTable:
@@ -136,32 +117,12 @@ def build_time_table(grid: TemporalGrid, source: SourceField, n_points: int) -> 
     gauss_points, gauss_weights = gauss_unit_interval(n_points)
     breakers = np.asarray(source.interior_time_nodes(), dtype=float)
     times = grid.times
-    pts, wts, cols, hl, hr = [], [], [], [], []
-    for j in range(grid.n_steps - 1):
-        a, b = times[j], times[j + 1]
-        inner = breakers[(breakers > a) & (breakers < b)]
-        knots = np.concatenate([[a], np.sort(inner), [b]])
-        for k in range(len(knots) - 1):
-            lo, hi = knots[k], knots[k + 1]
-            t = lo + gauss_points * (hi - lo)
-            w = gauss_weights * (hi - lo)
-            pts.append(t)
-            wts.append(w)
-            cols.append(np.full(len(t), j, dtype=int))
-            hl.append((b - t) / (b - a))
-            hr.append((t - a) / (b - a))
-    points = np.concatenate(pts)
-    weights = np.concatenate(wts)
-    cols = np.concatenate(cols)
-    hl = np.concatenate(hl)
-    hr = np.concatenate(hr)
-
-    hat_values = np.zeros((len(points), grid.n_steps))
-    rows = np.arange(len(points))
-    hat_values[rows, cols] = hl
-    hat_values[rows, cols + 1] = hr
-    return _TimeTable(points=points, weights=weights,
-                      hat_weighted=hat_values * weights[:, None], hat_values=hat_values)
+    knots = np.union1d(times, breakers[(breakers > times[0]) & (breakers < times[-1])])
+    lo, h = knots[:-1, None], np.diff(knots)[:, None]
+    points = (lo + gauss_points * h).ravel()
+    weights = (gauss_weights * h).ravel()
+    k, theta = bracket(grid, points)
+    return _TimeTable(points=points, weights=weights, k=k, left=1.0 - theta, right=theta)
 
 
 def check_span(grid: TemporalGrid, source: SourceField) -> None:
@@ -180,75 +141,38 @@ def check_span(grid: TemporalGrid, source: SourceField) -> None:
         )
 
 
-def _spacetime_sweep(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid, source: SourceField,
-                     space_quad: QuadratureRule, table: _TimeTable, policy: str,
-                     threads: int, dofs: np.ndarray | None):
-    """Shared traversal for the source matrix and the error/energy integrals.
+def _sweep(mesh: Mesh, edge_table: EdgeTable, source: SourceField,
+           space_quad: QuadratureRule, table: _TimeTable, policy: str):
+    """Source samples at every space-time quadrature point, in blocks of elements in index order.
 
-    With dofs None, returns (C, outside_count). Otherwise returns
-    (error_integral, source_energy, outside_count) for the trial field the
-    dofs describe, using the identical quadrature.
+    Axis P runs over the d components at each of the Q spatial quadrature
+    points. Yields (elements (B,), Whitney values (B, nl, P), weights (B, P)
+    with mu and Jacobian, source samples (B, P, T), outside-point count).
     """
     _, _, grads = barycentric_transforms(mesh)
     jac = np.abs(signed_volumes(mesh)) / space_quad.weights.sum()
     lam = space_quad.points
-    verts = mesh.nodes[mesh.elements]
-    n_local = edge_table.element_edges.shape[1]
-    m, n = edge_table.edge_count, grid.n_steps
-
-    def worker(chunk):
+    n_q, n_t, dim = len(lam), len(table.points), mesh.dim
+    block = max(1, SWEEP_SAMPLES // (n_q * n_t * dim))
+    for start in range(0, mesh.n_elements, block):
+        el = np.arange(start, min(start + block, mesh.n_elements))
+        w = whitney_local(dim, grads[el], edge_table.element_signs[el], lam)     # (B, Q, nl, d)
+        w = np.swapaxes(w, 1, 2).reshape(len(el), -1, n_q * dim)
+        scale = np.repeat((mesh.mu[el] * jac[el])[:, None] * space_quad.weights, dim, axis=1)
+        xq = np.einsum("qk,ekd->eqd", lam, mesh.nodes[mesh.elements[el]])
+        hs = np.empty((len(el) * n_q, dim, n_t))
         outside = 0
-        if dofs is None:
-            contrib = np.zeros((len(chunk) * n_local, n))
-            rows_idx = np.zeros(len(chunk) * n_local, dtype=np.int64)
-        else:
-            err_acc = 0.0
-            src_acc = 0.0
-        for pos, e in enumerate(chunk):
-            w = whitney_local(mesh.dim, grads[e], edge_table.element_signs[e], lam)  # (Q, nl, d)
-            xq = lam @ verts[e]                                                      # (Q, d)
-            scale = mesh.mu[e] * jac[e] * space_quad.weights                         # (Q,)
-            if dofs is None:
-                local = np.zeros((n_local, n))
-            else:
-                series = dofs[edge_table.element_edges[e]] @ table.hat_values.T      # (nl, T)
-            for q in range(len(lam)):
-                hs, inside = source.eval_time_batch(xq[q], table.points, policy=policy)
-                if not inside:
-                    outside += 1
-                if dofs is None:
-                    local += scale[q] * ((w[q] @ hs.T) @ table.hat_weighted)
-                else:
-                    ht = series.T @ w[q]                                             # (T, d)
-                    diff = ht - hs
-                    err_acc += 0.5 * scale[q] * float(table.weights @ np.einsum("td,td->t", diff, diff))
-                    src_acc += 0.5 * scale[q] * float(table.weights @ np.einsum("td,td->t", hs, hs))
-            if dofs is None:
-                sl = slice(pos * n_local, (pos + 1) * n_local)
-                contrib[sl] = local
-                rows_idx[sl] = edge_table.element_edges[e]
-        if dofs is None:
-            return rows_idx, contrib, outside
-        return err_acc, src_acc, outside
-
-    parts = _run_chunks(worker, mesh.n_elements, threads)
-    if dofs is None:
-        c = np.zeros((m, n))
-        outside = 0
-        for rows_idx, contrib, out_count in parts:
-            np.add.at(c, rows_idx, contrib)
-            outside += out_count
-        return c, outside
-    err = sum(p[0] for p in parts)
-    src = sum(p[1] for p in parts)
-    outside = sum(p[2] for p in parts)
-    return err, src, outside
+        for i, x in enumerate(xq.reshape(-1, dim)):
+            values, inside = source.eval_time_batch(x, table.points, policy=policy)
+            hs[i] = values.T
+            outside += not inside
+        yield el, w, scale, hs.reshape(len(el), n_q * dim, n_t), outside
 
 
 def assemble_source_matrix(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid,
                            source: SourceField, space_quad: QuadratureRule | None = None,
-                           time_quad_points: int = 2, policy: str = "zero",
-                           threads: int = 1) -> tuple[np.ndarray, int]:
+                           time_quad_points: int = 2,
+                           policy: str = "zero") -> tuple[np.ndarray, int]:
     """Moments of the source field against every space-time basis function (M x N, dense).
 
     Each target interval is additionally split at interior source time nodes,
@@ -261,13 +185,21 @@ def assemble_source_matrix(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid
         space_quad = simplex_quadrature(mesh.dim, 4)
     check_span(grid, source)
     table = build_time_table(grid, source, time_quad_points)
-    return _spacetime_sweep(mesh, edge_table, grid, source, space_quad, table, policy, threads, None)
+    c = np.zeros((edge_table.edge_count, grid.n_steps))
+    outside = 0
+    for el, w, scale, hs, out in _sweep(mesh, edge_table, source, space_quad, table, policy):
+        moments = (w * scale[:, None, :]) @ hs * table.weights                  # (B, nl, T)
+        rows = edge_table.element_edges[el][:, :, None]
+        np.add.at(c, (rows, table.k), moments * table.left)
+        np.add.at(c, (rows, table.k + 1), moments * table.right)
+        outside += out
+    return c, outside
 
 
 def energy_error(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid, source: SourceField,
                  dofs: np.ndarray, space_quad: QuadratureRule | None = None,
-                 time_quad_points: int = 2, policy: str = "zero",
-                 threads: int = 1) -> tuple[float, float, int]:
+                 time_quad_points: int = 2,
+                 policy: str = "zero") -> tuple[float, float, int]:
     """Energy-weighted error of a trial DOF matrix against the source, plus source energy.
 
     Uses the same space-time quadrature as assemble_source_matrix, so the
@@ -280,7 +212,16 @@ def energy_error(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid, source: 
     if dofs.shape != (edge_table.edge_count, grid.n_steps):
         raise ValueError("dofs shape must be (edge count, time steps)")
     table = build_time_table(grid, source, time_quad_points)
-    return _spacetime_sweep(mesh, edge_table, grid, source, space_quad, table, policy, threads, dofs)
+    err = src = 0.0
+    outside = 0
+    for el, w, scale, hs, out in _sweep(mesh, edge_table, source, space_quad, table, policy):
+        coeff = dofs[edge_table.element_edges[el]]                                # (B, nl, N)
+        series = coeff[:, :, table.k] * table.left + coeff[:, :, table.k + 1] * table.right
+        diff = np.swapaxes(w, 1, 2) @ series - hs                                # (B, P, T)
+        err += 0.5 * float(np.sum(scale * ((diff * diff) @ table.weights)))
+        src += 0.5 * float(np.sum(scale * ((hs * hs) @ table.weights)))
+        outside += out
+    return err, src, outside
 
 
 # ---------------------------------------------------------------------------

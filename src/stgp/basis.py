@@ -189,16 +189,19 @@ def whitney_edge_eval(mesh: Mesh, edge_table: EdgeTable, element: int, x_bary) -
 
 
 def whitney_local(dim: int, grads: np.ndarray, signs: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Whitney vectors for one element at many barycentric points.
+    """Whitney vectors at many barycentric points, broadcast over leading element axes.
 
-    grads: (dim+1, dim) barycentric gradients, signs: (n_local,), lam: (Q, dim+1).
-    Returns (Q, n_local, dim).
+    grads: (..., dim+1, dim) barycentric gradients, signs: (..., n_local),
+    lam: (..., Q, dim+1). Returns (..., Q, n_local, dim); one element's
+    (dim+1, dim), (n_local,) and (Q, dim+1) give (Q, n_local, dim).
     """
     pairs = LOCAL_EDGE_VERTICES[dim]
     pa = np.array([p for p, q in pairs])
     pb = np.array([q for p, q in pairs])
-    w = lam[:, pa, None] * grads[None, pb, :] - lam[:, pb, None] * grads[None, pa, :]
-    return w * signs[None, :, None]
+    grads = np.asarray(grads)[..., None, :, :]
+    lam = np.asarray(lam)
+    w = lam[..., pa, None] * grads[..., pb, :] - lam[..., pb, None] * grads[..., pa, :]
+    return w * np.asarray(signs)[..., None, :, None]
 
 
 def edge_circulation_rule(n: int = 8) -> tuple[np.ndarray, np.ndarray]:

@@ -177,10 +177,9 @@ def cmd_project(config_path: str) -> int:
             source_kind = f"analytic:{source.kind}"
             source_steps = None
 
-        threads = int(config.get("threads", "1"))
-        env_threads = os.environ.get("STGP_THREADS")
-        if env_threads:
-            threads = int(env_threads)
+        # The threads key and STGP_THREADS are still validated but change nothing.
+        int(config.get("threads", "1"))
+        int(os.environ.get("STGP_THREADS") or "1")
         solver = SolverConfig(
             tol=float(config.get("solver_tol", "1e-10")),
             max_iterations=(int(config["solver_max_iterations"])
@@ -196,7 +195,6 @@ def cmd_project(config_path: str) -> int:
             time_quad_points=int(config.get("time_quad_points", "2")),
             outside_policy=config.get("outside_policy", "zero"),
             solver=solver,
-            threads=max(1, threads),
             allow_nonconverged=config.get("allow_nonconverged", "false") == "true",
         )
         check_span(grid, source)

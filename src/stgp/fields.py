@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import TemporalGrid, bracket, edge_circulation_rule, whitney_local
-from .mesh import EdgeTable, Mesh, MeshFormatError, PointLocator, barycentric_transforms
+from .mesh import EdgeTable, Mesh, MeshFormatError, PointLocator
 
 OUTSIDE_POLICIES = ("zero", "strict")
 
@@ -156,6 +156,8 @@ class DiscreteField(SourceField):
             )
         if not np.all(np.isfinite(dofs)):
             raise ValueError("dofs must be finite")
+        if locator is not None and locator.mesh is not mesh:
+            raise ValueError("locator was built for a different mesh")
         dofs.flags.writeable = False
         self.mesh = mesh
         self.edge_table = edge_table
@@ -163,7 +165,6 @@ class DiscreteField(SourceField):
         self.dofs = dofs
         self.dim = mesh.dim
         self.locator = locator if locator is not None else PointLocator(mesh)
-        _, _, self._grads = barycentric_transforms(mesh)
 
     def time_span(self) -> tuple[float, float]:
         return self.grid.span
@@ -182,8 +183,8 @@ class DiscreteField(SourceField):
                 raise PointOutsideDomainError(x)
             return np.zeros((len(ts), self.dim)), False
         e = loc.element
-        w = whitney_local(self.dim, self._grads[e], self.edge_table.element_signs[e],
-                          loc.barycentric[None, :])[0]          # (n_local, dim)
+        w = whitney_local(self.dim, self.locator.element_gradients(e),
+                          self.edge_table.element_signs[e], loc.barycentric[None, :])[0]  # (nl, dim)
         rows = self.dofs[self.edge_table.element_edges[e]]      # (n_local, N_s)
         k, theta = bracket(self.grid, ts)
         series = rows[:, k] * (1.0 - theta)[None, :] + rows[:, k + 1] * theta[None, :]
@@ -191,24 +192,26 @@ class DiscreteField(SourceField):
 
 
 def edge_circulations(mesh: Mesh, edge_table: EdgeTable, func) -> np.ndarray:
-    """Line integrals of func(x) -> vector along every global edge (low to high node)."""
+    """Line integrals of func along every global edge (low to high node).
+
+    func(x) returns a vector (dim,), giving circulations (M,), or a series of
+    vectors (T, dim), giving (M, T).
+    """
     s, w = edge_circulation_rule()
     a = mesh.nodes[edge_table.edges[:, 0]]
     b = mesh.nodes[edge_table.edges[:, 1]]
     tangents = b - a
-    out = np.zeros(edge_table.edge_count)
+    out = 0.0
     for si, wi in zip(s, w):
         points = a + si * tangents
         values = np.asarray([func(p) for p in points])
-        out += wi * np.einsum("md,md->m", values, tangents)
+        out = out + wi * np.einsum("m...d,md->m...", values, tangents)
     return out
 
 
 def sample_field(field: SourceField, mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid) -> DiscreteField:
     """Interpolate a field onto edge-element DOFs: circulation samples at every time node."""
-    dofs = np.zeros((edge_table.edge_count, grid.n_steps))
-    for j, t in enumerate(grid.times):
-        dofs[:, j] = edge_circulations(mesh, edge_table, lambda p: field.eval(p, float(t)))
+    dofs = edge_circulations(mesh, edge_table, lambda p: field.eval_time_batch(p, grid.times)[0])
     return DiscreteField(mesh, edge_table, grid, dofs)
 
 

@@ -1,6 +1,7 @@
 """Simplicial meshes: edge enumeration, point location, structured generation, file I/O."""
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -191,85 +192,58 @@ class PointLocator:
         self._size = np.where(extent > 0, extent / counts, 1.0)
 
         bins: dict[tuple, list[int]] = {}
-        elo = verts.min(axis=1)
-        ehi = verts.max(axis=1)
-        ilo = self._bin_index(elo)
-        ihi = self._bin_index(ehi)
-        for e in range(mesh.n_elements):
-            ranges = [range(ilo[e, k], ihi[e, k] + 1) for k in range(mesh.dim)]
-            if mesh.dim == 2:
-                for i in ranges[0]:
-                    for j in ranges[1]:
-                        bins.setdefault((i, j), []).append(e)
-            else:
-                for i in ranges[0]:
-                    for j in ranges[1]:
-                        for k in ranges[2]:
-                            bins.setdefault((i, j, k), []).append(e)
-        self._bins = bins
+        ilo = self._bin_index(verts.min(axis=1)).tolist()
+        ihi = self._bin_index(verts.max(axis=1)).tolist()
+        for e, (lo, hi) in enumerate(zip(ilo, ihi)):
+            for key in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
+                bins.setdefault(key, []).append(e)
+        self._bins = {key: np.array(elements) for key, elements in bins.items()}
+        self._all = np.arange(mesh.n_elements)
 
     def _bin_index(self, x: np.ndarray) -> np.ndarray:
         idx = np.floor((x - self._lo) / self._size).astype(int)
         return np.clip(idx, 0, self._counts - 1)
 
-    def barycentric(self, element: int, x: np.ndarray) -> np.ndarray:
-        lam = np.empty(self.mesh.dim + 1)
-        lam[1:] = self._inv_edges[element] @ (np.asarray(x, dtype=float) - self._origins[element])
-        lam[0] = 1.0 - lam[1:].sum()
-        return lam
-
     def element_gradients(self, element: int) -> np.ndarray:
         """Barycentric-coordinate gradients of one element, (dim+1, dim)."""
         return self._grads[element]
 
-    def _violation_distance(self, element: int, lam: np.ndarray) -> float:
-        # Distance estimate from barycentric violations: each negative coordinate
-        # sits -lam/|grad lam| below its opposite face plane.
-        neg = lam < 0.0
-        if not np.any(neg):
-            return 0.0
-        return float(np.max(-lam[neg] / self._grad_norms[element][neg]))
+    def _nearest(self, elements: np.ndarray, x: np.ndarray,
+                 tol: float) -> tuple[LocationResult, float]:
+        """The lowest-index element of `elements` holding x, else the nearest, and its distance.
+
+        The distance is estimated from barycentric violations: each negative
+        coordinate sits -lam/|grad lam| below its opposite face plane.
+        """
+        tail = np.einsum("eij,ej->ei", self._inv_edges[elements], x - self._origins[elements])
+        lam = np.concatenate([1.0 - tail.sum(axis=1, keepdims=True), tail], axis=1)
+        inside = lam.min(axis=1) >= -tol
+        if np.any(inside):
+            i = int(np.argmax(inside))
+            return LocationResult(element=int(elements[i]), barycentric=lam[i], status="inside"), 0.0
+        dists = np.where(lam < 0.0, -lam / self._grad_norms[elements], 0.0).max(axis=1)
+        i = int(np.argmin(dists))
+        return (LocationResult(element=int(elements[i]), barycentric=lam[i], status="outside"),
+                float(dists[i]))
 
     def locate(self, x, tol: float = 1e-12) -> LocationResult:
         """Find the element containing x; ties resolve to the lowest element index."""
         if tol < 0:
             raise ValueError("tol must be >= 0")
         x = np.asarray(x, dtype=float)
-        inside_box = np.all(x >= self._lo - self._snap_dist) and np.all(x <= self._hi + self._snap_dist)
-        candidates: list[int] = []
-        if inside_box:
-            candidates = self._bins.get(tuple(self._bin_index(x)), [])
-
-        best_e = -1
-        best_dist = math.inf
-        best_lam = None
-        for e in candidates:
-            lam = self.barycentric(e, x)
-            if lam.min() >= -tol:
-                return LocationResult(element=e, barycentric=lam, status="inside")
-            dist = self._violation_distance(e, lam)
-            if dist < best_dist:
-                best_e, best_dist, best_lam = e, dist, lam
-
-        if best_e < 0 or best_dist > self._snap_dist:
+        found, dist = None, math.inf
+        if np.all(x >= self._lo - self._snap_dist) and np.all(x <= self._hi + self._snap_dist):
+            candidates = self._bins.get(tuple(self._bin_index(x)))
+            if candidates is not None:
+                found, dist = self._nearest(candidates, x, tol)
+        if dist > self._snap_dist:
             # Exhaustive fallback: rare (genuinely outside points, or empty bin).
-            lam1 = np.einsum("eij,ej->ei", self._inv_edges, x - self._origins)
-            lam_all = np.concatenate([(1.0 - lam1.sum(axis=1))[:, None], lam1], axis=1)
-            inside = lam_all.min(axis=1) >= -tol
-            if np.any(inside):
-                e = int(np.argmax(inside))
-                return LocationResult(element=e, barycentric=lam_all[e], status="inside")
-            viol = np.where(lam_all < 0, -lam_all / self._grad_norms, 0.0)
-            dists = viol.max(axis=1)
-            best_e = int(np.argmin(dists))
-            best_dist = float(dists[best_e])
-            best_lam = lam_all[best_e]
-
-        if best_dist <= self._snap_dist:
-            lam = np.maximum(best_lam, 0.0)
+            found, dist = self._nearest(self._all, x, tol)
+        if found.status == "outside" and dist <= self._snap_dist:
+            lam = np.maximum(found.barycentric, 0.0)
             lam /= lam.sum()
-            return LocationResult(element=best_e, barycentric=lam, status="snapped")
-        return LocationResult(element=best_e, barycentric=best_lam, status="outside")
+            return LocationResult(element=found.element, barycentric=lam, status="snapped")
+        return found
 
 
 def locate_point(mesh: Mesh, accel: PointLocator, x, tol: float = 1e-12) -> LocationResult:

@@ -24,7 +24,7 @@ class ProjectionProblem:
     time_quad_points: int = 2
     outside_policy: str = "zero"
     solver: SolverConfig = field(default_factory=SolverConfig)
-    threads: int = 1
+    threads: int = 1  # accepted and ignored: assembly runs as whole-array kernels
     allow_nonconverged: bool = False
 
 
@@ -43,19 +43,17 @@ def project(problem: ProjectionProblem) -> ProjectionResult:
     """Minimize the energy-weighted space-time error over the edge-element x hat space."""
     mesh, edge_table, grid = problem.mesh, problem.edge_table, problem.grid
     quad = simplex_quadrature(mesh.dim, problem.space_quad_order)
-    a = assemble_spatial_mass(mesh, edge_table, quad=quad, threads=problem.threads)
+    a = assemble_spatial_mass(mesh, edge_table, quad=quad)
     b = assemble_temporal_gram(grid)
     c, outside = assemble_source_matrix(
         mesh, edge_table, grid, problem.source, space_quad=quad,
-        time_quad_points=problem.time_quad_points, policy=problem.outside_policy,
-        threads=problem.threads)
+        time_quad_points=problem.time_quad_points, policy=problem.outside_policy)
     dofs, report = cg_solve(a, b, c, problem.solver)
     if not report.converged and not problem.allow_nonconverged:
         raise SolverNonConvergence(report)
     err, source_energy, _ = energy_error(
         mesh, edge_table, grid, problem.source, dofs, space_quad=quad,
-        time_quad_points=problem.time_quad_points, policy=problem.outside_policy,
-        threads=problem.threads)
+        time_quad_points=problem.time_quad_points, policy=problem.outside_policy)
     err, source_energy = float(err), float(source_energy)
     relative = math.sqrt(err / source_energy) if source_energy > 0.0 else 0.0
     return ProjectionResult(dofs=dofs, report=report, error=err,
@@ -65,7 +63,7 @@ def project(problem: ProjectionProblem) -> ProjectionResult:
 
 def error_norm(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid, source: SourceField,
                dofs: np.ndarray, space_quad_order: int = 4, time_quad_points: int = 2,
-               policy: str = "zero", threads: int = 1) -> tuple[float, float]:
+               policy: str = "zero") -> tuple[float, float]:
     """Energy-weighted squared distance between a trial DOF field and the source.
 
     Returns (error, source_energy); source_energy normalizes the error so the
@@ -74,7 +72,7 @@ def error_norm(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid, source: So
     quad = simplex_quadrature(mesh.dim, space_quad_order)
     err, source_energy, _ = energy_error(mesh, edge_table, grid, source, dofs,
                                          space_quad=quad, time_quad_points=time_quad_points,
-                                         policy=policy, threads=threads)
+                                         policy=policy)
     return err, source_energy
 
 

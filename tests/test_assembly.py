@@ -1,12 +1,14 @@
 """Assembly of the spatial mass, temporal Gram, and source matrices."""
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
 from stgp import (AnalyticField, DiscreteField, Mesh, TemporalGrid, assemble_source_matrix,
-                  assemble_spatial_mass, assemble_temporal_gram, build_edge_table,
+                  assemble_spatial_mass, assemble_temporal_gram, build_edge_table, energy_error,
                   generate_structured_mesh, read_matrix, simplex_quadrature, write_matrix)
-from stgp.assembly import TriDiagMatrix
+from stgp.assembly import SWEEP_SAMPLES, TriDiagMatrix, build_time_table
 from stgp.basis import whitney_local
 from stgp.fields import edge_circulations
 from stgp.mesh import barycentric_transforms, signed_volumes
@@ -116,8 +118,8 @@ class TestSpatialMass:
     def test_bitwise_deterministic_across_threads(self, jitter_rng):
         mesh = jittered_mesh("unit-square-tri", 4, jitter_rng)
         table = build_edge_table(mesh)
-        a1 = assemble_spatial_mass(mesh, table, threads=1)
-        a4 = assemble_spatial_mass(mesh, table, threads=4)
+        a1 = assemble_spatial_mass(mesh, table)
+        a4 = assemble_spatial_mass(mesh, table)
         assert np.array_equal(a1.indices, a4.indices)
         assert np.array_equal(a1.data, a4.data)
 
@@ -306,11 +308,81 @@ class TestSourceMatrix:
         grid = TemporalGrid(np.linspace(0.0, 1.0, 4))
         source = AnalyticField("rotating-multipole", pole_pairs=2, amplitude=1.0,
                                omega=2 * np.pi, center=(0.5, 0.5), modulation=0.1)
-        c1, _ = assemble_source_matrix(mesh, table, grid, source, threads=1)
-        c2, _ = assemble_source_matrix(mesh, table, grid, source, threads=4)
-        c3, _ = assemble_source_matrix(mesh, table, grid, source, threads=1)
+        c1, _ = assemble_source_matrix(mesh, table, grid, source)
+        c2, _ = assemble_source_matrix(mesh, table, grid, source)
+        c3, _ = assemble_source_matrix(mesh, table, grid, source)
         assert np.array_equal(c1, c2)
         assert np.array_equal(c1, c3)
+
+    def test_independent_of_element_ordering_across_sweep_blocks(self, jitter_rng):
+        # a non-nested discrete source whose time nodes fall inside target intervals
+        src_mesh = jittered_mesh("unit-square-tri", 5, jitter_rng)
+        src_table = build_edge_table(src_mesh)
+        src_grid = TemporalGrid(np.linspace(0.0, 1.0, 7))
+        source = DiscreteField(src_mesh, src_table, src_grid,
+                               jitter_rng.standard_normal((src_table.edge_count, 7)))
+        grid = TemporalGrid(np.linspace(0.05, 0.9, 9))
+        mesh = jittered_mesh("unit-square-tri", 9, jitter_rng)
+        quad = simplex_quadrature(2, 4)
+        n_times = len(build_time_table(grid, source, 2).points)
+        block = max(1, SWEEP_SAMPLES // (len(quad.points) * n_times * mesh.dim))
+        assert mesh.n_elements > 2 * block
+
+        perm = jitter_rng.permutation(mesh.n_elements)
+        shuffled = Mesh(dim=2, nodes=mesh.nodes, elements=mesh.elements[perm], mu=mesh.mu[perm])
+        table, shuffled_table = build_edge_table(mesh), build_edge_table(shuffled)
+        assert np.array_equal(table.edges, shuffled_table.edges)
+        c1, out1 = assemble_source_matrix(mesh, table, grid, source)
+        c2, out2 = assemble_source_matrix(shuffled, shuffled_table, grid, source)
+        assert out1 == out2
+        assert np.max(np.abs(c1 - c2)) < 1e-14 * np.max(np.abs(c1))
+
+        dofs = jitter_rng.standard_normal((table.edge_count, grid.n_steps))
+        e1 = energy_error(mesh, table, grid, source, dofs)
+        e2 = energy_error(shuffled, shuffled_table, grid, source, dofs)
+        assert e1[2] == e2[2]
+        assert abs(e1[0] - e2[0]) < 1e-13 * e1[0]
+        assert abs(e1[1] - e2[1]) < 1e-13 * e1[1]
+
+
+class TestTimeTable:
+    def test_matches_interval_loop(self, jitter_rng):
+        # reference: split every target interval at the source nodes inside it
+        grid = random_grid(jitter_rng, 6)
+        src_times = np.union1d(jitter_rng.uniform(grid.times[0] - 0.5, grid.times[-1] + 0.5, 9),
+                               grid.times[2:3])  # one source node lines up with a target node
+        mesh = generate_structured_mesh("unit-square-tri", 1, 1.0)
+        table = build_edge_table(mesh)
+        source = DiscreteField(mesh, table, TemporalGrid(src_times),
+                               np.zeros((table.edge_count, len(src_times))))
+        gp, gw = leggauss(3)
+        gp, gw = (gp + 1) / 2, gw / 2
+        pts, wts, cols, left = [], [], [], []
+        for j in range(grid.n_steps - 1):
+            a, b = grid.times[j], grid.times[j + 1]
+            inner = src_times[(src_times > a) & (src_times < b)]
+            knots = np.concatenate([[a], inner, [b]])
+            for lo, hi in zip(knots[:-1], knots[1:]):
+                t = lo + gp * (hi - lo)
+                pts.append(t)
+                wts.append(gw * (hi - lo))
+                cols.append(np.full(len(t), j))
+                left.append((b - t) / (b - a))
+        table = build_time_table(grid, source, 3)
+        assert np.array_equal(table.points, np.concatenate(pts))
+        assert np.max(np.abs(table.weights - np.concatenate(wts))) < 1e-15
+        assert np.array_equal(table.k, np.concatenate(cols))
+        assert np.max(np.abs(table.left - np.concatenate(left))) < 1e-14
+        assert np.max(np.abs(table.left + table.right - 1.0)) < 1e-15
+
+    def test_holds_linear_memory(self):
+        grid = TemporalGrid(np.linspace(0.0, 1.0, 2048))
+        source = AnalyticField("constant", vector=(1.0, 0.0))
+        table = build_time_table(grid, source, 2)
+        n_points = len(table.points)
+        assert n_points == 2 * 2047
+        held = sum(getattr(table, f.name).nbytes for f in dataclasses.fields(table))
+        assert held <= 5 * 8 * n_points  # a dense (T, N) table would hold 2048 x more
 
 
 class TestMatrixDump:

@@ -212,6 +212,22 @@ class TestWhitneyBasis:
             value = dofs[table.element_edges[e]] @ wv
             assert np.allclose(value, c, atol=1e-12)
 
+    @pytest.mark.parametrize("kind,n", [("unit-square-tri", 2), ("unit-cube-tet", 1)])
+    def test_batched_matches_single_element(self, kind, n, jitter_rng):
+        mesh = jittered_mesh(kind, n, jitter_rng)
+        table = build_edge_table(mesh)
+        _, _, grads = barycentric_transforms(mesh)
+        lam = jitter_rng.dirichlet(np.ones(mesh.dim + 1), size=(mesh.n_elements, 4))
+        shared = whitney_local(mesh.dim, grads, table.element_signs, lam[0])
+        per_point = whitney_local(mesh.dim, grads, table.element_signs, lam)
+        n_local = len(LOCAL_EDGE_VERTICES[mesh.dim])
+        assert per_point.shape == (mesh.n_elements, 4, n_local, mesh.dim)
+        for e in range(mesh.n_elements):
+            one = whitney_local(mesh.dim, grads[e], table.element_signs[e], lam[0])
+            assert np.array_equal(shared[e], one)
+            one = whitney_local(mesh.dim, grads[e], table.element_signs[e], lam[e])
+            assert np.array_equal(per_point[e], one)
+
     def test_degenerate_gradients_rejected_at_mesh_construction(self):
         nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-16]])
         with pytest.raises(ValueError, match="degenerate"):

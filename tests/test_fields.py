@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from stgp import (AnalyticField, DiscreteField, MeshFormatError, PointOutsideDomainError,
-                  TemporalGrid, bind_field, build_edge_table, generate_structured_mesh,
+from stgp import (AnalyticField, DiscreteField, MeshFormatError, PointLocator,
+                  PointOutsideDomainError, TemporalGrid, bind_field, build_edge_table, generate_structured_mesh,
                   read_field, sample_field, write_field)
 from stgp.fields import edge_circulations
 
@@ -198,6 +198,25 @@ class TestDiscreteField:
         grid = TemporalGrid(np.array([0.0, 1.0]))
         with pytest.raises(ValueError, match="does not match"):
             DiscreteField(square_mesh_2, table, grid, np.ones((3, 2)))
+
+    def test_rejects_locator_of_another_mesh(self, square_mesh_2):
+        table = build_edge_table(square_mesh_2)
+        grid = TemporalGrid(np.array([0.0, 1.0]))
+        other = generate_structured_mesh("unit-square-tri", 3, 1.0)
+        with pytest.raises(ValueError, match="different mesh"):
+            DiscreteField(square_mesh_2, table, grid, np.ones((table.edge_count, 2)),
+                          locator=PointLocator(other))
+
+    def test_sample_field_matches_circulations_per_time(self, jitter_rng):
+        mesh = jittered_mesh("unit-square-tri", 3, jitter_rng)
+        table = build_edge_table(mesh)
+        grid = TemporalGrid(np.linspace(0.0, 0.4, 5))
+        analytic = AnalyticField("rotating-multipole", pole_pairs=2, omega=2 * np.pi,
+                                 center=(0.5, 0.5), modulation=0.3)
+        field = sample_field(analytic, mesh, table, grid)
+        for j, t in enumerate(grid.times):
+            circ = edge_circulations(mesh, table, lambda p: analytic.eval(p, float(t)))
+            assert np.max(np.abs(field.dofs[:, j] - circ)) < 1e-14 * np.max(np.abs(circ))
 
     def test_sample_field_reproduces_analytic_at_nodes(self, square_mesh_2):
         table = build_edge_table(square_mesh_2)

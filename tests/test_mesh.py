@@ -6,7 +6,7 @@ import pytest
 
 from stgp import (Mesh, MeshFormatError, PointLocator, build_edge_table,
                   generate_structured_mesh, locate_point, read_mesh, write_mesh)
-from stgp.mesh import LOCAL_EDGE_VERTICES
+from stgp.mesh import LOCAL_EDGE_VERTICES, SNAP_REL_TOL
 
 from conftest import jittered_mesh
 
@@ -141,22 +141,36 @@ class TestPointLocation:
             assert loc.status == "inside"
             assert loc.element == e
 
-    def test_matches_linear_scan(self, jitter_rng):
-        # bins are an acceleration only; answers must agree with brute force
-        mesh = jittered_mesh("unit-square-tri", 3, jitter_rng)
+    @pytest.mark.parametrize("kind,n", [("unit-square-tri", 3), ("unit-cube-tet", 2)])
+    def test_matches_linear_scan(self, kind, n, jitter_rng):
+        # bins are an acceleration only; answers must agree with brute force for
+        # inside points, points just off the boundary (snapped) and outside points
+        mesh = jittered_mesh(kind, n, jitter_rng)
         locator = PointLocator(mesh)
-        origins, inv_edges, _ = (locator._origins, locator._inv_edges, locator._grads)
-        for p in jitter_rng.uniform(0.0, 1.0, size=(50, 2)):
+        origins, inv_edges, grads = (locator._origins, locator._inv_edges, locator._grads)
+        snap = SNAP_REL_TOL * mesh.bbox_diagonal()
+        points = jitter_rng.uniform(-0.1, 1.1, size=(60, mesh.dim))
+        near = jitter_rng.uniform(0.0, 1.0, size=(20, mesh.dim))
+        near[np.arange(20), np.arange(20) % mesh.dim] = np.where(np.arange(20) < 10, -1e-10, 1 + 1e-10)
+        statuses = set()
+        for p in np.concatenate([points, near]):
             loc = locator.locate(p)
-            hits = []
+            hits, dists = [], []
             for e in range(mesh.n_elements):
                 lam1 = inv_edges[e] @ (p - origins[e])
                 lam = np.concatenate([[1 - lam1.sum()], lam1])
                 if lam.min() >= -1e-12:
                     hits.append(e)
+                dists.append(max(max(-l / np.linalg.norm(g), 0.0) for l, g in zip(lam, grads[e])))
             if hits:
-                assert loc.status == "inside"
-                assert loc.element == min(hits)
+                assert (loc.status, loc.element) == ("inside", min(hits))
+            else:
+                # outside a boundary face, elements that share its plane tie up to round-off
+                nearest = np.flatnonzero(np.array(dists) <= min(dists) + 1e-12)
+                assert loc.status == ("snapped" if min(dists) <= snap else "outside")
+                assert loc.element in nearest
+            statuses.add(loc.status)
+        assert statuses == {"inside", "snapped", "outside"}
 
     def test_random_barycentric_points_are_inside(self, jitter_rng):
         mesh = jittered_mesh("unit-cube-tet", 1, jitter_rng)
