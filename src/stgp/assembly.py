@@ -4,18 +4,21 @@ C (and the error integrals that reuse the same quadrature) is stored dense,
 column = time step; vectorization is column-major throughout. The space-time
 quadrature runs as whole-array kernels over fixed blocks of elements taken in
 index order, so results are bitwise repeatable and the samples held at once
-stay bounded.
+stay bounded. Each block asks the source for all its quadrature points in one
+`eval_points` call; a source with only the per-point `eval_time_batch` is
+evaluated point by point through `fields.eval_points_per_point`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
 
 from .basis import (QuadratureRule, TemporalGrid, bracket, gauss_unit_interval,
                     simplex_quadrature, whitney_local)
-from .fields import SourceField
+from .fields import SourceField, check_policy, eval_points_per_point
 from .mesh import EdgeTable, Mesh, barycentric_transforms, signed_volumes
 
 # Source samples (points x times x components) held at once by one sweep block.
@@ -149,6 +152,8 @@ def _sweep(mesh: Mesh, edge_table: EdgeTable, source: SourceField,
     points. Yields (elements (B,), Whitney values (B, nl, P), weights (B, P)
     with mu and Jacobian, source samples (B, P, T), outside-point count).
     """
+    check_policy(policy)
+    evaluate = getattr(source, "eval_points", None) or partial(eval_points_per_point, source)
     _, _, grads = barycentric_transforms(mesh)
     jac = np.abs(signed_volumes(mesh)) / space_quad.weights.sum()
     lam = space_quad.points
@@ -159,14 +164,10 @@ def _sweep(mesh: Mesh, edge_table: EdgeTable, source: SourceField,
         w = whitney_local(dim, grads[el], edge_table.element_signs[el], lam)     # (B, Q, nl, d)
         w = np.swapaxes(w, 1, 2).reshape(len(el), -1, n_q * dim)
         scale = np.repeat((mesh.mu[el] * jac[el])[:, None] * space_quad.weights, dim, axis=1)
-        xq = np.einsum("qk,ekd->eqd", lam, mesh.nodes[mesh.elements[el]])
-        hs = np.empty((len(el) * n_q, dim, n_t))
-        outside = 0
-        for i, x in enumerate(xq.reshape(-1, dim)):
-            values, inside = source.eval_time_batch(x, table.points, policy=policy)
-            hs[i] = values.T
-            outside += not inside
-        yield el, w, scale, hs.reshape(len(el), n_q * dim, n_t), outside
+        xq = np.einsum("qk,ekd->eqd", lam, mesh.nodes[mesh.elements[el]]).reshape(-1, dim)
+        values, inside = evaluate(xq, table.points, policy=policy)                # (B*Q, T, d)
+        hs = np.swapaxes(values, 1, 2).reshape(len(el), n_q * dim, n_t)
+        yield el, w, scale, hs, int(np.count_nonzero(~inside))
 
 
 def assemble_source_matrix(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid,

@@ -19,10 +19,20 @@ class PointOutsideDomainError(ValueError):
         self.point = np.asarray(x, dtype=float)
 
 
+def check_policy(policy: str) -> None:
+    """Raise ValueError unless policy is one of OUTSIDE_POLICIES."""
+    if policy not in OUTSIDE_POLICIES:
+        raise ValueError(f"unknown outside-domain policy {policy!r}")
+
+
 class SourceField:
     """Evaluator contract for the field being projected.
 
-    Implementations are immutable and safe for concurrent evaluation.
+    `eval_points` is the batched entry the assembly sweeps call; `eval` and
+    `eval_time_batch` are one-point wrappers around it. A subclass implements
+    `eval_points`, or only `eval_time_batch`, which the base `eval_points`
+    then calls once per point. Implementations are immutable and safe for
+    concurrent evaluation.
     """
 
     dim: int
@@ -35,9 +45,20 @@ class SourceField:
         """Times where the field is only piecewise smooth; integration splits there."""
         return np.empty(0)
 
+    def eval_points(self, points, ts, policy: str = "zero") -> tuple[np.ndarray, np.ndarray]:
+        """Evaluate at many spatial points for many times.
+
+        points (P, dim), ts (T,). Returns (values (P, T, dim), inside (P,) bool);
+        inside is False where a point missed the source domain and the zero
+        policy filled in zeros.
+        """
+        if type(self).eval_time_batch is SourceField.eval_time_batch:
+            raise NotImplementedError("a SourceField implements eval_points or eval_time_batch")
+        return eval_points_per_point(self, points, ts, policy)
+
     def eval(self, x, t: float, policy: str = "zero") -> np.ndarray:
-        values, _ = self.eval_time_batch(x, np.array([t]), policy=policy)
-        return values[0]
+        values, _ = self.eval_points(np.asarray(x, dtype=float)[None, :], np.array([t]), policy)
+        return values[0, 0]
 
     def eval_time_batch(self, x, ts: np.ndarray, policy: str = "zero") -> tuple[np.ndarray, bool]:
         """Evaluate at one spatial point for many times.
@@ -45,7 +66,8 @@ class SourceField:
         Returns (values (T, dim), inside_flag). inside_flag is False when the
         point missed the source domain and the zero policy filled in zeros.
         """
-        raise NotImplementedError
+        values, inside = self.eval_points(np.asarray(x, dtype=float)[None, :], ts, policy)
+        return values[0], bool(inside[0])
 
     def _check_times(self, ts: np.ndarray) -> None:
         span = self.time_span()
@@ -55,6 +77,20 @@ class SourceField:
         slack = 1e-12 * max(abs(t0), abs(t1), t1 - t0)
         if np.any(ts < t0 - slack) or np.any(ts > t1 + slack):
             raise ValueError(f"time outside the source span [{t0}, {t1}]")
+
+
+def eval_points_per_point(source, points, ts, policy: str = "zero") -> tuple[np.ndarray, np.ndarray]:
+    """The `eval_points` contract for a source that has only `eval_time_batch`.
+
+    Calls source.eval_time_batch(x, ts, policy=policy) once per row of points.
+    """
+    points = np.asarray(points, dtype=float)
+    ts = np.asarray(ts, dtype=float)
+    values = np.empty((len(points), len(ts), points.shape[1]))
+    inside = np.empty(len(points), dtype=bool)
+    for i, x in enumerate(points):
+        values[i], inside[i] = source.eval_time_batch(x, ts, policy=policy)
+    return values, inside
 
 
 class AnalyticField(SourceField):
@@ -119,28 +155,30 @@ class AnalyticField(SourceField):
         if self._pole_pairs < 1:
             raise ValueError("pole_pairs must be >= 1")
 
-    def eval_time_batch(self, x, ts, policy: str = "zero") -> tuple[np.ndarray, bool]:
-        x = np.asarray(x, dtype=float)
+    def eval_points(self, points, ts, policy: str = "zero") -> tuple[np.ndarray, np.ndarray]:
+        check_policy(policy)
+        points = np.asarray(points, dtype=float)
         ts = np.asarray(ts, dtype=float)
-        n = len(ts)
+        shape = (len(points), len(ts), self.dim)
+        inside = np.ones(len(points), dtype=bool)
         kind = self.kind
         if kind == "constant":
-            return np.tile(self._vector, (n, 1)), True
+            return np.broadcast_to(self._vector, shape).copy(), inside
         if kind == "linear":
-            return np.tile(self._matrix @ x + self._offset, (n, 1)), True
+            value = points @ self._matrix.T + self._offset
+            return np.broadcast_to(value[:, None, :], shape).copy(), inside
         if kind == "poly-time":
             scale = np.polynomial.polynomial.polyval(ts, self._coeffs)
-            return scale[:, None] * self._vector[None, :], True
+            return np.broadcast_to(scale[:, None] * self._vector, shape).copy(), inside
         if kind == "sinusoid":
-            w = self._wavenumber
-            value = self._amplitude * np.array([np.sin(w * x[1]), np.sin(w * x[0])])
-            return np.tile(value, (n, 1)), True
-        rel = x - self._center
-        theta = np.arctan2(rel[1], rel[0])
-        radial = np.array([np.cos(theta), np.sin(theta)])
-        pulse = np.cos(self._pole_pairs * (theta - self._omega * ts))
+            value = self._amplitude * np.sin(self._wavenumber * points[:, ::-1])
+            return np.broadcast_to(value[:, None, :], shape).copy(), inside
+        rel = points - self._center
+        theta = np.arctan2(rel[:, 1], rel[:, 0])
+        radial = np.stack([np.cos(theta), np.sin(theta)], axis=1)                  # (P, 2)
+        pulse = np.cos(self._pole_pairs * (theta[:, None] - self._omega * ts))     # (P, T)
         envelope = self._amplitude * (1.0 + self._modulation * np.cos(self._omega * ts))
-        return (envelope * pulse)[:, None] * radial[None, :], True
+        return (envelope * pulse)[:, :, None] * radial[:, None, :], inside
 
 
 class DiscreteField(SourceField):
@@ -172,23 +210,51 @@ class DiscreteField(SourceField):
     def interior_time_nodes(self) -> np.ndarray:
         return self.grid.times
 
-    def eval_time_batch(self, x, ts, policy: str = "zero") -> tuple[np.ndarray, bool]:
-        if policy not in OUTSIDE_POLICIES:
-            raise ValueError(f"unknown outside-domain policy {policy!r}")
+    def eval_points(self, points, ts, policy: str = "zero") -> tuple[np.ndarray, np.ndarray]:
+        check_policy(policy)
+        points = np.asarray(points, dtype=float)
         ts = np.asarray(ts, dtype=float)
         self._check_times(ts)
-        loc = self.locator.locate(x)
-        if loc.status == "outside":
-            if policy == "strict":
-                raise PointOutsideDomainError(x)
-            return np.zeros((len(ts), self.dim)), False
-        e = loc.element
-        w = whitney_local(self.dim, self.locator.element_gradients(e),
-                          self.edge_table.element_signs[e], loc.barycentric[None, :])[0]  # (nl, dim)
-        rows = self.dofs[self.edge_table.element_edges[e]]      # (n_local, N_s)
-        k, theta = bracket(self.grid, ts)
-        series = rows[:, k] * (1.0 - theta)[None, :] + rows[:, k + 1] * theta[None, :]
-        return series.T @ w, True
+        n = len(points)
+        inside = np.empty(n, dtype=bool)
+        elements = np.empty(n, dtype=np.int64)
+        lam = np.empty((n, self.dim + 1))
+        # Copy each result out at once: its barycentric row is a view that
+        # would keep the locator's whole candidate array alive.
+        for i, x in enumerate(points):
+            loc = self.locator.locate(x)
+            inside[i], elements[i], lam[i] = loc.status != "outside", loc.element, loc.barycentric
+        if policy == "strict" and not inside.all():
+            raise PointOutsideDomainError(points[np.argmin(inside)])
+        values = np.zeros((n, len(ts), self.dim))
+        hit = np.flatnonzero(inside)
+        if len(hit):
+            el = elements[hit]
+            w = whitney_local(self.dim, self.locator.element_gradients(el),
+                              self.edge_table.element_signs[el], lam[hit, None, :])[:, 0]  # (H, nl, d)
+            edges = self.edge_table.element_edges[el][:, None, :]                        # (H, 1, nl)
+            k, theta = bracket(self.grid, ts)
+            k, theta = k[:, None], theta[:, None]
+            # In place, so a block holds two (H, T, nl) series at most.
+            series = self.dofs[edges, k]
+            series *= 1.0 - theta
+            right = self.dofs[edges, k + 1]
+            right *= theta
+            series += right
+            values[hit] = series @ w
+        return values, inside
+
+
+def _circulations(mesh: Mesh, edge_table: EdgeTable, values_at) -> np.ndarray:
+    """The circulation rule on every global edge; values_at(points (M, dim)) -> (M, ..., dim)."""
+    s, w = edge_circulation_rule()
+    a = mesh.nodes[edge_table.edges[:, 0]]
+    b = mesh.nodes[edge_table.edges[:, 1]]
+    tangents = b - a
+    out = 0.0
+    for si, wi in zip(s, w):
+        out = out + wi * np.einsum("m...d,md->m...", values_at(a + si * tangents), tangents)
+    return out
 
 
 def edge_circulations(mesh: Mesh, edge_table: EdgeTable, func) -> np.ndarray:
@@ -197,21 +263,12 @@ def edge_circulations(mesh: Mesh, edge_table: EdgeTable, func) -> np.ndarray:
     func(x) returns a vector (dim,), giving circulations (M,), or a series of
     vectors (T, dim), giving (M, T).
     """
-    s, w = edge_circulation_rule()
-    a = mesh.nodes[edge_table.edges[:, 0]]
-    b = mesh.nodes[edge_table.edges[:, 1]]
-    tangents = b - a
-    out = 0.0
-    for si, wi in zip(s, w):
-        points = a + si * tangents
-        values = np.asarray([func(p) for p in points])
-        out = out + wi * np.einsum("m...d,md->m...", values, tangents)
-    return out
+    return _circulations(mesh, edge_table, lambda points: np.asarray([func(p) for p in points]))
 
 
 def sample_field(field: SourceField, mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid) -> DiscreteField:
     """Interpolate a field onto edge-element DOFs: circulation samples at every time node."""
-    dofs = edge_circulations(mesh, edge_table, lambda p: field.eval_time_batch(p, grid.times)[0])
+    dofs = _circulations(mesh, edge_table, lambda points: field.eval_points(points, grid.times)[0])
     return DiscreteField(mesh, edge_table, grid, dofs)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 from .assembly import (assemble_source_matrix, assemble_spatial_mass,
                        assemble_temporal_gram, energy_error)
 from .basis import TemporalGrid, bracket, simplex_quadrature, whitney_local
-from .fields import SourceField
+from .fields import SourceField, check_policy
 from .mesh import EdgeTable, Mesh, PointLocator
 from .solver import SolveReport, SolverConfig, SolverNonConvergence, cg_solve
 
@@ -26,6 +26,9 @@ class ProjectionProblem:
     solver: SolverConfig = field(default_factory=SolverConfig)
     threads: int = 1  # accepted and ignored: assembly runs as whole-array kernels
     allow_nonconverged: bool = False
+
+    def __post_init__(self):
+        check_policy(self.outside_policy)
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from stgp import (AnalyticField, DiscreteField, Mesh, TemporalGrid, assemble_source_matrix,
-                  assemble_spatial_mass, assemble_temporal_gram, build_edge_table, energy_error,
-                  generate_structured_mesh, read_matrix, simplex_quadrature, write_matrix)
+from stgp import (AnalyticField, DiscreteField, Mesh, SourceField, TemporalGrid,
+                  assemble_source_matrix, assemble_spatial_mass, assemble_temporal_gram,
+                  build_edge_table, energy_error, generate_structured_mesh, read_matrix,
+                  simplex_quadrature, write_matrix)
 from stgp.assembly import SWEEP_SAMPLES, TriDiagMatrix, build_time_table
 from stgp.basis import whitney_local
 from stgp.fields import edge_circulations
@@ -343,6 +344,71 @@ class TestSourceMatrix:
         assert e1[2] == e2[2]
         assert abs(e1[0] - e2[0]) < 1e-13 * e1[0]
         assert abs(e1[1] - e2[1]) < 1e-13 * e1[1]
+
+
+class PerPointSource:
+    """A discrete field behind only the per-point source protocol: no eval_points."""
+
+    def __init__(self, field):
+        self._field = field
+
+    def time_span(self):
+        return self._field.time_span()
+
+    def interior_time_nodes(self):
+        return self._field.interior_time_nodes()
+
+    def eval_time_batch(self, x, ts, policy="zero"):
+        return self._field.eval_time_batch(x, ts, policy=policy)
+
+
+class PerPointSubclass(PerPointSource, SourceField):
+    """The same, as a SourceField subclass that inherits the base eval_points."""
+
+
+class TestPerPointSources:
+    @pytest.mark.parametrize("wrapper", [PerPointSource, PerPointSubclass])
+    @pytest.mark.parametrize("kind,n_source,n_target", [("unit-square-tri", 5, 8),
+                                                        ("unit-cube-tet", 2, 2)])
+    def test_per_point_source_matches_batched(self, kind, n_source, n_target, wrapper,
+                                              jitter_rng):
+        # non-nested meshes, source time nodes inside target intervals, and a
+        # target that overhangs the source, so some points are outside
+        src_mesh = jittered_mesh(kind, n_source, jitter_rng)
+        src_table = build_edge_table(src_mesh)
+        src_grid = TemporalGrid(np.linspace(0.0, 1.0, 6))
+        field = DiscreteField(src_mesh, src_table, src_grid,
+                              jitter_rng.standard_normal((src_table.edge_count, 6)))
+        target = jittered_mesh(kind, n_target, jitter_rng)
+        stretch = np.ones(target.dim)
+        stretch[-1] = 1.3
+        mesh = Mesh(dim=target.dim, nodes=target.nodes * stretch, elements=target.elements,
+                    mu=target.mu)
+        table = build_edge_table(mesh)
+        grid = TemporalGrid(np.array([0.0, 0.15, 0.55, 0.9]))
+        c, outside = assemble_source_matrix(mesh, table, grid, field)
+        c_ref, outside_ref = assemble_source_matrix(mesh, table, grid, wrapper(field))
+        assert outside == outside_ref > 0
+        assert np.max(np.abs(c - c_ref)) <= 1e-13 * np.max(np.abs(c_ref))
+
+        dofs = jitter_rng.standard_normal((table.edge_count, grid.n_steps))
+        err, src, out = energy_error(mesh, table, grid, field, dofs)
+        err_ref, src_ref, out_ref = energy_error(mesh, table, grid, wrapper(field), dofs)
+        assert out == out_ref == outside
+        assert abs(err - err_ref) <= 1e-13 * err_ref
+        assert abs(src - src_ref) <= 1e-13 * src_ref
+
+    @pytest.mark.parametrize("discrete", [False, True])
+    def test_unknown_policy_rejected(self, discrete, square_mesh_2):
+        table = build_edge_table(square_mesh_2)
+        grid = TemporalGrid(np.array([0.0, 1.0]))
+        source = (DiscreteField(square_mesh_2, table, grid, np.ones((table.edge_count, 2)))
+                  if discrete else AnalyticField("constant", vector=(1.0, 0.0)))
+        with pytest.raises(ValueError, match="'stirct'"):
+            assemble_source_matrix(square_mesh_2, table, grid, source, policy="stirct")
+        with pytest.raises(ValueError, match="'stirct'"):
+            energy_error(square_mesh_2, table, grid, source, np.zeros((table.edge_count, 2)),
+                         policy="stirct")
 
 
 class TestTimeTable:

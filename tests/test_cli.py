@@ -131,6 +131,19 @@ class TestProject:
         assert result.returncode == 0, result.stderr
         assert "converged = true" in (tmp_path / "report.txt").read_text()
 
+    @pytest.mark.parametrize("source", ["discrete", "analytic"])
+    def test_unknown_outside_policy_is_config_error(self, tmp_path, source):
+        write_demo_inputs(tmp_path)
+        config = BASE_CONFIG + "outside_policy = stirct\n"
+        if source == "analytic":
+            config = config.replace("source_mesh = src.stgp\nsource_field = src.stgpf\n",
+                                    "analytic_kind = constant\nanalytic_vector = 1 0\n")
+        (tmp_path / "p.cfg").write_text(config)
+        result = run_cli("project", "p.cfg", cwd=tmp_path)
+        assert result.returncode == 1
+        assert "config error" in result.stderr and "'stirct'" in result.stderr
+        assert not (tmp_path / "out.stgpf").exists()
+
     def test_nonconvergence_override_flag(self, tmp_path):
         write_demo_inputs(tmp_path)
         config = (BASE_CONFIG + "solver_max_iterations = 1\nsolver_tol = 1e-14\n"

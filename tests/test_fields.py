@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 
 from stgp import (AnalyticField, DiscreteField, MeshFormatError, PointLocator,
-                  PointOutsideDomainError, TemporalGrid, bind_field, build_edge_table, generate_structured_mesh,
-                  read_field, sample_field, write_field)
+                  PointOutsideDomainError, SourceField, TemporalGrid, bind_field,
+                  build_edge_table, generate_structured_mesh, read_field, sample_field,
+                  write_field)
 from stgp.fields import edge_circulations
 
 from conftest import jittered_mesh
@@ -48,6 +49,74 @@ class TestAnalyticRecipes:
         assert inside
         for t, row in zip(ts, batch):
             assert np.allclose(row, f.eval(x, float(t)))
+
+
+ANALYTIC_KINDS = {
+    "constant": dict(vector=(1.0, -0.5)),
+    "linear": dict(matrix=[[1.0, 2.0], [0.5, -1.0]], offset=(0.5, 0.25)),
+    "poly-time": dict(vector=(2.0, 1.0), coeffs=(0.5, -1.0, 3.0)),
+    "sinusoid": dict(wavenumber=np.pi, amplitude=2.0),
+    "rotating-multipole": dict(pole_pairs=3, amplitude=1.5, omega=2.0, center=(0.2, 0.1),
+                               modulation=0.25),
+}
+
+
+class TestEvalPoints:
+    @pytest.mark.parametrize("kind", sorted(ANALYTIC_KINDS))
+    def test_analytic_matches_per_point(self, kind, jitter_rng):
+        f = AnalyticField(kind, **ANALYTIC_KINDS[kind])
+        points = jitter_rng.uniform(-1.0, 2.0, size=(13, 2))
+        ts = np.linspace(-0.5, 3.0, 11)
+        values, inside = f.eval_points(points, ts)
+        assert values.shape == (13, 11, 2)
+        assert inside.dtype == bool and inside.all()
+        stacked = np.array([f.eval_time_batch(x, ts)[0] for x in points])
+        np.testing.assert_allclose(values, stacked, rtol=1e-14, atol=1e-15)
+
+    def _field(self, rng):
+        mesh = jittered_mesh("unit-square-tri", 3, rng)
+        table = build_edge_table(mesh)
+        grid = TemporalGrid(np.array([0.0, 0.3, 0.45, 1.0]))
+        return DiscreteField(mesh, table, grid, rng.standard_normal((table.edge_count, 4)))
+
+    def test_discrete_matches_per_point(self, jitter_rng):
+        field = self._field(jitter_rng)
+        snapped = [[1.0 + 1e-12, 0.4], [0.3, -1e-12]]   # within the snap distance of the boundary
+        points = np.concatenate([jitter_rng.uniform(0.0, 1.0, size=(9, 2)), snapped,
+                                 [[3.0, 3.0], [-0.5, 0.5]]])
+        ts = np.array([0.0, 0.2, 0.3, 0.7, 1.0])
+        for x, status in zip(points[-4:], ("snapped", "snapped", "outside", "outside")):
+            assert field.locator.locate(x).status == status
+        values, inside = field.eval_points(points, ts)
+        assert values.shape == (13, 5, 2)
+        assert np.array_equal(inside, [True] * 11 + [False] * 2)
+        assert np.all(values[~inside] == 0.0)
+        stacked = [field.eval_time_batch(x, ts) for x in points]
+        np.testing.assert_allclose(values, np.array([v for v, _ in stacked]), rtol=1e-14, atol=1e-15)
+        assert [flag for _, flag in stacked] == inside.tolist()
+
+        strict, strict_inside = field.eval_points(points[:11], ts, policy="strict")
+        assert strict_inside.all()
+        assert np.array_equal(strict, values[:11])
+
+    def test_discrete_strict_raises_for_first_outside_point(self, jitter_rng):
+        field = self._field(jitter_rng)
+        points = np.array([[0.5, 0.5], [-0.5, 0.5], [0.2, 0.2], [3.0, 3.0]])
+        with pytest.raises(PointOutsideDomainError) as info:
+            field.eval_points(points, np.array([0.5]), policy="strict")
+        assert np.array_equal(info.value.point, [-0.5, 0.5])
+
+    def test_base_class_without_an_implementation_raises(self):
+        with pytest.raises(NotImplementedError):
+            SourceField().eval_points(np.array([[0.5, 0.5]]), np.array([0.5]))
+
+    @pytest.mark.parametrize("discrete", [False, True])
+    def test_unknown_policy_rejected(self, discrete, jitter_rng):
+        field = self._field(jitter_rng) if discrete else AnalyticField("constant", vector=(1.0, 0.0))
+        with pytest.raises(ValueError, match="'stirct'"):
+            field.eval_points(np.array([[0.5, 0.5]]), np.array([0.5]), policy="stirct")
+        with pytest.raises(ValueError, match="'stirct'"):
+            field.eval(np.array([0.5, 0.5]), 0.5, policy="stirct")
 
 
 class TestRotatingMultipole:

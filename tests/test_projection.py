@@ -290,6 +290,16 @@ class TestOutsidePolicyFlow:
             project(make_problem(target, grid, source, outside_policy="strict"))
 
 
+    @pytest.mark.parametrize("discrete", [False, True])
+    def test_unknown_policy_rejected_at_construction(self, discrete, square_mesh_2):
+        table = build_edge_table(square_mesh_2)
+        grid = TemporalGrid(np.array([0.0, 1.0]))
+        source = (DiscreteField(square_mesh_2, table, grid, np.ones((table.edge_count, 2)))
+                  if discrete else AnalyticField("constant", vector=(1.0, 0.0)))
+        with pytest.raises(ValueError, match="'stirct'"):
+            make_problem(square_mesh_2, grid, source, outside_policy="stirct")
+
+
 class Test3DProjection:
     def test_constant_reproduction_in_3d(self, jitter_rng):
         mesh = jittered_mesh("unit-cube-tet", 1, jitter_rng)
