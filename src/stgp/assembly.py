@@ -19,7 +19,8 @@ import scipy.sparse as sp
 from .basis import (QuadratureRule, TemporalGrid, bracket, gauss_unit_interval,
                     simplex_quadrature, whitney_local)
 from .fields import SourceField, check_policy, eval_points_per_point
-from .mesh import EdgeTable, Mesh, barycentric_transforms, signed_volumes
+from .mesh import (EdgeTable, Mesh, MeshFormatError, _format_row, _LineReader,
+                   barycentric_transforms, signed_volumes)
 
 # Source samples (points x times x components) held at once by one sweep block.
 # Larger blocks ran no faster and raised the peak RSS (2**18: +7 % on the
@@ -232,75 +233,61 @@ def energy_error(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid, source: 
 def write_matrix(matrix) -> str:
     """Dump a matrix in the stgp-matrix text format (sparse-sym, tridiag or dense)."""
     if isinstance(matrix, TriDiagMatrix):
-        out = ["stgp-matrix 1", f"tridiag {matrix.n}"]
-        out.append("diag " + " ".join(repr(float(v)) for v in matrix.diag))
-        out.append("off " + " ".join(repr(float(v)) for v in matrix.off))
-        return "\n".join(out) + "\n"
-    if sp.issparse(matrix):
+        out = ["stgp-matrix 1", f"tridiag {matrix.n}",
+               "diag " + _format_row(matrix.diag), "off " + _format_row(matrix.off)]
+    elif sp.issparse(matrix):
         coo = matrix.tocoo()
         keep = coo.row <= coo.col  # upper triangle carries the symmetric matrix
         out = ["stgp-matrix 1", f"sparse-sym {coo.shape[0]} {int(np.sum(keep))}"]
         order = np.lexsort((coo.col[keep], coo.row[keep]))
-        rows, cols, vals = coo.row[keep][order], coo.col[keep][order], coo.data[keep][order]
-        for r, c, v in zip(rows, cols, vals):
-            out.append(f"{int(r)} {int(c)} {repr(float(v))}")
-        return "\n".join(out) + "\n"
-    dense = np.asarray(matrix, dtype=float)
-    if dense.ndim != 2:
-        raise ValueError("dense dump expects a 2-D array")
-    out = ["stgp-matrix 1", f"dense {dense.shape[0]} {dense.shape[1]}"]
-    for row in dense:
-        out.append(" ".join(repr(float(v)) for v in row))
+        rows, cols = coo.row[keep][order].tolist(), coo.col[keep][order].tolist()
+        vals = coo.data[keep][order].astype(float).tolist()
+        out += [f"{r} {c} {v!r}" for r, c, v in zip(rows, cols, vals)]
+    else:
+        dense = np.asarray(matrix, dtype=float)
+        if dense.ndim != 2:
+            raise ValueError("dense dump expects a 2-D array")
+        out = ["stgp-matrix 1", f"dense {dense.shape[0]} {dense.shape[1]}"]
+        out += [_format_row(row) for row in dense]
     return "\n".join(out) + "\n"
 
 
 def read_matrix(text: str):
     """Parse the stgp-matrix dump format back into a matrix object."""
-    from .mesh import MeshFormatError, _LineReader, _parse_float, _parse_int
-
-    rd = _LineReader(text)
-    lineno, tokens = rd.next("header 'stgp-matrix 1'")
-    if tokens != ["stgp-matrix", "1"]:
-        raise MeshFormatError(lineno, "expected header 'stgp-matrix 1'")
+    rd = _LineReader(text, "stgp-matrix")
     lineno, tokens = rd.next("matrix kind line")
     kind = tokens[0]
+    labels = {"tridiag": ("dimension",), "sparse-sym": ("dimension", "entry count"),
+              "dense": ("rows", "cols")}.get(kind)
+    if labels is None:
+        raise MeshFormatError(lineno, f"unknown matrix kind {kind!r}")
+    if len(tokens) != 1 + len(labels):
+        raise MeshFormatError(lineno, f"expected '{kind}' followed by {len(labels)} sizes")
+    sizes = [rd.parse(token, label) for token, label in zip(tokens[1:], labels)]
+    if not all(0 <= size < 2**63 for size in sizes):
+        raise MeshFormatError(lineno, f"matrix sizes must lie in 0..{2**63 - 1}")
     if kind == "tridiag":
-        n = _parse_int(tokens[1], lineno, "dimension")
-        lineno, tokens = rd.next("'diag ...'")
-        diag = np.array([_parse_float(t, lineno, "diag") for t in tokens[1:]])
-        lineno, tokens = rd.next("'off ...'")
-        off = np.array([_parse_float(t, lineno, "off") for t in tokens[1:]])
-        rd.expect_done()
-        if len(diag) != n:
-            raise MeshFormatError(lineno, f"expected {n} diagonal entries")
-        return TriDiagMatrix(diag=diag, off=off)
-    if kind == "sparse-sym":
-        n = _parse_int(tokens[1], lineno, "dimension")
-        nnz = _parse_int(tokens[2], lineno, "entry count")
-        rows, cols, vals = [], [], []
-        for _ in range(nnz):
-            lineno, tokens = rd.next("coordinate triplet")
-            r = _parse_int(tokens[0], lineno, "row")
-            c = _parse_int(tokens[1], lineno, "col")
-            v = _parse_float(tokens[2], lineno, "value")
-            rows.append(r)
-            cols.append(c)
-            vals.append(v)
-            if r != c:  # mirror the stored upper triangle
-                rows.append(c)
-                cols.append(r)
-                vals.append(v)
-        rd.expect_done()
-        return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    if kind == "dense":
-        r = _parse_int(tokens[1], lineno, "rows")
-        c = _parse_int(tokens[2], lineno, "cols")
-        dense = np.zeros((r, c))
-        for i in range(r):
-            lineno, tokens = rd.next(f"dense row {i}")
-            if len(tokens) != c:
-                raise MeshFormatError(lineno, f"dense row {i} must hold {c} values")
-            dense[i] = [_parse_float(t, lineno, "value") for t in tokens]
-        rd.expect_done()
-        return dense
-    raise MeshFormatError(lineno, f"unknown matrix kind {kind!r}")
+        n, n_off = sizes[0], max(sizes[0] - 1, 0)
+        (diag,), _ = rd.block(1, 1 + n, "'diag ...'", f"expected 'diag' followed by {n} values",
+                              ("diag",), keyword="diag")
+        (off,), _ = rd.block(1, 1 + n_off, "'off ...'", f"expected 'off' followed by {n_off} values",
+                             ("off",), keyword="off")
+        matrix = TriDiagMatrix(diag=diag[0], off=off[0])
+    elif kind == "sparse-sym":
+        n, nnz = sizes
+        (rows, cols, vals), lines = rd.block(nnz, 3, "coordinate triplet", "expected '<row> <col> <value>'",
+                                             ("row", "col", "value"))
+        bad = np.flatnonzero((np.minimum(rows, cols) < 0) | (np.maximum(rows, cols) >= n))
+        if bad.size:
+            i = bad[0]
+            raise MeshFormatError(lines[i], f"entry ({rows[i]}, {cols[i]}) lies outside the {n} x {n} matrix")
+        mirror = rows != cols  # the stored upper triangle stands for both halves
+        vals = vals[:, 0]
+        matrix = sp.coo_matrix((np.concatenate([vals, vals[mirror]]),
+                                (np.concatenate([rows, cols[mirror]]), np.concatenate([cols, rows[mirror]]))),
+                               shape=(n, n)).tocsr()
+    else:
+        r, c = sizes
+        (matrix,), _ = rd.block(r, c, "dense row {i}", f"dense row {{i}} must hold {c} values", ("value",))
+    rd.expect_done()
+    return matrix

@@ -18,7 +18,7 @@ from .assembly import (assemble_source_matrix, assemble_spatial_mass, assemble_t
                        check_span)
 from .basis import TemporalGrid
 from .fields import AnalyticField, DiscreteField, bind_field, read_field, sample_field, write_field
-from .mesh import (Mesh, MeshFormatError, PointLocator, build_edge_table,
+from .mesh import (Mesh, MeshFormatError, PointLocator, _format_row, build_edge_table,
                    generate_structured_mesh, read_mesh, write_mesh)
 from .projection import ProjectionProblem, ProjectionResult, probe_timeseries, project
 from .solver import SolverConfig, apply_operator, cg_solve, dense_oracle_solve
@@ -229,9 +229,7 @@ def cmd_project(config_path: str) -> int:
                 ts, values = probe_timeseries(result.dofs, target_mesh, problem.edge_table,
                                               locator, grid, p, probe_samples)
                 header = "t," + ",".join("hx hy hz".split()[: target_mesh.dim])
-                lines = [header]
-                for t, v in zip(ts, values):
-                    lines.append(",".join(repr(float(x)) for x in (t, *v)))
+                lines = [header] + [_format_row(row, ",") for row in np.column_stack([ts, values])]
                 Path(f"{prefix}_{idx:03d}.csv").write_text("\n".join(lines) + "\n",
                                                            encoding="utf-8")
         lap("outputs")

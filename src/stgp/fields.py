@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import TemporalGrid, bracket, edge_circulation_rule, whitney_local
-from .mesh import EdgeTable, Mesh, MeshFormatError, PointLocator
+from .mesh import EdgeTable, Mesh, MeshFormatError, PointLocator, _format_row, _LineReader
 
 OUTSIDE_POLICIES = ("zero", "strict")
 
@@ -285,13 +285,7 @@ class FieldFile:
 
 def read_field(text: str) -> FieldFile:
     """Parse the stgp-field text format."""
-    from .mesh import _LineReader, _parse_float, _parse_int
-
-    rd = _LineReader(text)
-    lineno, tokens = rd.next("header 'stgp-field 1'")
-    if tokens != ["stgp-field", "1"]:
-        raise MeshFormatError(lineno, "expected header 'stgp-field 1'")
-
+    rd = _LineReader(text, "stgp-field")
     lineno, tokens = rd.next("'mesh <name>'")
     if len(tokens) != 2 or tokens[0] != "mesh":
         raise MeshFormatError(lineno, "expected 'mesh <mesh-file-name>'")
@@ -300,24 +294,24 @@ def read_field(text: str) -> FieldFile:
     lineno, tokens = rd.next("'edges <M> steps <N>'")
     if len(tokens) != 4 or tokens[0] != "edges" or tokens[2] != "steps":
         raise MeshFormatError(lineno, "expected 'edges <M> steps <N>'")
-    m = _parse_int(tokens[1], lineno, "edge count")
-    n = _parse_int(tokens[3], lineno, "step count")
+    m = rd.parse(tokens[1], "edge count")
+    n = rd.parse(tokens[3], "step count")
     if m < 0 or n < 2:
         raise MeshFormatError(lineno, "need M >= 0 edges and N >= 2 steps")
 
-    lineno, tokens = rd.next("'times ...'")
-    if len(tokens) != 1 + n or tokens[0] != "times":
-        raise MeshFormatError(lineno, f"expected 'times' followed by {n} values")
-    times = np.array([_parse_float(tok, lineno, "time") for tok in tokens[1:]])
+    (times,), (lineno,) = rd.block(1, 1 + n, "'times ...'", f"expected 'times' followed by {n} values",
+                                   ("time",), keyword="times")
+    times = times[0]
+    if not np.all(np.isfinite(times)):
+        raise MeshFormatError(lineno, "times must be finite")
     if np.any(np.diff(times) <= 0.0):
         raise MeshFormatError(lineno, "time line must be strictly increasing")
 
-    dofs = np.zeros((m, n))
-    for i in range(m):
-        lineno, tokens = rd.next(f"dof row {i}")
-        if len(tokens) != n:
-            raise MeshFormatError(lineno, f"dof row {i} must hold {n} values, got {len(tokens)}")
-        dofs[i] = [_parse_float(tok, lineno, "dof value") for tok in tokens]
+    (dofs,), lines = rd.block(m, n, "dof row {i}", f"dof row {{i}} must hold {n} values, got {{got}}",
+                              ("dof value",))
+    bad = np.flatnonzero(~np.isfinite(dofs).all(axis=1))
+    if bad.size:
+        raise MeshFormatError(lines[bad[0]], f"dof row {bad[0]} must hold finite values")
     rd.expect_done()
     return FieldFile(mesh_name=mesh_name, times=times, dofs=dofs)
 
@@ -332,10 +326,9 @@ def write_field(mesh_name: str, times: np.ndarray, dofs: np.ndarray) -> str:
         "stgp-field 1",
         f"mesh {mesh_name}",
         f"edges {dofs.shape[0]} steps {dofs.shape[1]}",
-        "times " + " ".join(repr(float(t)) for t in times),
+        "times " + _format_row(times),
     ]
-    for row in dofs:
-        out.append(" ".join(repr(float(v)) for v in row))
+    out += [_format_row(row) for row in dofs]
     return "\n".join(out) + "\n"
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ SNAP_REL_TOL = 1e-8
 
 
 class MeshFormatError(ValueError):
-    """Malformed stgp-mesh / stgp-field text. Carries the offending line number."""
+    """Malformed stgp-mesh, stgp-field or stgp-matrix text. Carries the offending line number."""
 
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
@@ -297,22 +298,28 @@ def generate_structured_mesh(kind: str, n: int, mu: float) -> Mesh:
 
 
 # ---------------------------------------------------------------------------
-# stgp-mesh text format
+# stgp text formats (mesh, field, matrix): one line reader, one row formatter
 
 
-def _content_lines(text: str):
-    """Yield (line_number, tokens) for non-empty lines, '#' starting a comment."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            yield lineno, stripped.split()
+def _format_row(row: np.ndarray, sep: str = " ") -> str:
+    """One row of numbers as text; a float's repr reads back to the same bits."""
+    return sep.join(map(repr, row.tolist()))
 
 
 class _LineReader:
-    def __init__(self, text: str):
-        self._lines = list(_content_lines(text))
+    """The content lines of an stgp text file after its '<kind> 1' header, '#' starting a comment.
+
+    Every fault raises MeshFormatError naming its line.
+    """
+
+    def __init__(self, text: str, kind: str):
+        lines = ((lineno, raw.split("#", 1)[0].split()) for lineno, raw in enumerate(text.splitlines(), 1))
+        self._lines = [(lineno, tokens) for lineno, tokens in lines if tokens]
         self._pos = 0
         self.last_line = 0
+        lineno, tokens = self.next(f"header '{kind} 1'")
+        if tokens != [kind, "1"]:
+            raise MeshFormatError(lineno, f"expected header '{kind} 1'")
 
     def next(self, what: str):
         if self._pos >= len(self._lines):
@@ -327,89 +334,102 @@ class _LineReader:
             lineno, tokens = self._lines[self._pos]
             raise MeshFormatError(lineno, f"unexpected trailing content: {' '.join(tokens)}")
 
+    def parse(self, token: str, what: str, convert=int):
+        """A token of the last line read, converted by `convert` (int or float)."""
+        try:
+            return convert(token)
+        except ValueError:
+            noun = "integer" if convert is int else "number"
+            raise MeshFormatError(self.last_line, f"expected {noun} {what}, got {token!r}") from None
 
-def _parse_int(token: str, lineno: int, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise MeshFormatError(lineno, f"expected integer {what}, got {token!r}") from None
+    def keyed(self, keyword: str, what: str, label: str) -> int:
+        """The integer of the next line, which must read '<keyword> <integer>'."""
+        return int(self.block(1, 2, what, f"expected {what}", (label,), int, keyword)[0][0][0, 0])
+
+    def block(self, count: int, width: int, what: str, shape: str, labels: tuple[str, ...],
+              convert=float, keyword: str | None = None) -> tuple[list[np.ndarray], list[int]]:
+        """The next `count` lines of `width` tokens each, as arrays (one per label) and line numbers.
+
+        Each label but the last names one leading integer column, (count,);
+        the last names the other columns, (count, rest), read by `convert`.
+        A line may open with `keyword`, counted in `width`. `what` (end of
+        file) and `shape` (wrong line) may use the row `{i}` and token count `{got}`.
+        """
+        if count < 0:
+            raise MeshFormatError(self.last_line, f"count must be >= 0, got {count}")
+        skip, lead = int(keyword is not None), len(labels) - 1
+        rows = self._lines[self._pos:self._pos + count]
+        # Typed buffers hold the numbers unboxed, and reject an integer beyond 64 bits.
+        ints, floats = array("q"), array("d")
+        rest_into = ints if convert is int else floats
+        for i, (lineno, tokens) in enumerate(rows):
+            if len(tokens) != width or (skip and tokens[0] != keyword):
+                raise MeshFormatError(lineno, shape.format(i=i, got=len(tokens)))
+            try:
+                ints.extend(map(int, tokens[skip:skip + lead]))
+                rest_into.extend(map(convert, tokens[skip + lead:]))
+            except OverflowError:
+                raise MeshFormatError(lineno, "integer out of the 64-bit range") from None
+            except ValueError:
+                self.last_line = lineno
+                for j, token in enumerate(tokens[skip:]):
+                    self.parse(token, labels[min(j, lead)], int if j < lead else convert)
+        self._pos += len(rows)
+        self.last_line = rows[-1][0] if rows else self.last_line
+        if len(rows) < count:
+            self.next(what.format(i=len(rows)))  # raises: the file ended early
+        rest = width - skip - lead
+        ints = np.frombuffer(ints, dtype=np.int64).reshape(count, lead + rest if convert is int else lead)
+        last = ints[:, lead:] if convert is int else np.frombuffer(floats, dtype=np.float64).reshape(count, rest)
+        return [*ints[:, :lead].T, last], [lineno for lineno, _ in rows]
 
 
-def _parse_float(token: str, lineno: int, what: str) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise MeshFormatError(lineno, f"expected number {what}, got {token!r}") from None
+def _check_ids(ids: np.ndarray, lines: list[int], what: str) -> None:
+    bad = np.flatnonzero(ids != np.arange(len(ids)))
+    if bad.size:
+        i = bad[0]
+        raise MeshFormatError(lines[i], f"{what} ids must be 0-based and consecutive, expected {i} got {ids[i]}")
 
 
 def read_mesh(text: str) -> Mesh:
     """Parse the stgp-mesh text format."""
-    rd = _LineReader(text)
-
-    lineno, tokens = rd.next("header 'stgp-mesh 1'")
-    if tokens != ["stgp-mesh", "1"]:
-        raise MeshFormatError(lineno, "expected header 'stgp-mesh 1'")
-
-    lineno, tokens = rd.next("'dim <2|3>'")
-    if len(tokens) != 2 or tokens[0] != "dim":
-        raise MeshFormatError(lineno, "expected 'dim <2|3>'")
-    dim = _parse_int(tokens[1], lineno, "dimension")
+    rd = _LineReader(text, "stgp-mesh")
+    dim = rd.keyed("dim", "'dim <2|3>'", "dimension")
     if dim not in (2, 3):
-        raise MeshFormatError(lineno, f"dim must be 2 or 3, got {dim}")
+        raise MeshFormatError(rd.last_line, f"dim must be 2 or 3, got {dim}")
 
-    lineno, tokens = rd.next("'nodes <count>'")
-    if len(tokens) != 2 or tokens[0] != "nodes":
-        raise MeshFormatError(lineno, "expected 'nodes <count>'")
-    n_nodes = _parse_int(tokens[1], lineno, "node count")
-    nodes = np.zeros((n_nodes, dim))
-    for i in range(n_nodes):
-        lineno, tokens = rd.next(f"node line {i}")
-        if len(tokens) != 1 + dim:
-            raise MeshFormatError(lineno, f"expected '<id> {'<x> <y>' if dim == 2 else '<x> <y> <z>'}'")
-        nid = _parse_int(tokens[0], lineno, "node id")
-        if nid != i:
-            raise MeshFormatError(lineno, f"node ids must be 0-based and consecutive, expected {i} got {nid}")
-        nodes[i] = [_parse_float(t, lineno, "coordinate") for t in tokens[1:]]
+    n_nodes = rd.keyed("nodes", "'nodes <count>'", "node count")
+    (ids, nodes), lines = rd.block(
+        n_nodes, 1 + dim, "node line {i}", f"expected '<id> {'<x> <y>' if dim == 2 else '<x> <y> <z>'}'",
+        ("node id", "coordinate"))
+    _check_ids(ids, lines, "node")
 
-    lineno, tokens = rd.next("'elements <count>'")
-    if len(tokens) != 2 or tokens[0] != "elements":
-        raise MeshFormatError(lineno, "expected 'elements <count>'")
-    n_elems = _parse_int(tokens[1], lineno, "element count")
-    elements = np.zeros((n_elems, dim + 1), dtype=np.int64)
-    for i in range(n_elems):
-        lineno, tokens = rd.next(f"element line {i}")
-        if len(tokens) != 2 + dim:
-            raise MeshFormatError(lineno, f"expected '<id> ' plus {dim + 1} node indices")
-        eid = _parse_int(tokens[0], lineno, "element id")
-        if eid != i:
-            raise MeshFormatError(lineno, f"element ids must be 0-based and consecutive, expected {i} got {eid}")
-        conn = [_parse_int(t, lineno, "node index") for t in tokens[1:]]
-        for c in conn:
-            if c < 0 or c >= n_nodes:
-                raise MeshFormatError(lineno, f"element {i} references node {c}, valid range is 0..{n_nodes - 1}")
-        elements[i] = conn
+    n_elems = rd.keyed("elements", "'elements <count>'", "element count")
+    (ids, elements), lines = rd.block(
+        n_elems, 2 + dim, "element line {i}", f"expected '<id> ' plus {dim + 1} node indices",
+        ("element id", "node index"), int)
+    _check_ids(ids, lines, "element")
+    outside = (elements < 0) | (elements >= n_nodes)
+    if outside.any():
+        i, k = np.argwhere(outside)[0]
+        raise MeshFormatError(lines[i], f"element {i} references node {elements[i, k]},"
+                                        f" valid range is 0..{n_nodes - 1}")
 
-    lineno, tokens = rd.next("'mu <count>'")
-    if len(tokens) != 2 or tokens[0] != "mu":
-        raise MeshFormatError(lineno, "expected 'mu <count>'")
-    n_mu = _parse_int(tokens[1], lineno, "mu count")
+    n_mu = rd.keyed("mu", "'mu <count>'", "mu count")
     if n_mu != n_elems:
-        raise MeshFormatError(lineno, f"mu count {n_mu} does not match element count {n_elems}")
-    mu = np.full(n_elems, np.nan)
-    for i in range(n_mu):
-        lineno, tokens = rd.next(f"mu line {i}")
-        if len(tokens) != 2:
-            raise MeshFormatError(lineno, "expected '<element-id> <value>'")
-        eid = _parse_int(tokens[0], lineno, "element id")
-        if eid < 0 or eid >= n_elems:
-            raise MeshFormatError(lineno, f"mu entry names element {eid}, valid range is 0..{n_elems - 1}")
-        if not np.isnan(mu[eid]):
-            raise MeshFormatError(lineno, f"duplicate mu entry for element {eid}")
-        mu[eid] = _parse_float(tokens[1], lineno, "mu value")
+        raise MeshFormatError(rd.last_line, f"mu count {n_mu} does not match element count {n_elems}")
+    (ids, values), lines = rd.block(n_mu, 2, "mu line {i}", "expected '<element-id> <value>'",
+                                    ("element id", "mu value"))
+    bad = np.flatnonzero((ids < 0) | (ids >= n_elems))
+    if bad.size:
+        raise MeshFormatError(lines[bad[0]], f"mu entry names element {ids[bad[0]]},"
+                                             f" valid range is 0..{n_elems - 1}")
+    # n_elems ids, all in range: with no repeat, every element has exactly one entry.
+    repeat = np.setdiff1d(np.arange(n_mu), np.unique(ids, return_index=True)[1])
+    if repeat.size:
+        raise MeshFormatError(lines[repeat[0]], f"duplicate mu entry for element {ids[repeat[0]]}")
     rd.expect_done()
-    if np.any(np.isnan(mu)):
-        missing = int(np.argmax(np.isnan(mu)))
-        raise MeshFormatError(rd.last_line, f"missing mu entry for element {missing}")
+    mu = values[np.argsort(ids), 0]
 
     try:
         return Mesh(dim=dim, nodes=nodes, elements=elements, mu=mu)
@@ -420,12 +440,9 @@ def read_mesh(text: str) -> Mesh:
 def write_mesh(mesh: Mesh) -> str:
     """Serialize a mesh to the canonical stgp-mesh text format."""
     out = ["stgp-mesh 1", f"dim {mesh.dim}", f"nodes {mesh.n_nodes}"]
-    for i, node in enumerate(mesh.nodes):
-        out.append(f"{i} " + " ".join(repr(float(c)) for c in node))
+    out += [f"{i} {_format_row(node)}" for i, node in enumerate(mesh.nodes)]
     out.append(f"elements {mesh.n_elements}")
-    for i, elem in enumerate(mesh.elements):
-        out.append(f"{i} " + " ".join(str(int(v)) for v in elem))
+    out += [f"{i} {_format_row(elem)}" for i, elem in enumerate(mesh.elements)]
     out.append(f"mu {mesh.n_elements}")
-    for i, value in enumerate(mesh.mu):
-        out.append(f"{i} {repr(float(value))}")
+    out += [f"{i} {value!r}" for i, value in enumerate(mesh.mu.tolist())]
     return "\n".join(out) + "\n"

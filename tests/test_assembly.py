@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from stgp import (AnalyticField, DiscreteField, Mesh, SourceField, TemporalGrid,
+from stgp import (AnalyticField, DiscreteField, Mesh, MeshFormatError, SourceField, TemporalGrid,
                   assemble_source_matrix, assemble_spatial_mass, assemble_temporal_gram,
                   build_edge_table, energy_error, generate_structured_mesh, read_matrix,
                   simplex_quadrature, write_matrix)
@@ -468,6 +468,21 @@ class TestMatrixDump:
         c = jitter_rng.standard_normal((4, 3))
         back = read_matrix(write_matrix(c))
         assert np.array_equal(back, c)
+
+    @pytest.mark.parametrize("text, line", [
+        ("stgp-matrix 1\ntridiag\ndiag 1.0\noff\n", 2),
+        ("stgp-matrix 1\ntridiag 2\nfoo 1.0 2.0\noff 0.5\n", 3),
+        ("stgp-matrix 1\ntridiag 2\ndiag 1.0 2.0\nbar 0.5\n", 4),
+        ("stgp-matrix 1\ntridiag 3\ndiag 1.0 2.0 3.0\noff 0.5\n", 4),
+        ("stgp-matrix 1\nsparse-sym 2 2\n0 0 1.0\n0 1\n", 4),
+        ("stgp-matrix 1\nsparse-sym 2 2\n0 0 1.0\n1 2 0.5\n", 4),
+        ("stgp-matrix 1\nsparse-sym 2 1\n-1 0 0.5\n", 3),
+    ], ids=["tridiag-no-size", "diag-mislabelled", "off-mislabelled", "off-count",
+            "short-triplet", "col-past-dimension", "negative-row"])
+    def test_malformed_dump_names_line(self, text, line):
+        with pytest.raises(MeshFormatError) as err:
+            read_matrix(text)
+        assert err.value.line == line
 
     def test_header_is_stable(self):
         b = TriDiagMatrix(diag=np.array([1.0, 2.0]), off=np.array([0.5]))

@@ -252,6 +252,14 @@ class TestInfo:
         assert result.returncode == 0
         assert "steps=4" in result.stdout
 
+    def test_field_info_rejects_non_finite_times(self, tmp_path):
+        text = "stgp-field 1\nmesh m.stgp\nedges 1 steps 2\ntimes nan 1\n0.5 0.5\n"
+        (tmp_path / "bad.stgpf").write_text(text)
+        result = run_cli("info", "bad.stgpf", cwd=tmp_path)
+        assert result.returncode == 1
+        assert "format error: line 4" in result.stderr
+        assert result.stdout == ""
+
     def test_missing_file(self, tmp_path):
         result = run_cli("info", "nope.stgp", cwd=tmp_path)
         assert result.returncode == 1

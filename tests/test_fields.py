@@ -328,6 +328,17 @@ class TestFieldIO:
         with pytest.raises(MeshFormatError, match="line 6"):
             read_field(text)
 
+    @pytest.mark.parametrize("old, new, line", [
+        ("times 0.0 1.0", "times nan 1.0", 4),
+        ("times 0.0 1.0", "times 0.0 inf", 4),
+        ("3.0 4.0", "3.0 nan", 6),
+        ("5.0 6.0", "-inf 6.0", 7),
+    ], ids=["nan-time", "inf-time", "nan-dof", "inf-dof"])
+    def test_non_finite_value_names_line(self, old, new, line):
+        with pytest.raises(MeshFormatError, match="finite") as err:
+            read_field(CANONICAL_FIELD.replace(old, new))
+        assert err.value.line == line
+
     def test_bind_checks_edge_count(self):
         mesh = generate_structured_mesh("unit-square-tri", 1, 1.0)
         table = build_edge_table(mesh)  # 5 edges

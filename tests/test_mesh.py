@@ -284,6 +284,18 @@ class TestMeshIO:
         with pytest.raises(MeshFormatError, match="duplicate mu"):
             read_mesh(text)
 
+    def test_nan_mu_reaches_positivity_check(self):
+        text = CANONICAL_TWO_TRIANGLES.replace("1 2.5", "1 nan")
+        with pytest.raises(MeshFormatError, match="mu of element 1 must be a strictly positive finite") as err:
+            read_mesh(text)
+        assert err.value.line == 13
+
+    def test_duplicate_after_nan_mu_names_its_line(self):
+        text = CANONICAL_TWO_TRIANGLES.replace("0 1.0\n1 2.5", "0 nan\n0 1.0")
+        with pytest.raises(MeshFormatError, match="duplicate mu entry for element 0") as err:
+            read_mesh(text)
+        assert err.value.line == 13
+
     def test_malformed_header_names_line(self):
         with pytest.raises(MeshFormatError, match="line 1"):
             read_mesh("stgp-mesh 2\ndim 2\n")
