@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import (QuadratureRule, TemporalGrid, bracket, gauss_unit_interval,
+from .basis import (QuadratureRule, TemporalGrid, _within_span, bracket, gauss_unit_interval,
                     simplex_quadrature, whitney_local)
 from .fields import SourceField, check_policy, eval_points_per_point
 from .mesh import (EdgeTable, Mesh, MeshFormatError, _format_row, _LineReader,
@@ -132,14 +132,13 @@ def build_time_table(grid: TemporalGrid, source: SourceField, n_points: int) -> 
 def check_span(grid: TemporalGrid, source: SourceField) -> None:
     """Raise ValueError if the grid reaches outside the source's time span.
 
-    A relative slack of 1e-12 absorbs round-off in either grid's end times.
+    A relative slack absorbs round-off in either grid's end times.
     """
     span = source.time_span()
     if span is None:
         return
     t0, t1 = grid.span
-    slack = 1e-12 * max(abs(span[0]), abs(span[1]), span[1] - span[0])
-    if t0 < span[0] - slack or t1 > span[1] + slack:
+    if not _within_span(t0, t1, span):
         raise ValueError(
             f"target grid span [{t0}, {t1}] is not inside the source span [{span[0]}, {span[1]}]"
         )
@@ -236,7 +235,8 @@ def write_matrix(matrix) -> str:
         out = ["stgp-matrix 1", f"tridiag {matrix.n}",
                "diag " + _format_row(matrix.diag), "off " + _format_row(matrix.off)]
     elif sp.issparse(matrix):
-        coo = matrix.tocoo()
+        coo = matrix.tocoo(copy=True)
+        coo.sum_duplicates()  # a dump holds each entry once
         keep = coo.row <= coo.col  # upper triangle carries the symmetric matrix
         out = ["stgp-matrix 1", f"sparse-sym {coo.shape[0]} {int(np.sum(keep))}"]
         order = np.lexsort((coo.col[keep], coo.row[keep]))
@@ -248,7 +248,7 @@ def write_matrix(matrix) -> str:
         if dense.ndim != 2:
             raise ValueError("dense dump expects a 2-D array")
         out = ["stgp-matrix 1", f"dense {dense.shape[0]} {dense.shape[1]}"]
-        out += [_format_row(row) for row in dense]
+        out += [_format_row(row) for row in dense] if dense.shape[1] else []
     return "\n".join(out) + "\n"
 
 
@@ -281,6 +281,16 @@ def read_matrix(text: str):
         if bad.size:
             i = bad[0]
             raise MeshFormatError(lines[i], f"entry ({rows[i]}, {cols[i]}) lies outside the {n} x {n} matrix")
+        bad = np.flatnonzero(rows > cols)
+        if bad.size:
+            i = bad[0]
+            raise MeshFormatError(lines[i], f"entry ({rows[i]}, {cols[i]}) lies below the diagonal;"
+                                            " sparse-sym holds the upper triangle")
+        first = np.unique(np.stack([rows, cols]), axis=1, return_index=True)[1]
+        repeat = np.setdiff1d(np.arange(nnz), first)
+        if repeat.size:
+            i = repeat[0]
+            raise MeshFormatError(lines[i], f"repeated entry ({rows[i]}, {cols[i]})")
         mirror = rows != cols  # the stored upper triangle stands for both halves
         vals = vals[:, 0]
         matrix = sp.coo_matrix((np.concatenate([vals, vals[mirror]]),
@@ -288,6 +298,9 @@ def read_matrix(text: str):
                                shape=(n, n)).tocsr()
     else:
         r, c = sizes
-        (matrix,), _ = rd.block(r, c, "dense row {i}", f"dense row {{i}} must hold {c} values", ("value",))
+        # A matrix with no columns has no row lines.
+        (matrix,), _ = rd.block(r if c else 0, c, "dense row {i}", f"dense row {{i}} must hold {c} values",
+                                ("value",))
+        matrix = matrix.reshape(r, c)
     rd.expect_done()
     return matrix

@@ -41,6 +41,13 @@ class TemporalGrid:
         return np.diff(self.times)
 
 
+def _within_span(lo: float, hi: float, span: tuple[float, float]) -> bool:
+    """Whether [lo, hi] lies inside span, with 1e-12 relative slack for round-off; NaN never does."""
+    t0, t1 = span
+    slack = 1e-12 * max(abs(t0), abs(t1), t1 - t0)
+    return bool(t0 - slack <= lo and hi <= t1 + slack)
+
+
 def hat_eval(grid: TemporalGrid, j: int, t: float) -> float:
     """Piecewise-linear hat: 1 at t_j, 0 at the other nodes."""
     times = grid.times

@@ -17,7 +17,8 @@ from . import __version__
 from .assembly import (assemble_source_matrix, assemble_spatial_mass, assemble_temporal_gram,
                        check_span)
 from .basis import TemporalGrid
-from .fields import AnalyticField, DiscreteField, bind_field, read_field, sample_field, write_field
+from .fields import (AnalyticField, DiscreteField, PointOutsideDomainError, bind_field, read_field,
+                     sample_field, write_field)
 from .mesh import (Mesh, MeshFormatError, PointLocator, _format_row, build_edge_table,
                    generate_structured_mesh, read_mesh, write_mesh)
 from .projection import ProjectionProblem, ProjectionResult, probe_timeseries, project
@@ -94,27 +95,30 @@ def _build_grid(config: dict) -> TemporalGrid:
 def _build_analytic(config: dict, dim: int) -> AnalyticField:
     kind = config["analytic_kind"]
     params = {}
-    if kind == "constant":
-        params["vector"] = _floats(config["analytic_vector"])
-    elif kind == "linear":
-        params["matrix"] = np.array(_floats(config["analytic_matrix"])).reshape(dim, dim)
-        if "analytic_offset" in config:
-            params["offset"] = _floats(config["analytic_offset"])
-    elif kind == "poly-time":
-        params["vector"] = _floats(config["analytic_vector"])
-        params["coeffs"] = _floats(config["analytic_coeffs"])
-    elif kind == "sinusoid":
-        params["wavenumber"] = float(config["analytic_wavenumber"])
-        params["amplitude"] = float(config.get("analytic_amplitude", 1.0))
-    elif kind == "rotating-multipole":
-        params["pole_pairs"] = int(config["analytic_pole_pairs"])
-        params["omega"] = float(config["analytic_omega"])
-        params["amplitude"] = float(config.get("analytic_amplitude", 1.0))
-        if "analytic_center" in config:
-            params["center"] = _floats(config["analytic_center"])
-        params["modulation"] = float(config.get("analytic_modulation", 0.0))
-    else:
-        raise ConfigError(f"unknown analytic_kind {kind!r}")
+    try:
+        if kind == "constant":
+            params["vector"] = _floats(config["analytic_vector"])
+        elif kind == "linear":
+            params["matrix"] = np.array(_floats(config["analytic_matrix"])).reshape(dim, dim)
+            if "analytic_offset" in config:
+                params["offset"] = _floats(config["analytic_offset"])
+        elif kind == "poly-time":
+            params["vector"] = _floats(config["analytic_vector"])
+            params["coeffs"] = _floats(config["analytic_coeffs"])
+        elif kind == "sinusoid":
+            params["wavenumber"] = float(config["analytic_wavenumber"])
+            params["amplitude"] = float(config.get("analytic_amplitude", 1.0))
+        elif kind == "rotating-multipole":
+            params["pole_pairs"] = int(config["analytic_pole_pairs"])
+            params["omega"] = float(config["analytic_omega"])
+            params["amplitude"] = float(config.get("analytic_amplitude", 1.0))
+            if "analytic_center" in config:
+                params["center"] = _floats(config["analytic_center"])
+            params["modulation"] = float(config.get("analytic_modulation", 0.0))
+        else:
+            raise ConfigError(f"unknown analytic_kind {kind!r}")
+    except KeyError as exc:
+        raise ConfigError(f"missing key {exc.args[0]} for analytic_kind = {kind}") from None
     return AnalyticField(kind, dim=dim, **params)
 
 
@@ -199,10 +203,15 @@ def cmd_project(config_path: str) -> int:
         )
         check_span(grid, source)
         probes = [np.array(_floats(p)) for p in config["probe"]]
+        locator = PointLocator(target_mesh) if probes else None
         for raw, p in zip(config["probe"], probes):
             if p.shape != (target_mesh.dim,):
                 raise ConfigError(f"probe '{raw}' needs {target_mesh.dim} coordinates")
+            if locator.locate(p).status == "outside":
+                raise ConfigError(f"probe '{raw}' is outside the target mesh")
         probe_samples = int(config.get("probe_samples", "200"))
+        if probe_samples < 2:
+            raise ConfigError("probe_samples must be >= 2")
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -213,6 +222,9 @@ def cmd_project(config_path: str) -> int:
 
     try:
         result = project(problem)
+    except PointOutsideDomainError as exc:
+        print(f"config error: {exc} (outside_policy = strict)", file=sys.stderr)
+        return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001  (solver failure surfaces as exit 2)
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -223,7 +235,6 @@ def cmd_project(config_path: str) -> int:
             text = write_field(Path(config["target_mesh"]).name, grid.times, result.dofs)
             Path(config["out_field"]).write_text(text, encoding="utf-8")
         if probes:
-            locator = PointLocator(target_mesh)
             prefix = config.get("out_probe_prefix", "probe")
             for idx, p in enumerate(probes):
                 ts, values = probe_timeseries(result.dofs, target_mesh, problem.edge_table,

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import TemporalGrid, bracket, edge_circulation_rule, whitney_local
+from .basis import TemporalGrid, _within_span, bracket, edge_circulation_rule, whitney_local
 from .mesh import EdgeTable, Mesh, MeshFormatError, PointLocator, _format_row, _LineReader
 
 OUTSIDE_POLICIES = ("zero", "strict")
@@ -73,10 +73,8 @@ class SourceField:
         span = self.time_span()
         if span is None:
             return
-        t0, t1 = span
-        slack = 1e-12 * max(abs(t0), abs(t1), t1 - t0)
-        if np.any(ts < t0 - slack) or np.any(ts > t1 + slack):
-            raise ValueError(f"time outside the source span [{t0}, {t1}]")
+        if ts.size and not _within_span(ts.min(), ts.max(), span):
+            raise ValueError(f"time outside the source span [{span[0]}, {span[1]}]")
 
 
 def eval_points_per_point(source, points, ts, policy: str = "zero") -> tuple[np.ndarray, np.ndarray]:

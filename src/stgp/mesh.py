@@ -27,6 +27,15 @@ class MeshFormatError(ValueError):
         self.line = line
 
 
+class MeshRowError(ValueError):
+    """A Mesh input row is invalid: row `row` of `table`, one of 'nodes', 'elements' and 'mu'."""
+
+    def __init__(self, table: str, row: int, message: str):
+        super().__init__(message)
+        self.table = table
+        self.row = row
+
+
 @dataclass(frozen=True)
 class Mesh:
     """Simplicial mesh (triangles in 2D, tetrahedra in 3D) with per-element permeability.
@@ -53,24 +62,26 @@ class Mesh:
         if nodes.ndim != 2 or nodes.shape[1] != self.dim:
             raise ValueError(f"nodes must have shape (n, {self.dim})")
         if not np.all(np.isfinite(nodes)):
-            raise ValueError("node coordinates must be finite")
+            bad = int(np.argmax(~np.isfinite(nodes).all(axis=1)))
+            raise MeshRowError("nodes", bad, f"node {bad} coordinates must be finite")
         if elements.ndim != 2 or elements.shape[1] != self.dim + 1:
             raise ValueError(f"elements must have shape (n, {self.dim + 1})")
         if elements.size and (elements.min() < 0 or elements.max() >= len(nodes)):
-            bad = int(np.argmax(np.any((elements < 0) | (elements >= len(nodes)), axis=1)))
-            raise ValueError(f"element {bad} references an invalid node index")
+            bad, k = np.argwhere((elements < 0) | (elements >= len(nodes)))[0].tolist()
+            raise MeshRowError("elements", bad, f"element {bad} references node {elements[bad, k]},"
+                                                f" an invalid node index; valid range is 0..{len(nodes) - 1}")
         if mu.shape != (len(elements),):
             raise ValueError("mu must hold exactly one value per element")
         if not np.all(np.isfinite(mu)) or np.any(mu <= 0.0):
             bad = int(np.argmax(~(np.isfinite(mu) & (mu > 0.0))))
-            raise ValueError(f"mu of element {bad} must be a strictly positive finite value")
+            raise MeshRowError("mu", bad, f"mu of element {bad} must be a strictly positive finite value")
 
         vols = signed_volumes(self)
         scale = float(np.linalg.norm(nodes.max(axis=0) - nodes.min(axis=0))) if len(nodes) else 0.0
         limit = DEGENERACY_REL_TOL * scale**self.dim
         if np.any(np.abs(vols) <= limit):
             bad = int(np.argmax(np.abs(vols) <= limit))
-            raise ValueError(f"element {bad} is degenerate (|volume| <= {limit:g})")
+            raise MeshRowError("elements", bad, f"element {bad} is degenerate (|volume| <= {limit:g})")
 
         for arr in (nodes, elements, mu):
             arr.flags.writeable = False
@@ -399,21 +410,16 @@ def read_mesh(text: str) -> Mesh:
         raise MeshFormatError(rd.last_line, f"dim must be 2 or 3, got {dim}")
 
     n_nodes = rd.keyed("nodes", "'nodes <count>'", "node count")
-    (ids, nodes), lines = rd.block(
+    (ids, nodes), node_lines = rd.block(
         n_nodes, 1 + dim, "node line {i}", f"expected '<id> {'<x> <y>' if dim == 2 else '<x> <y> <z>'}'",
         ("node id", "coordinate"))
-    _check_ids(ids, lines, "node")
+    _check_ids(ids, node_lines, "node")
 
     n_elems = rd.keyed("elements", "'elements <count>'", "element count")
-    (ids, elements), lines = rd.block(
+    (ids, elements), element_lines = rd.block(
         n_elems, 2 + dim, "element line {i}", f"expected '<id> ' plus {dim + 1} node indices",
         ("element id", "node index"), int)
-    _check_ids(ids, lines, "element")
-    outside = (elements < 0) | (elements >= n_nodes)
-    if outside.any():
-        i, k = np.argwhere(outside)[0]
-        raise MeshFormatError(lines[i], f"element {i} references node {elements[i, k]},"
-                                        f" valid range is 0..{n_nodes - 1}")
+    _check_ids(ids, element_lines, "element")
 
     n_mu = rd.keyed("mu", "'mu <count>'", "mu count")
     if n_mu != n_elems:
@@ -429,12 +435,13 @@ def read_mesh(text: str) -> Mesh:
     if repeat.size:
         raise MeshFormatError(lines[repeat[0]], f"duplicate mu entry for element {ids[repeat[0]]}")
     rd.expect_done()
-    mu = values[np.argsort(ids), 0]
+    order = np.argsort(ids)
 
     try:
-        return Mesh(dim=dim, nodes=nodes, elements=elements, mu=mu)
-    except ValueError as exc:
-        raise MeshFormatError(rd.last_line, str(exc)) from exc
+        return Mesh(dim=dim, nodes=nodes, elements=elements, mu=values[order, 0])
+    except MeshRowError as exc:
+        rows = {"nodes": node_lines, "elements": element_lines, "mu": np.asarray(lines)[order]}
+        raise MeshFormatError(int(rows[exc.table][exc.row]), str(exc)) from exc
 
 
 def write_mesh(mesh: Mesh) -> str:

@@ -8,8 +8,8 @@ import numpy as np
 
 from .assembly import (assemble_source_matrix, assemble_spatial_mass,
                        assemble_temporal_gram, energy_error)
-from .basis import TemporalGrid, bracket, simplex_quadrature, whitney_local
-from .fields import SourceField, check_policy
+from .basis import TemporalGrid, _within_span, simplex_quadrature
+from .fields import DiscreteField, PointOutsideDomainError, SourceField, check_policy
 from .mesh import EdgeTable, Mesh, PointLocator
 from .solver import SolveReport, SolverConfig, SolverNonConvergence, cg_solve
 
@@ -79,28 +79,26 @@ def error_norm(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid, source: So
     return err, source_energy
 
 
-def _locate_whitney(dofs, mesh, edge_table, locator, x, what: str):
-    loc = locator.locate(x)
-    if loc.status == "outside":
-        point = tuple(float(c) for c in np.atleast_1d(x))
-        raise ValueError(f"{what} {point} is outside the target mesh")
-    e = loc.element
-    grads = locator.element_gradients(e)
-    w = whitney_local(mesh.dim, grads, edge_table.element_signs[e],
-                      loc.barycentric[None, :])[0]
-    return w, dofs[edge_table.element_edges[e]]
+def _eval_at(dofs, mesh: Mesh, edge_table: EdgeTable, locator: PointLocator,
+             grid: TemporalGrid, x, ts: np.ndarray, what: str) -> np.ndarray:
+    """The projected field at one point x for the times ts, (T, dim), as a DiscreteField on the target."""
+    # A view, so that the field locking its array leaves the caller's dofs writeable.
+    field = DiscreteField(mesh, edge_table, grid, np.asarray(dofs, dtype=float).view(), locator)
+    try:
+        values, _ = field.eval_points(np.asarray(x, dtype=float).reshape(1, -1), ts, policy="strict")
+    except PointOutsideDomainError as exc:
+        point = tuple(float(c) for c in exc.point)
+        raise ValueError(f"{what} {point} is outside the target mesh") from None
+    return values[0]
 
 
 def eval_projected(dofs: np.ndarray, mesh: Mesh, edge_table: EdgeTable,
                    locator: PointLocator, grid: TemporalGrid, x, t: float) -> np.ndarray:
     """Evaluate the projected field at one space-time point."""
-    t0, t1 = grid.span
-    if t < t0 or t > t1:
+    if not _within_span(t, t, grid.span):
+        t0, t1 = grid.span
         raise ValueError(f"t={t} outside the grid span [{t0}, {t1}]")
-    w, rows = _locate_whitney(dofs, mesh, edge_table, locator, x, "point")
-    k, theta = bracket(grid, t)
-    coeff = rows[:, k] * (1.0 - theta) + rows[:, k + 1] * theta
-    return coeff @ w
+    return _eval_at(dofs, mesh, edge_table, locator, grid, x, np.array([t]), "point")[0]
 
 
 def probe_timeseries(dofs: np.ndarray, mesh: Mesh, edge_table: EdgeTable,
@@ -112,9 +110,5 @@ def probe_timeseries(dofs: np.ndarray, mesh: Mesh, edge_table: EdgeTable,
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    t0, t1 = grid.span
-    w, rows = _locate_whitney(dofs, mesh, edge_table, locator, x, "probe point")
-    times = np.linspace(t0, t1, samples)
-    k, theta = bracket(grid, times)
-    coeff = rows[:, k] * (1.0 - theta)[None, :] + rows[:, k + 1] * theta[None, :]
-    return times, coeff.T @ w
+    times = np.linspace(*grid.span, samples)
+    return times, _eval_at(dofs, mesh, edge_table, locator, grid, x, times, "probe point")

@@ -3,6 +3,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
 
 from stgp import (AnalyticField, DiscreteField, Mesh, MeshFormatError, SourceField, TemporalGrid,
@@ -488,3 +489,26 @@ class TestMatrixDump:
         b = TriDiagMatrix(diag=np.array([1.0, 2.0]), off=np.array([0.5]))
         text = write_matrix(b)
         assert text.startswith("stgp-matrix 1\ntridiag 2\n")
+
+
+class TestMatrixDumpRoundTrips:
+    def test_dense_without_columns_or_rows(self):
+        for shape in ((2, 0), (0, 3), (0, 0)):
+            text = write_matrix(np.zeros(shape))
+            assert text == f"stgp-matrix 1\ndense {shape[0]} {shape[1]}\n"
+            back = read_matrix(text)
+            assert back.shape == shape
+            assert write_matrix(back) == text
+
+    @pytest.mark.parametrize("entries, message", [
+        ("0 1 1.0\n1 0 1.0\n", "entry \\(1, 0\\) lies below the diagonal"),
+        ("0 1 1.0\n0 1 1.0\n", "repeated entry \\(0, 1\\)"),
+        ("1 1 1.0\n1 1 1.0\n", "repeated entry \\(1, 1\\)"),
+    ])
+    def test_sparse_sym_holds_each_upper_entry_once(self, entries, message):
+        with pytest.raises(MeshFormatError, match=message) as err:
+            read_matrix("stgp-matrix 1\nsparse-sym 2 2\n" + entries)
+        assert err.value.line == 4
+        # A matrix that holds an entry twice is dumped with the sum, once.
+        doubled = sp.coo_matrix((np.array([1.0, 2.0]), (np.array([0, 0]), np.array([1, 1]))), shape=(2, 2))
+        assert np.array_equal(read_matrix(write_matrix(doubled)).toarray(), [[0.0, 3.0], [3.0, 0.0]])

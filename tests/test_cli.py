@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stgp import (AnalyticField, TemporalGrid, build_edge_table, read_field, read_mesh,
-                  sample_field, write_field)
+from stgp import (AnalyticField, Mesh, TemporalGrid, build_edge_table, read_field, read_mesh,
+                  sample_field, write_field, write_mesh)
 from stgp.cli import main, parse_config
 
 from conftest import cli_env
@@ -272,3 +272,41 @@ class TestMainEntry:
         code = main(["meshgen", "unit-square-tri", "2", "1.0", str(mesh_path)])
         assert code == 0
         assert mesh_path.exists()
+
+
+class TestProjectFaultsAreConfigErrors:
+    """Each fault exits 1 with a config error, no traceback and no outputs."""
+
+    def _run(self, tmp_path, config):
+        (tmp_path / "p.cfg").write_text(config)
+        result = run_cli("project", "p.cfg", cwd=tmp_path)
+        assert result.returncode == 1, result.stderr
+        assert result.stderr.startswith("config error: ") and "Traceback" not in result.stderr
+        assert not (tmp_path / "out.stgpf").exists()
+        assert not (tmp_path / "report.txt").exists()
+        assert not (tmp_path / "probe_000.csv").exists()
+        return result.stderr
+
+    def test_missing_analytic_key(self, tmp_path):
+        write_demo_inputs(tmp_path)
+        config = BASE_CONFIG.replace("source_mesh = src.stgp\nsource_field = src.stgpf\n",
+                                     "analytic_kind = constant\n")
+        assert "analytic_vector" in self._run(tmp_path, config)
+
+    def test_probe_outside_target_mesh(self, tmp_path):
+        write_demo_inputs(tmp_path)
+        config = BASE_CONFIG.replace("probe = 0.4 0.6", "probe = 1.5 0.6")
+        assert "probe '1.5 0.6' is outside the target mesh" in self._run(tmp_path, config)
+
+    def test_too_few_probe_samples(self, tmp_path):
+        write_demo_inputs(tmp_path)
+        config = BASE_CONFIG.replace("probe_samples = 8", "probe_samples = 1")
+        assert "probe_samples must be >= 2" in self._run(tmp_path, config)
+
+    def test_strict_policy_with_target_outside_source(self, tmp_path):
+        write_demo_inputs(tmp_path)
+        target = read_mesh((tmp_path / "tgt.stgp").read_text())
+        wide = Mesh(dim=2, nodes=1.5 * target.nodes, elements=target.elements, mu=target.mu)
+        (tmp_path / "tgt.stgp").write_text(write_mesh(wide))
+        stderr = self._run(tmp_path, BASE_CONFIG + "outside_policy = strict\n")
+        assert "outside the source mesh" in stderr

@@ -356,3 +356,12 @@ class TestFieldIO:
         direct = DiscreteField(mesh, table, grid, dofs)
         x = np.array([0.6, 0.2])
         assert np.allclose(field.eval(x, 1.3), direct.eval(x, 1.3), atol=1e-15)
+
+
+class TestSourceTimeSpan:
+    def test_nan_time_rejected(self, square_mesh_2):
+        table = build_edge_table(square_mesh_2)
+        field = DiscreteField(square_mesh_2, table, TemporalGrid(np.array([0.0, 1.0])),
+                              np.ones((table.edge_count, 2)))
+        with pytest.raises(ValueError, match="outside the source span"):
+            field.eval_points(np.array([[0.5, 0.5]]), np.array([0.5, np.nan]))

@@ -309,3 +309,28 @@ class TestMeshIO:
         mesh = generate_structured_mesh("unit-cube-tet", 1, 3.0)
         text = write_mesh(mesh)
         assert write_mesh(read_mesh(text)) == text
+
+
+class TestMeshFaultLines:
+    """Faults that Mesh detects are reported at the line holding the bad row."""
+
+    # 13 lines: nodes on lines 4-7, elements on lines 9-10, mu on lines 12-13.
+    TEXT = write_mesh(generate_structured_mesh("unit-square-tri", 1, 1.0))
+
+    @pytest.mark.parametrize("line, replacement, message", [
+        (5, "1 nan 1.0", "node 1 coordinates must be finite"),
+        (12, "0 -1", "mu of element 0"),
+        (10, "1 0 3 3", "element 1 is degenerate"),
+    ])
+    def test_fault_named_at_its_line(self, line, replacement, message):
+        lines = self.TEXT.splitlines()
+        lines[line - 1] = replacement
+        with pytest.raises(MeshFormatError, match=message) as err:
+            read_mesh("\n".join(lines) + "\n")
+        assert err.value.line == line
+
+    def test_mu_fault_named_at_its_line_in_any_order(self):
+        text = self.TEXT.replace("0 1.0\n1 1.0\n", "1 -1\n0 1.0\n")
+        with pytest.raises(MeshFormatError, match="mu of element 1") as err:
+            read_mesh(text)
+        assert err.value.line == 12

@@ -312,3 +312,47 @@ class Test3DProjection:
             x = jitter_rng.uniform(0.1, 0.9, size=3)
             value = eval_projected(result.dofs, mesh, table, locator, grid, x, 0.5)
             assert np.max(np.abs(value - [1.0, -2.0, 0.5])) < 1e-8
+
+
+class TestEvalThroughDiscreteField:
+    """eval_projected and probe_timeseries evaluate the result as a DiscreteField on the target."""
+
+    def test_same_values_as_discrete_field(self, jitter_rng, monkeypatch):
+        mesh = jittered_mesh("unit-square-tri", 2, jitter_rng)
+        table = build_edge_table(mesh)
+        grid = TemporalGrid(np.array([0.0, 0.4, 1.0]))
+        locator = PointLocator(mesh)
+        dofs = jitter_rng.standard_normal((table.edge_count, 3))
+        reference = DiscreteField(mesh, table, grid, dofs.copy(), locator)
+        original = DiscreteField.eval_points
+        policies = []
+
+        def spy(self, points, ts, policy="zero"):
+            policies.append(policy)
+            return original(self, points, ts, policy)
+
+        monkeypatch.setattr(DiscreteField, "eval_points", spy)
+        snapped = np.array([1.0 + 1e-12, 0.4])  # within the snap distance of the boundary
+        assert locator.locate(snapped).status == "snapped"
+        for x in (np.array([0.31, 0.57]), snapped, mesh.nodes[4]):
+            for t in (0.0, 0.4, 0.7, 1.0):
+                expected = original(reference, x[None, :], np.array([t]), "strict")[0][0, 0]
+                assert np.array_equal(eval_projected(dofs, mesh, table, locator, grid, x, t), expected)
+            times, values = probe_timeseries(dofs, mesh, table, locator, grid, x, 7)
+            assert np.array_equal(values, original(reference, x[None, :], times, "strict")[0][0])
+        assert policies == ["strict"] * 15
+        assert dofs.flags.writeable  # the field locks a view, not the caller's array
+        dofs[0, 0] = 1.0
+
+    def test_time_within_round_off_of_span_end_accepted(self, square_mesh_2):
+        table = build_edge_table(square_mesh_2)
+        grid = TemporalGrid(np.array([0.0, 0.7999999999999999]))
+        locator = PointLocator(square_mesh_2)
+        dofs = np.ones((table.edge_count, 2))
+        x = np.array([0.3, 0.6])
+        at_end = eval_projected(dofs, square_mesh_2, table, locator, grid, x, 0.7999999999999999)
+        for t in (0.8, -1e-17):
+            value = eval_projected(dofs, square_mesh_2, table, locator, grid, x, t)
+            assert np.allclose(value, at_end, rtol=1e-14, atol=0.0)
+        with pytest.raises(ValueError, match=r"t=0.81 outside the grid span"):
+            eval_projected(dofs, square_mesh_2, table, locator, grid, x, 0.81)
