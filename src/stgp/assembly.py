@@ -1,12 +1,24 @@
 """Assembly of the projection matrices: spatial mass A, temporal Gram B, source matrix C.
 
 C (and the error integrals that reuse the same quadrature) is stored dense,
-column = time step; vectorization is column-major throughout. The space-time
-quadrature runs as whole-array kernels over fixed blocks of elements taken in
-index order, so results are bitwise repeatable and the samples held at once
-stay bounded. Each block asks the source for all its quadrature points in one
-`eval_points` call; a source with only the per-point `eval_time_batch` is
-evaluated point by point through `fields.eval_points_per_point`.
+column = time step; vectorization is column-major throughout. Work runs as
+whole-array kernels in index order, so results are bitwise repeatable. A
+source takes one of two paths, chosen only by its type:
+
+- Linear path, for a DiscreteField. Its samples are linear in its DOFs D_s.
+  Each target spatial quadrature point is located in the source mesh once
+  (`sample_source` keeps its element and barycentric coordinates). Two
+  sparse Whitney sampling matrices, S_t (target, P d x M) and S_s (source,
+  P d x M_s), one row per point and component, are built from those in
+  bounded blocks of rows. C = K D_s G, with the mixed mass
+  K = S_t^T diag(scale) S_s summed over the blocks and the mixed hat Gram
+  G = H_s diag(w) H_t^T, exact on the time table's merged knots. The energy
+  error squares the local difference S_t X H_t - S_s D_s H_s block by block.
+  `project` shares one location between C and the error.
+- Generic sweep, for analytic and any other source: fixed blocks of target
+  elements, one `eval_points` call per block, so the samples held at once
+  stay bounded. A source with only the per-point `eval_time_batch` is
+  evaluated point by point through `fields.eval_points_per_point`.
 """
 from __future__ import annotations
 
@@ -18,11 +30,13 @@ import scipy.sparse as sp
 
 from .basis import (QuadratureRule, TemporalGrid, _within_span, bracket, gauss_unit_interval,
                     simplex_quadrature, whitney_local)
-from .fields import SourceField, check_policy, eval_points_per_point
+from .fields import (DiscreteField, PointOutsideDomainError, SourceField, check_policy,
+                     eval_points_per_point, locate_points, whitney_at)
 from .mesh import (EdgeTable, Mesh, MeshFormatError, _format_row, _LineReader,
                    barycentric_transforms, signed_volumes)
 
-# Source samples (points x times x components) held at once by one sweep block.
+# Source samples (points x times x components) held at once by one sweep block
+# or, on the linear path, by one block of rows of the energy error.
 # Larger blocks ran no faster and raised the peak RSS (2**18: +7 % on the
 # benchmark's transfer-2d workload).
 SWEEP_SAMPLES = 2**15
@@ -144,6 +158,28 @@ def check_span(grid: TemporalGrid, source: SourceField) -> None:
         )
 
 
+def _quadrature_points(mesh: Mesh, space_quad: QuadratureRule, elements) -> np.ndarray:
+    """Physical spatial quadrature points of the elements, (B*Q, d), Q per element in order."""
+    return np.einsum("qk,ekd->eqd", space_quad.points,
+                     mesh.nodes[mesh.elements[elements]]).reshape(-1, mesh.dim)
+
+
+def _element_blocks(mesh: Mesh, edge_table: EdgeTable, space_quad: QuadratureRule, block: int):
+    """Target elements in index order, `block` at a time, with their spatial quadrature.
+
+    Yields (elements (B,), Whitney values (B, Q, nl, d), weights with mu and
+    Jacobian (B, Q*d)); axis Q*d runs over the d components at each of the
+    Q points.
+    """
+    _, _, grads = barycentric_transforms(mesh)
+    jac = np.abs(signed_volumes(mesh)) / space_quad.weights.sum()
+    for start in range(0, mesh.n_elements, block):
+        el = np.arange(start, min(start + block, mesh.n_elements))
+        w = whitney_local(mesh.dim, grads[el], edge_table.element_signs[el], space_quad.points)
+        scale = np.repeat((mesh.mu[el] * jac[el])[:, None] * space_quad.weights, mesh.dim, axis=1)
+        yield el, w, scale
+
+
 def _sweep(mesh: Mesh, edge_table: EdgeTable, source: SourceField,
            space_quad: QuadratureRule, table: _TimeTable, policy: str):
     """Source samples at every space-time quadrature point, in blocks of elements in index order.
@@ -154,37 +190,140 @@ def _sweep(mesh: Mesh, edge_table: EdgeTable, source: SourceField,
     """
     check_policy(policy)
     evaluate = getattr(source, "eval_points", None) or partial(eval_points_per_point, source)
-    _, _, grads = barycentric_transforms(mesh)
-    jac = np.abs(signed_volumes(mesh)) / space_quad.weights.sum()
-    lam = space_quad.points
-    n_q, n_t, dim = len(lam), len(table.points), mesh.dim
+    n_q, n_t, dim = len(space_quad.points), len(table.points), mesh.dim
     block = max(1, SWEEP_SAMPLES // (n_q * n_t * dim))
-    for start in range(0, mesh.n_elements, block):
-        el = np.arange(start, min(start + block, mesh.n_elements))
-        w = whitney_local(dim, grads[el], edge_table.element_signs[el], lam)     # (B, Q, nl, d)
-        w = np.swapaxes(w, 1, 2).reshape(len(el), -1, n_q * dim)
-        scale = np.repeat((mesh.mu[el] * jac[el])[:, None] * space_quad.weights, dim, axis=1)
-        xq = np.einsum("qk,ekd->eqd", lam, mesh.nodes[mesh.elements[el]]).reshape(-1, dim)
-        values, inside = evaluate(xq, table.points, policy=policy)                # (B*Q, T, d)
+    for el, w, scale in _element_blocks(mesh, edge_table, space_quad, block):
+        w = np.swapaxes(w, 1, 2).reshape(len(el), -1, n_q * dim)                 # (B, nl, P)
+        values, inside = evaluate(_quadrature_points(mesh, space_quad, el), table.points,
+                                  policy=policy)                                  # (B*Q, T, d)
         hs = np.swapaxes(values, 1, 2).reshape(len(el), n_q * dim, n_t)
         yield el, w, scale, hs, int(np.count_nonzero(~inside))
 
 
+@dataclass(frozen=True)
+class SourceSamples:
+    """A DiscreteField source located at the target's space-time quadrature, once.
+
+    Spatial quadrature point i (in element order, Q per element) lies in
+    source element elements[i] at barycentric lam[i], or outside the source
+    mesh where inside[i] is False. The hat matrices hold the target's
+    (N x T) and the source's (N_s x T) hats at the time-table points.
+    """
+
+    args: tuple  # (mesh, edge_table, grid, source, space_quad, time_quad_points, policy)
+    table: _TimeTable
+    inside: np.ndarray    # (P,) bool
+    elements: np.ndarray  # (P,)
+    lam: np.ndarray       # (P, d+1)
+    target_hats: sp.csr_matrix
+    source_hats: sp.csr_matrix
+    outside: int
+
+
+def _hat_matrix(k: np.ndarray, left: np.ndarray, right: np.ndarray, n_steps: int) -> sp.csr_matrix:
+    """Hats at T times (n_steps x T): time i has value left[i] on hat k[i] and right[i] on k[i] + 1."""
+    cols = np.arange(len(k))
+    return sp.csr_matrix((np.concatenate([left, right]),
+                          (np.concatenate([k, k + 1]), np.concatenate([cols, cols]))),
+                         shape=(n_steps, len(k)))
+
+
+def sample_source(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid, source: SourceField,
+                  space_quad: QuadratureRule | None = None, time_quad_points: int = 2,
+                  policy: str = "zero") -> SourceSamples | None:
+    """Locate every target spatial quadrature point in a DiscreteField source, once.
+
+    Returns None for any other source; the generic sweep samples those.
+    """
+    if not isinstance(source, DiscreteField):
+        return None
+    if space_quad is None:
+        space_quad = simplex_quadrature(mesh.dim, 4)
+    check_span(grid, source)
+    table = build_time_table(grid, source, time_quad_points)
+    check_policy(policy)
+    xq = _quadrature_points(mesh, space_quad, slice(None))
+    inside, elements, lam = locate_points(source.locator, xq)
+    if policy == "strict" and not inside.all():
+        raise PointOutsideDomainError(xq[np.argmin(inside)])
+    k_s, theta_s = bracket(source.grid, table.points)
+    return SourceSamples(args=(mesh, edge_table, grid, source, space_quad, time_quad_points, policy),
+                         table=table, inside=inside, elements=elements, lam=lam,
+                         target_hats=_hat_matrix(table.k, table.left, table.right, grid.n_steps),
+                         source_hats=_hat_matrix(k_s, 1.0 - theta_s, theta_s, source.grid.n_steps),
+                         outside=int(np.count_nonzero(~inside)))
+
+
+def _samples_for(samples: SourceSamples | None, *args) -> SourceSamples | None:
+    """The given samples, checked against the arguments, or fresh ones taken for them."""
+    if samples is None:
+        return sample_source(*args)
+    if not all(a == b if isinstance(a, (int, str)) else a is b for a, b in zip(samples.args, args)):
+        raise ValueError("samples were taken for other arguments")
+    return samples
+
+
+def _sampling_matrix(inside: np.ndarray, values: np.ndarray, edges: np.ndarray,
+                     n_edges: int) -> sp.csr_matrix:
+    """Rows (point, component) of Whitney values (H, nl, d) on the inside points' edges (H, nl).
+
+    A point outside the mesh has empty rows.
+    """
+    _, n_local, dim = values.shape
+    indptr = np.concatenate([[0], np.cumsum(np.repeat(inside, dim) * n_local)])
+    data = np.swapaxes(values, 1, 2)                                              # (H, d, nl)
+    indices = np.broadcast_to(edges[:, None, :], data.shape)
+    return sp.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(len(inside) * dim, n_edges))
+
+
+def _sampling_blocks(samples: SourceSamples, rows: int):
+    """The sampling matrices of the linear path, about `rows` rows at a time.
+
+    Row r is component r % d at spatial quadrature point r // d. Yields
+    (target Whitney values S_t (R x M), source Whitney values S_s (R x M_s),
+    row weights with mu and Jacobian (R,)).
+    """
+    mesh, edge_table, _, source, space_quad = samples.args[:5]
+    n_q, dim = len(space_quad.points), mesh.dim
+    for el, w, scale in _element_blocks(mesh, edge_table, space_quad, max(1, rows // (n_q * dim))):
+        points = slice(el[0] * n_q, (el[-1] + 1) * n_q)
+        inside = samples.inside[points]
+        target = _sampling_matrix(np.ones(len(inside), dtype=bool), w.reshape(len(inside), -1, dim),
+                                  np.repeat(edge_table.element_edges[el], n_q, axis=0),
+                                  edge_table.edge_count)
+        hit = np.flatnonzero(inside)
+        edges, values = whitney_at(source.locator, source.edge_table,
+                                   samples.elements[points][hit], samples.lam[points][hit])
+        yield (target, _sampling_matrix(inside, values, edges, source.edge_table.edge_count),
+               scale.ravel())
+
+
 def assemble_source_matrix(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid,
                            source: SourceField, space_quad: QuadratureRule | None = None,
-                           time_quad_points: int = 2,
-                           policy: str = "zero") -> tuple[np.ndarray, int]:
+                           time_quad_points: int = 2, policy: str = "zero", *,
+                           samples: SourceSamples | None = None) -> tuple[np.ndarray, int]:
     """Moments of the source field against every space-time basis function (M x N, dense).
 
     Each target interval is additionally split at interior source time nodes,
     so piecewise-linear-in-time sources integrate exactly and spatial
-    quadrature is the only residual integration error.
+    quadrature is the only residual integration error. A DiscreteField
+    source takes the linear path, C = K D_s G; `samples`, taken by
+    `sample_source` with the same arguments, spares locating its points again.
 
     Returns (C, outside_point_count).
     """
     if space_quad is None:
         space_quad = simplex_quadrature(mesh.dim, 4)
     check_span(grid, source)
+    samples = _samples_for(samples, mesh, edge_table, grid, source, space_quad, time_quad_points, policy)
+    if samples is not None:
+        mass = sp.csr_matrix((edge_table.edge_count, source.edge_table.edge_count))  # K (M x M_s)
+        for target, source_values, scale in _sampling_blocks(samples, SWEEP_SAMPLES):
+            mass += target.T @ (sp.diags(scale) @ source_values)
+        gram = samples.source_hats @ sp.diags(samples.table.weights) @ samples.target_hats.T  # G
+        # K D_s first: on a fine source and a fine target grid its M x N_s product is
+        # smaller than D_s G (M_s x N).
+        return (mass @ source.dofs) @ gram, samples.outside
     table = build_time_table(grid, source, time_quad_points)
     c = np.zeros((edge_table.edge_count, grid.n_steps))
     outside = 0
@@ -199,12 +338,15 @@ def assemble_source_matrix(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid
 
 def energy_error(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid, source: SourceField,
                  dofs: np.ndarray, space_quad: QuadratureRule | None = None,
-                 time_quad_points: int = 2,
-                 policy: str = "zero") -> tuple[float, float, int]:
+                 time_quad_points: int = 2, policy: str = "zero", *,
+                 samples: SourceSamples | None = None) -> tuple[float, float, int]:
     """Energy-weighted error of a trial DOF matrix against the source, plus source energy.
 
     Uses the same space-time quadrature as assemble_source_matrix, so the
-    consistency identities hold to machine precision.
+    consistency identities hold to machine precision. Both paths square the
+    local difference of the two fields at each sample, never the expanded
+    form, whose cancellation would floor the error near 1e-16 relative.
+    `samples` is as for assemble_source_matrix.
     """
     if space_quad is None:
         space_quad = simplex_quadrature(mesh.dim, 4)
@@ -212,8 +354,17 @@ def energy_error(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid, source: 
     dofs = np.asarray(dofs, dtype=float)
     if dofs.shape != (edge_table.edge_count, grid.n_steps):
         raise ValueError("dofs shape must be (edge count, time steps)")
-    table = build_time_table(grid, source, time_quad_points)
+    samples = _samples_for(samples, mesh, edge_table, grid, source, space_quad, time_quad_points, policy)
     err = src = 0.0
+    if samples is not None:
+        weights = samples.table.weights
+        for target, source_values, scale in _sampling_blocks(samples, SWEEP_SAMPLES // len(weights)):
+            hs = (source_values @ source.dofs) @ samples.source_hats                    # (R, T)
+            diff = (target @ dofs) @ samples.target_hats - hs
+            err += 0.5 * float(scale @ ((diff * diff) @ weights))
+            src += 0.5 * float(scale @ ((hs * hs) @ weights))
+        return err, src, samples.outside
+    table = build_time_table(grid, source, time_quad_points)
     outside = 0
     for el, w, scale, hs, out in _sweep(mesh, edge_table, source, space_quad, table, policy):
         coeff = dofs[edge_table.element_edges[el]]                                # (B, nl, N)
@@ -230,14 +381,23 @@ def energy_error(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid, source: 
 
 
 def write_matrix(matrix) -> str:
-    """Dump a matrix in the stgp-matrix text format (sparse-sym, tridiag or dense)."""
+    """Dump a matrix in the stgp-matrix text format (sparse-sym, tridiag or dense).
+
+    A sparse matrix must be exactly symmetric, or hold only its upper triangle,
+    which then stands for the symmetric matrix; anything else raises ValueError.
+    """
     if isinstance(matrix, TriDiagMatrix):
         out = ["stgp-matrix 1", f"tridiag {matrix.n}",
                "diag " + _format_row(matrix.diag), "off " + _format_row(matrix.off)]
     elif sp.issparse(matrix):
+        if matrix.shape[0] != matrix.shape[1]:
+            raise ValueError("a sparse dump (sparse-sym) needs a square matrix")
         coo = matrix.tocoo(copy=True)
         coo.sum_duplicates()  # a dump holds each entry once
         keep = coo.row <= coo.col  # upper triangle carries the symmetric matrix
+        if np.any(coo.data[~keep] != 0.0) and (matrix != matrix.T).nnz:
+            raise ValueError("a sparse dump (sparse-sym) needs a symmetric matrix or its upper"
+                             " triangle; dump any other matrix dense")
         out = ["stgp-matrix 1", f"sparse-sym {coo.shape[0]} {int(np.sum(keep))}"]
         order = np.lexsort((coo.col[keep], coo.row[keep]))
         rows, cols = coo.row[keep][order].tolist(), coo.col[keep][order].tolist()

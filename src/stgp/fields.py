@@ -184,13 +184,28 @@ class DiscreteField(SourceField):
 
     def __init__(self, mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid, dofs: np.ndarray,
                  locator: PointLocator | None = None):
-        dofs = np.ascontiguousarray(np.asarray(dofs, dtype=np.float64))
+        self._bind(mesh, edge_table, grid, np.ascontiguousarray(np.asarray(dofs, dtype=np.float64)),
+                   locator, scan=True)
+
+    @classmethod
+    def _over_view(cls, mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid, dofs: np.ndarray,
+                   locator: PointLocator) -> DiscreteField:
+        """The field over a read-only view of dofs, built in O(1): no copy, no finiteness scan.
+
+        For evaluation at a few points, which reads only the located
+        elements' rows; a non-finite DOF read there gives a non-finite value.
+        """
+        field = cls.__new__(cls)
+        field._bind(mesh, edge_table, grid, np.asarray(dofs, dtype=np.float64).view(), locator, scan=False)
+        return field
+
+    def _bind(self, mesh, edge_table, grid, dofs, locator, scan: bool) -> None:
         if dofs.shape != (edge_table.edge_count, grid.n_steps):
             raise ValueError(
                 f"dofs shape {dofs.shape} does not match {edge_table.edge_count} edges"
                 f" x {grid.n_steps} time steps"
             )
-        if not np.all(np.isfinite(dofs)):
+        if scan and not np.all(np.isfinite(dofs)):
             raise ValueError("dofs must be finite")
         if locator is not None and locator.mesh is not mesh:
             raise ValueError("locator was built for a different mesh")
@@ -213,34 +228,55 @@ class DiscreteField(SourceField):
         points = np.asarray(points, dtype=float)
         ts = np.asarray(ts, dtype=float)
         self._check_times(ts)
-        n = len(points)
-        inside = np.empty(n, dtype=bool)
-        elements = np.empty(n, dtype=np.int64)
-        lam = np.empty((n, self.dim + 1))
-        # Copy each result out at once: its barycentric row is a view that
-        # would keep the locator's whole candidate array alive.
-        for i, x in enumerate(points):
-            loc = self.locator.locate(x)
-            inside[i], elements[i], lam[i] = loc.status != "outside", loc.element, loc.barycentric
+        inside, elements, lam = locate_points(self.locator, points)
         if policy == "strict" and not inside.all():
             raise PointOutsideDomainError(points[np.argmin(inside)])
-        values = np.zeros((n, len(ts), self.dim))
+        values = np.zeros((len(points), len(ts), self.dim))
         hit = np.flatnonzero(inside)
-        if len(hit):
-            el = elements[hit]
-            w = whitney_local(self.dim, self.locator.element_gradients(el),
-                              self.edge_table.element_signs[el], lam[hit, None, :])[:, 0]  # (H, nl, d)
-            edges = self.edge_table.element_edges[el][:, None, :]                        # (H, 1, nl)
-            k, theta = bracket(self.grid, ts)
-            k, theta = k[:, None], theta[:, None]
-            # In place, so a block holds two (H, T, nl) series at most.
-            series = self.dofs[edges, k]
-            series *= 1.0 - theta
-            right = self.dofs[edges, k + 1]
-            right *= theta
-            series += right
-            values[hit] = series @ w
+        edges, w = whitney_at(self.locator, self.edge_table, elements[hit], lam[hit])
+        k, theta = bracket(self.grid, ts)
+        k, theta = k[:, None], theta[:, None]
+        edges = edges[:, None, :]                                                         # (H, 1, nl)
+        # In place, so a block holds two (H, T, nl) series at most.
+        series = self.dofs[edges, k]
+        series *= 1.0 - theta
+        right = self.dofs[edges, k + 1]
+        right *= theta
+        series += right
+        values[hit] = series @ w
         return values, inside
+
+
+# Location plus Whitney sampling: DiscreteField.eval_points and the assembly's
+# linear path for discrete sources both sample a mesh's edge elements through
+# these two kernels.
+
+
+def locate_points(locator: PointLocator, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Locate each point once: (inside (P,) bool, element (P,), barycentric (P, dim+1)).
+
+    inside is False where a point missed the mesh; its element and
+    barycentric row then describe the nearest element and mean nothing.
+    """
+    points = np.asarray(points, dtype=float)
+    n = len(points)
+    inside = np.empty(n, dtype=bool)
+    elements = np.empty(n, dtype=np.int64)
+    lam = np.empty((n, locator.mesh.dim + 1))
+    # Copy each result out at once: its barycentric row is a view that
+    # would keep the locator's whole candidate array alive.
+    for i, x in enumerate(points):
+        loc = locator.locate(x)
+        inside[i], elements[i], lam[i] = loc.status != "outside", loc.element, loc.barycentric
+    return inside, elements, lam
+
+
+def whitney_at(locator: PointLocator, edge_table: EdgeTable, elements: np.ndarray,
+               lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Global edges (H, nl) and Whitney vectors (H, nl, dim) of elements (H,) at barycentric points (H, dim+1)."""
+    values = whitney_local(locator.mesh.dim, locator.element_gradients(elements),
+                           edge_table.element_signs[elements], lam[:, None, :])[:, 0]
+    return edge_table.element_edges[elements], values
 
 
 def _circulations(mesh: Mesh, edge_table: EdgeTable, values_at) -> np.ndarray:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import (assemble_source_matrix, assemble_spatial_mass,
-                       assemble_temporal_gram, energy_error)
+                       assemble_temporal_gram, energy_error, sample_source)
 from .basis import TemporalGrid, _within_span, simplex_quadrature
 from .fields import DiscreteField, PointOutsideDomainError, SourceField, check_policy
 from .mesh import EdgeTable, Mesh, PointLocator
@@ -48,15 +48,20 @@ def project(problem: ProjectionProblem) -> ProjectionResult:
     quad = simplex_quadrature(mesh.dim, problem.space_quad_order)
     a = assemble_spatial_mass(mesh, edge_table, quad=quad)
     b = assemble_temporal_gram(grid)
+    # A discrete source is located once, for both C and the energy error.
+    samples = sample_source(mesh, edge_table, grid, problem.source, quad,
+                            problem.time_quad_points, problem.outside_policy)
     c, outside = assemble_source_matrix(
         mesh, edge_table, grid, problem.source, space_quad=quad,
-        time_quad_points=problem.time_quad_points, policy=problem.outside_policy)
+        time_quad_points=problem.time_quad_points, policy=problem.outside_policy,
+        samples=samples)
     dofs, report = cg_solve(a, b, c, problem.solver)
     if not report.converged and not problem.allow_nonconverged:
         raise SolverNonConvergence(report)
     err, source_energy, _ = energy_error(
         mesh, edge_table, grid, problem.source, dofs, space_quad=quad,
-        time_quad_points=problem.time_quad_points, policy=problem.outside_policy)
+        time_quad_points=problem.time_quad_points, policy=problem.outside_policy,
+        samples=samples)
     err, source_energy = float(err), float(source_energy)
     relative = math.sqrt(err / source_energy) if source_energy > 0.0 else 0.0
     return ProjectionResult(dofs=dofs, report=report, error=err,
@@ -81,9 +86,12 @@ def error_norm(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid, source: So
 
 def _eval_at(dofs, mesh: Mesh, edge_table: EdgeTable, locator: PointLocator,
              grid: TemporalGrid, x, ts: np.ndarray, what: str) -> np.ndarray:
-    """The projected field at one point x for the times ts, (T, dim), as a DiscreteField on the target."""
-    # A view, so that the field locking its array leaves the caller's dofs writeable.
-    field = DiscreteField(mesh, edge_table, grid, np.asarray(dofs, dtype=float).view(), locator)
+    """The projected field at one point x for the times ts, (T, dim), as a DiscreteField on the target.
+
+    The field locks a view, so the caller's dofs stay writeable, and reads only
+    the located element's rows, so a call costs nothing per DOF.
+    """
+    field = DiscreteField._over_view(mesh, edge_table, grid, dofs, locator)
     try:
         values, _ = field.eval_points(np.asarray(x, dtype=float).reshape(1, -1), ts, policy="strict")
     except PointOutsideDomainError as exc:

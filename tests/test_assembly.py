@@ -6,11 +6,12 @@ import pytest
 import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
 
-from stgp import (AnalyticField, DiscreteField, Mesh, MeshFormatError, SourceField, TemporalGrid,
+from stgp import (AnalyticField, DiscreteField, Mesh, MeshFormatError, PointLocator,
+                  PointOutsideDomainError, ProjectionProblem, SourceField, TemporalGrid,
                   assemble_source_matrix, assemble_spatial_mass, assemble_temporal_gram,
-                  build_edge_table, energy_error, generate_structured_mesh, read_matrix,
+                  build_edge_table, energy_error, generate_structured_mesh, project, read_matrix,
                   simplex_quadrature, write_matrix)
-from stgp.assembly import SWEEP_SAMPLES, TriDiagMatrix, build_time_table
+from stgp.assembly import SWEEP_SAMPLES, TriDiagMatrix, build_time_table, sample_source
 from stgp.basis import whitney_local
 from stgp.fields import edge_circulations
 from stgp.mesh import barycentric_transforms, signed_volumes
@@ -512,3 +513,144 @@ class TestMatrixDumpRoundTrips:
         # A matrix that holds an entry twice is dumped with the sum, once.
         doubled = sp.coo_matrix((np.array([1.0, 2.0]), (np.array([0, 0]), np.array([1, 1]))), shape=(2, 2))
         assert np.array_equal(read_matrix(write_matrix(doubled)).toarray(), [[0.0, 3.0], [3.0, 0.0]])
+
+
+class TestMatrixDumpRejectsNonSymmetricSparse:
+    @pytest.mark.parametrize("dense", [[[0.0, 1.0], [2.0, 0.0]], [[1.0, 0.0], [4.0, 1.0]],
+                                       [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]],
+                             ids=["unequal-triangles", "lower-only", "not-square"])
+    def test_rejected(self, dense):
+        for matrix in (sp.csr_matrix(np.array(dense)), sp.coo_matrix(np.array(dense))):
+            with pytest.raises(ValueError, match="sparse dump"):
+                write_matrix(matrix)
+
+    def test_symmetric_round_trips_from_any_storage(self, jitter_rng):
+        values = jitter_rng.standard_normal((5, 5))
+        symmetric = values + values.T
+        symmetric[symmetric < 0.0] = 0.0
+        rows, cols = np.nonzero(symmetric)
+        # The same matrix as a coo holding some entries in two parts, as csc and as lil.
+        split = sp.coo_matrix((np.concatenate([symmetric[rows, cols] / 2, symmetric[rows, cols] / 2]),
+                               (np.concatenate([rows, rows]), np.concatenate([cols, cols]))),
+                              shape=(5, 5))
+        for matrix in (split, sp.csc_matrix(symmetric), sp.lil_matrix(symmetric)):
+            back = read_matrix(write_matrix(matrix))
+            assert np.array_equal(back.toarray(), matrix.toarray())
+
+
+def target_past_source(kind, n, rng, past):
+    """A jittered target mesh over the unit box, reaching past it along the last axis.
+
+    "overhang" stretches that axis by 1.3, so some quadrature points miss a
+    unit-box source. "sliver" moves the next-to-last node layer onto the
+    box's face and the last one 1e-9 beyond it, so the points of the last
+    layer of cells lie within the snap distance of the source boundary.
+    """
+    mesh = jittered_mesh(kind, n, rng)
+    nodes = mesh.nodes.copy()
+    if past == "overhang":
+        nodes[:, -1] *= 1.3
+    else:
+        layer = np.rint(generate_structured_mesh(kind, n, 1.0).nodes[:, -1] * n)
+        nodes[:, -1] = np.where(layer == n, 1.0 + 1e-9,
+                                np.where(layer == n - 1, 1.0, nodes[:, -1] * n / (n - 1)))
+    return Mesh(dim=mesh.dim, nodes=nodes, elements=mesh.elements, mu=mesh.mu)
+
+
+class TestLinearPath:
+    """A DiscreteField source takes the linear path, C = K D_s G; a per-point wrapper of the
+    same field takes the generic sweep. Both must give the same numbers."""
+
+    def _case(self, kind, n_source, n_target, past, rng):
+        src_mesh = jittered_mesh(kind, n_source, rng)
+        src_table = build_edge_table(src_mesh)
+        src_grid = TemporalGrid(np.linspace(0.0, 1.0, 6))
+        field = DiscreteField(src_mesh, src_table, src_grid,
+                              rng.standard_normal((src_table.edge_count, 6)))
+        mesh = target_past_source(kind, n_target, rng, past)
+        grid = TemporalGrid(np.array([0.0, 0.15, 0.55, 0.9]))  # source nodes fall inside
+        return field, mesh, build_edge_table(mesh), grid
+
+    @pytest.mark.parametrize("past", ["overhang", "sliver"])
+    @pytest.mark.parametrize("kind,n_source,n_target", [("unit-square-tri", 5, 8),
+                                                        ("unit-cube-tet", 2, 2)])
+    def test_matches_generic_sweep(self, kind, n_source, n_target, past, jitter_rng, monkeypatch):
+        field, mesh, table, grid = self._case(kind, n_source, n_target, past, jitter_rng)
+        statuses = []
+        original = PointLocator.locate
+
+        def recording(locator, x, tol=1e-12):
+            found = original(locator, x, tol)
+            statuses.append(found.status)
+            return found
+
+        monkeypatch.setattr(PointLocator, "locate", recording)
+        c, outside = assemble_source_matrix(mesh, table, grid, field)
+        assert ("outside" if past == "overhang" else "snapped") in statuses
+        assert outside == statuses.count("outside")
+        c_ref, outside_ref = assemble_source_matrix(mesh, table, grid, PerPointSource(field))
+        assert outside == outside_ref
+        assert np.max(np.abs(c - c_ref)) <= 1e-13 * np.max(np.abs(c_ref))
+
+        dofs = jitter_rng.standard_normal((table.edge_count, grid.n_steps))
+        err, src, out = energy_error(mesh, table, grid, field, dofs)
+        err_ref, src_ref, out_ref = energy_error(mesh, table, grid, PerPointSource(field), dofs)
+        assert out == out_ref == outside
+        assert abs(err - err_ref) <= 1e-13 * err_ref
+        assert abs(src - src_ref) <= 1e-13 * src_ref
+
+    @pytest.mark.parametrize("kind,n_source,n_target", [("unit-square-tri", 5, 8),
+                                                        ("unit-cube-tet", 2, 2)])
+    def test_strict_raises_for_the_same_point(self, kind, n_source, n_target, jitter_rng):
+        field, mesh, table, grid = self._case(kind, n_source, n_target, "overhang", jitter_rng)
+        dofs = np.zeros((table.edge_count, grid.n_steps))
+        points = []
+        for source in (field, PerPointSource(field)):
+            with pytest.raises(PointOutsideDomainError) as exc:
+                assemble_source_matrix(mesh, table, grid, source, policy="strict")
+            points.append(exc.value.point)
+            with pytest.raises(PointOutsideDomainError) as exc:
+                energy_error(mesh, table, grid, source, dofs, policy="strict")
+            points.append(exc.value.point)
+        assert all(np.array_equal(p, points[0]) for p in points)
+
+    @pytest.mark.parametrize("kind,n_source,n_target", [("unit-square-tri", 5, 4),
+                                                        ("unit-cube-tet", 2, 2)])
+    def test_locates_each_point_once(self, kind, n_source, n_target, jitter_rng, monkeypatch):
+        field, mesh, table, grid = self._case(kind, n_source, n_target, "overhang", jitter_rng)
+        quad = simplex_quadrature(mesh.dim, 4)
+        calls = []
+        original = PointLocator.locate
+
+        def counting(locator, x, tol=1e-12):
+            calls.append(locator)
+            return original(locator, x, tol)
+
+        monkeypatch.setattr(PointLocator, "locate", counting)
+        expected = mesh.n_elements * len(quad.points)
+        project(ProjectionProblem(mesh=mesh, edge_table=table, grid=grid, source=field))
+        assert len(calls) == expected
+        assert all(locator is field.locator for locator in calls)
+        calls.clear()
+        assemble_source_matrix(mesh, table, grid, field)
+        assert len(calls) == expected
+        calls.clear()
+        energy_error(mesh, table, grid, field, np.zeros((table.edge_count, grid.n_steps)))
+        assert len(calls) == expected
+
+    def test_samples_are_shared_and_checked(self, jitter_rng, monkeypatch):
+        field, mesh, table, grid = self._case("unit-square-tri", 5, 4, "overhang", jitter_rng)
+        quad = simplex_quadrature(2, 4)
+        samples = sample_source(mesh, table, grid, field, quad)
+        assert sample_source(mesh, table, grid, AnalyticField("constant", vector=(1.0, 0.0))) is None
+        c, outside = assemble_source_matrix(mesh, table, grid, field)
+        monkeypatch.setattr(PointLocator, "locate", None)  # the samples need no location
+        shared, shared_outside = assemble_source_matrix(mesh, table, grid, field, space_quad=quad,
+                                                        samples=samples)
+        assert np.array_equal(shared, c) and shared_outside == outside
+        with pytest.raises(ValueError, match="samples were taken for other arguments"):
+            assemble_source_matrix(mesh, table, grid, field, space_quad=quad, time_quad_points=3,
+                                   samples=samples)
+        with pytest.raises(ValueError, match="samples were taken for other arguments"):
+            energy_error(mesh, table, grid, field, np.zeros((table.edge_count, grid.n_steps)),
+                         samples=samples)

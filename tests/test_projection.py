@@ -356,3 +356,26 @@ class TestEvalThroughDiscreteField:
             assert np.allclose(value, at_end, rtol=1e-14, atol=0.0)
         with pytest.raises(ValueError, match=r"t=0.81 outside the grid span"):
             eval_projected(dofs, square_mesh_2, table, locator, grid, x, 0.81)
+
+
+class TestEvalReadsOnlyTheLocatedRows:
+    """eval_projected and probe_timeseries read the located element's DOF rows and no others,
+    so a call costs nothing per DOF of the field."""
+
+    def test_rows_of_other_elements_are_not_read(self, jitter_rng):
+        mesh = jittered_mesh("unit-square-tri", 3, jitter_rng)
+        table = build_edge_table(mesh)
+        grid = TemporalGrid(np.linspace(0.0, 1.0, 5))
+        locator = PointLocator(mesh)
+        dofs = jitter_rng.standard_normal((table.edge_count, grid.n_steps))
+        x = np.array([0.4, 0.6])
+        rows = table.element_edges[locator.locate(x).element]
+        poisoned = np.full_like(dofs, np.nan)
+        poisoned[rows] = dofs[rows]
+        for t in (0.0, 0.3, 1.0):
+            assert np.array_equal(eval_projected(poisoned, mesh, table, locator, grid, x, t),
+                                  eval_projected(dofs, mesh, table, locator, grid, x, t))
+        times, values = probe_timeseries(dofs, mesh, table, locator, grid, x, 9)
+        poisoned_times, poisoned_values = probe_timeseries(poisoned, mesh, table, locator, grid, x, 9)
+        assert np.array_equal(poisoned_times, times)
+        assert np.array_equal(poisoned_values, values)
