@@ -3,7 +3,7 @@
 C (and the error integrals that reuse the same quadrature) is stored dense,
 column = time step; vectorization is column-major throughout. Work runs as
 whole-array kernels in index order, so results are bitwise repeatable. A
-source takes one of two paths, chosen only by its type:
+source takes one of three paths, chosen only by its type:
 
 - Linear path, for a DiscreteField. Its samples are linear in its DOFs D_s.
   Each target spatial quadrature point is located in the source mesh once
@@ -14,11 +14,20 @@ source takes one of two paths, chosen only by its type:
   K = S_t^T diag(scale) S_s summed over the blocks and the mixed hat Gram
   G = H_s diag(w) H_t^T, exact on the time table's merged knots. The energy
   error squares the local difference S_t X H_t - S_s D_s H_s block by block.
-  `project` shares one location between C and the error.
-- Generic sweep, for analytic and any other source: fixed blocks of target
-  elements, one `eval_points` call per block, so the samples held at once
-  stay bounded. A source with only the per-point `eval_time_batch` is
-  evaluated point by point through `fields.eval_points_per_point`.
+- Factored path, for an AnalyticField, whose every kind is a sum of R <= 2
+  separable factors g_r(x) h_r(t). `sample_source` keeps the spatial
+  factors at the target's quadrature points, G (P d x R), and the temporal
+  ones at the time-table points, H_f (R x T). Then
+  C = (S_t^T diag(scale) G)(H_f diag(w) H_t^T), an M x R by R x N product,
+  and the energy error squares S_t X H_t - G H_f block by block.
+- Generic sweep, for any other source: fixed blocks of target elements, one
+  `eval_points` call per block, so the samples held at once stay bounded. A
+  source with only the per-point `eval_time_batch` is evaluated point by
+  point through `fields.eval_points_per_point`. It is the oracle the two
+  structured paths are tested against.
+
+`project` samples a structured source once and shares the samples between C
+and the error.
 """
 from __future__ import annotations
 
@@ -30,16 +39,21 @@ import scipy.sparse as sp
 
 from .basis import (QuadratureRule, TemporalGrid, _within_span, bracket, gauss_unit_interval,
                     simplex_quadrature, whitney_local)
-from .fields import (DiscreteField, PointOutsideDomainError, SourceField, check_policy,
-                     eval_points_per_point, locate_points, whitney_at)
+from .fields import (AnalyticField, DiscreteField, PointOutsideDomainError, SourceField,
+                     check_policy, eval_points_per_point, locate_points, whitney_at)
 from .mesh import (EdgeTable, Mesh, MeshFormatError, _format_row, _LineReader,
                    barycentric_transforms, signed_volumes)
 
 # Source samples (points x times x components) held at once by one sweep block
-# or, on the linear path, by one block of rows of the energy error.
+# or, on a structured path, by one block of rows of the energy error.
 # Larger blocks ran no faster and raised the peak RSS (2**18: +7 % on the
 # benchmark's transfer-2d workload).
 SWEEP_SAMPLES = 2**15
+# Fewest rows (point, component) in one such block of the energy error. A
+# block costs a fixed set-up worth about 10**4 samples' work, so a long time
+# table would otherwise shrink the blocks until that set-up took a third of
+# the time (multipole-windows-2d: 64 rows at 510 time points).
+ERROR_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -202,22 +216,38 @@ def _sweep(mesh: Mesh, edge_table: EdgeTable, source: SourceField,
 
 @dataclass(frozen=True)
 class SourceSamples:
-    """A DiscreteField source located at the target's space-time quadrature, once.
+    """A source sampled once at the target's space-time quadrature, for a structured path.
 
-    Spatial quadrature point i (in element order, Q per element) lies in
-    source element elements[i] at barycentric lam[i], or outside the source
-    mesh where inside[i] is False. The hat matrices hold the target's
-    (N x T) and the source's (N_s x T) hats at the time-table points.
+    Spatial quadrature points run in element order, Q per element; a row
+    (point, component) of a sampling matrix is point * d + component. The
+    target hats are the target grid's (N x T) at the time-table points, and
+    source_time the source's temporal basis there: its grid's hats
+    (N_s x T, sparse) or its time factors H_f (R x T).
     """
 
     args: tuple  # (mesh, edge_table, grid, source, space_quad, time_quad_points, policy)
     table: _TimeTable
+    target_hats: sp.csr_matrix
+    source_time: sp.csr_matrix | np.ndarray
+    outside: int
+
+
+@dataclass(frozen=True)
+class DiscreteSamples(SourceSamples):
+    """A DiscreteField located once: spatial quadrature point i lies in source element
+    elements[i] at barycentric lam[i], or outside the source mesh where inside[i] is False."""
+
     inside: np.ndarray    # (P,) bool
     elements: np.ndarray  # (P,)
     lam: np.ndarray       # (P, d+1)
-    target_hats: sp.csr_matrix
-    source_hats: sp.csr_matrix
-    outside: int
+
+
+@dataclass(frozen=True)
+class FactoredSamples(SourceSamples):
+    """An AnalyticField's separable factors, H(x, t) = sum_r g_r(x) h_r(t): G at the
+    target's spatial quadrature points, H_f (source_time) at the time-table points."""
+
+    space: np.ndarray  # G (P d, R)
 
 
 def _hat_matrix(k: np.ndarray, left: np.ndarray, right: np.ndarray, n_steps: int) -> sp.csr_matrix:
@@ -231,27 +261,37 @@ def _hat_matrix(k: np.ndarray, left: np.ndarray, right: np.ndarray, n_steps: int
 def sample_source(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid, source: SourceField,
                   space_quad: QuadratureRule | None = None, time_quad_points: int = 2,
                   policy: str = "zero") -> SourceSamples | None:
-    """Locate every target spatial quadrature point in a DiscreteField source, once.
+    """Sample a DiscreteField or an AnalyticField source at the target's quadrature, once.
 
-    Returns None for any other source; the generic sweep samples those.
+    A DiscreteField's target spatial quadrature points are located in its
+    mesh (DiscreteSamples); an AnalyticField's space and time factors are
+    evaluated there and at the time-table points (FactoredSamples). Returns
+    None for any other source; the generic sweep samples those.
     """
-    if not isinstance(source, DiscreteField):
+    if not isinstance(source, (DiscreteField, AnalyticField)):
         return None
+    if source.dim != mesh.dim:
+        raise ValueError(f"a {source.dim}-D source does not fit a {mesh.dim}-D target mesh")
     if space_quad is None:
         space_quad = simplex_quadrature(mesh.dim, 4)
     check_span(grid, source)
     table = build_time_table(grid, source, time_quad_points)
     check_policy(policy)
+    common = dict(args=(mesh, edge_table, grid, source, space_quad, time_quad_points, policy),
+                  table=table, target_hats=_hat_matrix(table.k, table.left, table.right, grid.n_steps))
     xq = _quadrature_points(mesh, space_quad, slice(None))
+    if isinstance(source, AnalyticField):
+        space = source.space_factors(xq)
+        return FactoredSamples(**common, source_time=source.time_factors(table.points), outside=0,
+                               space=space.reshape(-1, space.shape[2]))
     inside, elements, lam = locate_points(source.locator, xq)
     if policy == "strict" and not inside.all():
         raise PointOutsideDomainError(xq[np.argmin(inside)])
     k_s, theta_s = bracket(source.grid, table.points)
-    return SourceSamples(args=(mesh, edge_table, grid, source, space_quad, time_quad_points, policy),
-                         table=table, inside=inside, elements=elements, lam=lam,
-                         target_hats=_hat_matrix(table.k, table.left, table.right, grid.n_steps),
-                         source_hats=_hat_matrix(k_s, 1.0 - theta_s, theta_s, source.grid.n_steps),
-                         outside=int(np.count_nonzero(~inside)))
+    return DiscreteSamples(**common,
+                           source_time=_hat_matrix(k_s, 1.0 - theta_s, theta_s, source.grid.n_steps),
+                           outside=int(np.count_nonzero(~inside)), inside=inside, elements=elements,
+                           lam=lam)
 
 
 def _samples_for(samples: SourceSamples | None, *args) -> SourceSamples | None:
@@ -277,20 +317,25 @@ def _sampling_matrix(inside: np.ndarray, values: np.ndarray, edges: np.ndarray,
 
 
 def _sampling_blocks(samples: SourceSamples, rows: int):
-    """The sampling matrices of the linear path, about `rows` rows at a time.
+    """The sampling matrices of a structured path, about `rows` rows at a time.
 
-    Row r is component r % d at spatial quadrature point r // d. Yields
-    (target Whitney values S_t (R x M), source Whitney values S_s (R x M_s),
-    row weights with mu and Jacobian (R,)).
+    Yields (target Whitney values S_t (R x M), the source's spatial part,
+    row weights with mu and Jacobian (R,)). The spatial part is the source
+    Whitney values S_s (R x M_s, sparse) of a DiscreteField, or the rows of
+    G (R x R_f) of an AnalyticField.
     """
     mesh, edge_table, _, source, space_quad = samples.args[:5]
     n_q, dim = len(space_quad.points), mesh.dim
     for el, w, scale in _element_blocks(mesh, edge_table, space_quad, max(1, rows // (n_q * dim))):
         points = slice(el[0] * n_q, (el[-1] + 1) * n_q)
-        inside = samples.inside[points]
-        target = _sampling_matrix(np.ones(len(inside), dtype=bool), w.reshape(len(inside), -1, dim),
+        n = len(el) * n_q
+        target = _sampling_matrix(np.ones(n, dtype=bool), w.reshape(n, -1, dim),
                                   np.repeat(edge_table.element_edges[el], n_q, axis=0),
                                   edge_table.edge_count)
+        if isinstance(samples, FactoredSamples):
+            yield target, samples.space[points.start * dim:points.stop * dim], scale.ravel()
+            continue
+        inside = samples.inside[points]
         hit = np.flatnonzero(inside)
         edges, values = whitney_at(source.locator, source.edge_table,
                                    samples.elements[points][hit], samples.lam[points][hit])
@@ -307,8 +352,9 @@ def assemble_source_matrix(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid
     Each target interval is additionally split at interior source time nodes,
     so piecewise-linear-in-time sources integrate exactly and spatial
     quadrature is the only residual integration error. A DiscreteField
-    source takes the linear path, C = K D_s G; `samples`, taken by
-    `sample_source` with the same arguments, spares locating its points again.
+    source takes the linear path, C = K D_s G, and an AnalyticField the
+    factored one, C = (S_t^T diag(scale) G) (H_f diag(w) H_t^T); `samples`,
+    taken by `sample_source` with the same arguments, spares sampling again.
 
     Returns (C, outside_point_count).
     """
@@ -317,13 +363,16 @@ def assemble_source_matrix(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid
     check_span(grid, source)
     samples = _samples_for(samples, mesh, edge_table, grid, source, space_quad, time_quad_points, policy)
     if samples is not None:
-        mass = sp.csr_matrix((edge_table.edge_count, source.edge_table.edge_count))  # K (M x M_s)
-        for target, source_values, scale in _sampling_blocks(samples, SWEEP_SAMPLES):
-            mass += target.T @ (sp.diags(scale) @ source_values)
-        gram = samples.source_hats @ sp.diags(samples.table.weights) @ samples.target_hats.T  # G
-        # K D_s first: on a fine source and a fine target grid its M x N_s product is
-        # smaller than D_s G (M_s x N).
-        return (mass @ source.dofs) @ gram, samples.outside
+        # K = S_t^T diag(scale) S_s (M x M_s, sparse), or S_t^T diag(scale) G (M x R).
+        mass = sum(target.T @ (sp.diags(scale) @ spatial)
+                   for target, spatial, scale in _sampling_blocks(samples, SWEEP_SAMPLES))
+        # The mixed time Gram: H_s diag(w) H_t^T (N_s x N, sparse), or H_f diag(w) H_t^T (R x N).
+        gram = samples.source_time @ sp.diags(samples.table.weights) @ samples.target_hats.T
+        if isinstance(samples, DiscreteSamples):
+            # K D_s first: on a fine source and a fine target grid its M x N_s product is
+            # smaller than D_s G (M_s x N).
+            mass = mass @ source.dofs
+        return mass @ gram, samples.outside
     table = build_time_table(grid, source, time_quad_points)
     c = np.zeros((edge_table.edge_count, grid.n_steps))
     outside = 0
@@ -343,7 +392,7 @@ def energy_error(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid, source: 
     """Energy-weighted error of a trial DOF matrix against the source, plus source energy.
 
     Uses the same space-time quadrature as assemble_source_matrix, so the
-    consistency identities hold to machine precision. Both paths square the
+    consistency identities hold to machine precision. Every path squares the
     local difference of the two fields at each sample, never the expanded
     form, whose cancellation would floor the error near 1e-16 relative.
     `samples` is as for assemble_source_matrix.
@@ -358,11 +407,18 @@ def energy_error(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid, source: 
     err = src = 0.0
     if samples is not None:
         weights = samples.table.weights
-        for target, source_values, scale in _sampling_blocks(samples, SWEEP_SAMPLES // len(weights)):
-            hs = (source_values @ source.dofs) @ samples.source_hats                    # (R, T)
-            diff = (target @ dofs) @ samples.target_hats - hs
-            err += 0.5 * float(scale @ ((diff * diff) @ weights))
-            src += 0.5 * float(scale @ ((hs * hs) @ weights))
+        rows = max(SWEEP_SAMPLES // len(weights), ERROR_BLOCK_ROWS)
+        for target, spatial, scale in _sampling_blocks(samples, rows):
+            if isinstance(samples, DiscreteSamples):
+                spatial = spatial @ source.dofs
+            hs = spatial @ samples.source_time                                         # (R, T)
+            # In place: the squares reuse the two (R, T) arrays of the block.
+            diff = (target @ dofs) @ samples.target_hats
+            diff -= hs
+            diff *= diff
+            hs *= hs
+            err += 0.5 * float(scale @ (diff @ weights))
+            src += 0.5 * float(scale @ (hs @ weights))
         return err, src, samples.outside
     table = build_time_table(grid, source, time_quad_points)
     outside = 0

@@ -99,7 +99,7 @@ def _build_analytic(config: dict, dim: int) -> AnalyticField:
         if kind == "constant":
             params["vector"] = _floats(config["analytic_vector"])
         elif kind == "linear":
-            params["matrix"] = np.array(_floats(config["analytic_matrix"])).reshape(dim, dim)
+            params["matrix"] = _floats(config["analytic_matrix"])
             if "analytic_offset" in config:
                 params["offset"] = _floats(config["analytic_offset"])
         elif kind == "poly-time":
@@ -109,7 +109,7 @@ def _build_analytic(config: dict, dim: int) -> AnalyticField:
             params["wavenumber"] = float(config["analytic_wavenumber"])
             params["amplitude"] = float(config.get("analytic_amplitude", 1.0))
         elif kind == "rotating-multipole":
-            params["pole_pairs"] = int(config["analytic_pole_pairs"])
+            params["pole_pairs"] = float(config["analytic_pole_pairs"])
             params["omega"] = float(config["analytic_omega"])
             params["amplitude"] = float(config.get("analytic_amplitude", 1.0))
             if "analytic_center" in config:

@@ -110,6 +110,20 @@ class AnalyticField(SourceField):
     omega is the mechanical angular speed of the pattern, so a fixed probe sees
     p full field oscillations and 2p pulses of |H|^2 per revolution, and for
     m > 0 the probe series |H|^2 has fundamental period 2*pi/omega.
+
+    Each kind is written once, as R <= 2 separable factors
+
+        H(x, t) = sum_r g_r(x) h_r(t),
+
+    given by `space_factors` (the g_r) and `time_factors` (the h_r);
+    `eval_points` is their product. constant, linear and sinusoid have
+    h = 1, poly-time has g = vector, and the rotating multipole splits
+    through cos(a - b) = cos a cos b + sin a sin b, with
+    g = (cos(p theta) r_hat, sin(p theta) r_hat) and
+    h = envelope * (cos(p omega t), sin(p omega t)).
+
+    Every parameter is checked when the field is built: a missing,
+    misshapen or non-finite one raises ValueError naming it.
     """
 
     def __init__(self, kind: str, dim: int = 2, **params):
@@ -121,62 +135,93 @@ class AnalyticField(SourceField):
     def _unknown(self):
         raise ValueError(f"unknown analytic field kind {self.kind!r}")
 
+    def _param(self, name: str, count: int | None = None, default=None) -> np.ndarray:
+        """Parameter `name` as finite floats: one value for count None, else `count` values
+        (one or more for count 0), flattened."""
+        value = self.params.get(name, default)
+        if value is None:
+            raise ValueError(f"{self.kind} field needs parameter {name!r}")
+        try:
+            array = np.asarray(value, dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError(f"{self.kind} field parameter {name!r} must be numeric") from None
+        if count is None and array.ndim:
+            raise ValueError(f"{self.kind} field parameter {name!r} must be one value")
+        if count is not None:
+            array = array.ravel()
+            if array.size == 0 or (count and array.size != count):
+                want = f"{count} values" if count else "one or more values"
+                raise ValueError(f"{self.kind} field parameter {name!r} must hold {want},"
+                                 f" got {array.size}")
+        if not np.all(np.isfinite(array)):
+            raise ValueError(f"{self.kind} field parameter {name!r} must be finite")
+        return array
+
     def _setup_constant(self):
-        self._vector = np.asarray(self.params["vector"], dtype=float)
-        if self._vector.shape != (self.dim,):
-            raise ValueError("constant field needs a vector of length dim")
+        self._vector = self._param("vector", self.dim)
 
     def _setup_linear(self):
-        self._matrix = np.asarray(self.params["matrix"], dtype=float).reshape(self.dim, self.dim)
-        self._offset = np.asarray(self.params.get("offset", np.zeros(self.dim)), dtype=float)
+        self._matrix = self._param("matrix", self.dim * self.dim).reshape(self.dim, self.dim)
+        self._offset = self._param("offset", self.dim, default=np.zeros(self.dim))
 
     def _setup_poly_time(self):
-        self._vector = np.asarray(self.params["vector"], dtype=float)
-        self._coeffs = np.asarray(self.params["coeffs"], dtype=float)
-        if self._vector.shape != (self.dim,) or self._coeffs.ndim != 1:
-            raise ValueError("poly-time field needs a direction vector and 1-D coefficients")
+        self._vector = self._param("vector", self.dim)
+        self._coeffs = self._param("coeffs", 0)
 
     def _setup_sinusoid(self):
         if self.dim != 2:
             raise ValueError("sinusoid field is 2-D only")
-        self._amplitude = float(self.params.get("amplitude", 1.0))
-        self._wavenumber = float(self.params["wavenumber"])
+        self._amplitude = float(self._param("amplitude", default=1.0))
+        self._wavenumber = float(self._param("wavenumber"))
 
     def _setup_rotating_multipole(self):
         if self.dim != 2:
             raise ValueError("rotating-multipole field is 2-D only")
-        self._pole_pairs = int(self.params["pole_pairs"])
-        self._amplitude = float(self.params.get("amplitude", 1.0))
-        self._omega = float(self.params["omega"])
-        self._center = np.asarray(self.params.get("center", np.zeros(2)), dtype=float)
-        self._modulation = float(self.params.get("modulation", 0.0))
-        if self._pole_pairs < 1:
-            raise ValueError("pole_pairs must be >= 1")
+        pole_pairs = float(self._param("pole_pairs"))
+        if pole_pairs < 1 or pole_pairs != int(pole_pairs):
+            raise ValueError("rotating-multipole field parameter 'pole_pairs' must be a whole"
+                             " number >= 1")
+        self._pole_pairs = int(pole_pairs)
+        self._amplitude = float(self._param("amplitude", default=1.0))
+        self._omega = float(self._param("omega"))
+        self._center = self._param("center", 2, default=np.zeros(2))
+        self._modulation = float(self._param("modulation", default=0.0))
+
+    def space_factors(self, points) -> np.ndarray:
+        """The spatial factors g_r at points (P, dim): (P, dim, R)."""
+        points = np.asarray(points, dtype=float)
+        kind = self.kind
+        if kind in ("constant", "poly-time"):
+            g = np.repeat(self._vector[None, :], len(points), axis=0)
+        elif kind == "linear":
+            g = points @ self._matrix.T + self._offset
+        elif kind == "sinusoid":
+            g = self._amplitude * np.sin(self._wavenumber * points[:, ::-1])
+        else:
+            rel = points - self._center
+            theta = np.arctan2(rel[:, 1], rel[:, 0])
+            radial = np.stack([np.cos(theta), np.sin(theta)], axis=1)                # (P, 2)
+            angle = self._pole_pairs * theta
+            return np.stack([np.cos(angle)[:, None] * radial,
+                             np.sin(angle)[:, None] * radial], axis=2)
+        return g[:, :, None]
+
+    def time_factors(self, ts) -> np.ndarray:
+        """The temporal factors h_r at times ts (T,): (R, T)."""
+        ts = np.asarray(ts, dtype=float)
+        if self.kind == "poly-time":
+            return np.polynomial.polynomial.polyval(ts, self._coeffs)[None, :]
+        if self.kind == "rotating-multipole":
+            envelope = self._amplitude * (1.0 + self._modulation * np.cos(self._omega * ts))
+            angle = self._pole_pairs * self._omega * ts
+            return np.stack([envelope * np.cos(angle), envelope * np.sin(angle)])
+        return np.ones((1, len(ts)))
 
     def eval_points(self, points, ts, policy: str = "zero") -> tuple[np.ndarray, np.ndarray]:
         check_policy(policy)
         points = np.asarray(points, dtype=float)
-        ts = np.asarray(ts, dtype=float)
-        shape = (len(points), len(ts), self.dim)
-        inside = np.ones(len(points), dtype=bool)
-        kind = self.kind
-        if kind == "constant":
-            return np.broadcast_to(self._vector, shape).copy(), inside
-        if kind == "linear":
-            value = points @ self._matrix.T + self._offset
-            return np.broadcast_to(value[:, None, :], shape).copy(), inside
-        if kind == "poly-time":
-            scale = np.polynomial.polynomial.polyval(ts, self._coeffs)
-            return np.broadcast_to(scale[:, None] * self._vector, shape).copy(), inside
-        if kind == "sinusoid":
-            value = self._amplitude * np.sin(self._wavenumber * points[:, ::-1])
-            return np.broadcast_to(value[:, None, :], shape).copy(), inside
-        rel = points - self._center
-        theta = np.arctan2(rel[:, 1], rel[:, 0])
-        radial = np.stack([np.cos(theta), np.sin(theta)], axis=1)                  # (P, 2)
-        pulse = np.cos(self._pole_pairs * (theta[:, None] - self._omega * ts))     # (P, T)
-        envelope = self._amplitude * (1.0 + self._modulation * np.cos(self._omega * ts))
-        return (envelope * pulse)[:, :, None] * radial[:, None, :], inside
+        values = np.einsum("pdr,rt->ptd", self.space_factors(points), self.time_factors(ts))
+        return values, np.ones(len(points), dtype=bool)
 
 
 class DiscreteField(SourceField):
@@ -184,8 +229,9 @@ class DiscreteField(SourceField):
 
     def __init__(self, mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid, dofs: np.ndarray,
                  locator: PointLocator | None = None):
-        self._bind(mesh, edge_table, grid, np.ascontiguousarray(np.asarray(dofs, dtype=np.float64)),
-                   locator, scan=True)
+        # A view, so locking it leaves the caller's own array writeable.
+        self._bind(mesh, edge_table, grid,
+                   np.ascontiguousarray(np.asarray(dofs, dtype=np.float64)).view(), locator, scan=True)
 
     @classmethod
     def _over_view(cls, mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid, dofs: np.ndarray,

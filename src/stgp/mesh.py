@@ -216,8 +216,9 @@ class PointLocator:
         idx = np.floor((x - self._lo) / self._size).astype(int)
         return np.clip(idx, 0, self._counts - 1)
 
-    def element_gradients(self, element: int) -> np.ndarray:
-        """Barycentric-coordinate gradients of one element, (dim+1, dim)."""
+    def element_gradients(self, element) -> np.ndarray:
+        """Barycentric-coordinate gradients of an element index, (dim+1, dim), or of an
+        array of element indices (...,), (..., dim+1, dim)."""
         return self._grads[element]
 
     def _nearest(self, elements: np.ndarray, x: np.ndarray,

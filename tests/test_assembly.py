@@ -11,7 +11,8 @@ from stgp import (AnalyticField, DiscreteField, Mesh, MeshFormatError, PointLoca
                   assemble_source_matrix, assemble_spatial_mass, assemble_temporal_gram,
                   build_edge_table, energy_error, generate_structured_mesh, project, read_matrix,
                   simplex_quadrature, write_matrix)
-from stgp.assembly import SWEEP_SAMPLES, TriDiagMatrix, build_time_table, sample_source
+from stgp.assembly import (SWEEP_SAMPLES, FactoredSamples, TriDiagMatrix, build_time_table,
+                           sample_source)
 from stgp.basis import whitney_local
 from stgp.fields import edge_circulations
 from stgp.mesh import barycentric_transforms, signed_volumes
@@ -642,7 +643,7 @@ class TestLinearPath:
         field, mesh, table, grid = self._case("unit-square-tri", 5, 4, "overhang", jitter_rng)
         quad = simplex_quadrature(2, 4)
         samples = sample_source(mesh, table, grid, field, quad)
-        assert sample_source(mesh, table, grid, AnalyticField("constant", vector=(1.0, 0.0))) is None
+        assert sample_source(mesh, table, grid, PerPointSource(field)) is None
         c, outside = assemble_source_matrix(mesh, table, grid, field)
         monkeypatch.setattr(PointLocator, "locate", None)  # the samples need no location
         shared, shared_outside = assemble_source_matrix(mesh, table, grid, field, space_quad=quad,
@@ -654,3 +655,130 @@ class TestLinearPath:
         with pytest.raises(ValueError, match="samples were taken for other arguments"):
             energy_error(mesh, table, grid, field, np.zeros((table.edge_count, grid.n_steps)),
                          samples=samples)
+
+
+FACTORED_CASES = {
+    "constant-2d": ("constant", 2, dict(vector=(0.8, -0.3))),
+    "linear-2d": ("linear", 2, dict(matrix=[[1.0, 2.0], [0.5, -1.0]], offset=(0.5, 0.25))),
+    "poly-time-2d": ("poly-time", 2, dict(vector=(2.0, 1.0), coeffs=(0.5, -1.0, 3.0))),
+    "sinusoid-2d": ("sinusoid", 2, dict(wavenumber=np.pi, amplitude=2.0)),
+    "rotating-multipole-2d": ("rotating-multipole", 2,
+                              dict(pole_pairs=3, amplitude=1.5, omega=2 * np.pi,
+                                   center=(0.4, -0.6), modulation=0.25)),
+    "constant-3d": ("constant", 3, dict(vector=(0.8, -0.3, 0.5))),
+    "linear-3d": ("linear", 3, dict(matrix=np.arange(9.0).reshape(3, 3) - 4.0,
+                                    offset=(0.5, 0.25, -1.0))),
+    "poly-time-3d": ("poly-time", 3, dict(vector=(2.0, 1.0, -0.5), coeffs=(0.5, -1.0, 3.0))),
+}
+
+
+def closed_form(kind, params, x, t):
+    """The documented formula of each analytic kind at one point and time, written out directly."""
+    if kind == "constant":
+        return np.asarray(params["vector"], dtype=float)
+    if kind == "linear":
+        return np.asarray(params["matrix"], dtype=float) @ x + np.asarray(params["offset"])
+    if kind == "poly-time":
+        return np.asarray(params["vector"]) * sum(c * t**k for k, c in enumerate(params["coeffs"]))
+    if kind == "sinusoid":
+        return params["amplitude"] * np.sin(params["wavenumber"] * x[::-1])
+    rel = x - np.asarray(params["center"])
+    theta = np.arctan2(rel[1], rel[0])
+    w, p, m = params["omega"], params["pole_pairs"], params["modulation"]
+    return (params["amplitude"] * (1.0 + m * np.cos(w * t)) * np.cos(p * (theta - w * t))
+            * np.array([np.cos(theta), np.sin(theta)]))
+
+
+class TestAnalyticFactors:
+    """An AnalyticField source takes the factored path, C = (S_t^T diag(scale) G)(H_f diag(w) H_t^T);
+    a per-point wrapper of the same field takes the generic sweep. Both must give the same numbers."""
+
+    def _case(self, name, rng):
+        kind, dim, params = FACTORED_CASES[name]
+        mesh = jittered_mesh("unit-square-tri" if dim == 2 else "unit-cube-tet", 4 if dim == 2 else 2, rng)
+        grid = TemporalGrid(np.array([0.0, 0.15, 0.55, 0.9, 1.3]))
+        return AnalyticField(kind, dim=dim, **params), mesh, build_edge_table(mesh), grid
+
+    @pytest.mark.parametrize("name", sorted(FACTORED_CASES))
+    def test_matches_generic_sweep(self, name, jitter_rng):
+        field, mesh, table, grid = self._case(name, jitter_rng)
+        c, outside = assemble_source_matrix(mesh, table, grid, field)
+        c_ref, outside_ref = assemble_source_matrix(mesh, table, grid, PerPointSource(field))
+        assert outside == outside_ref == 0
+        assert np.max(np.abs(c - c_ref)) <= 1e-13 * np.max(np.abs(c_ref))
+
+        dofs = jitter_rng.standard_normal((table.edge_count, grid.n_steps))
+        err, src, out = energy_error(mesh, table, grid, field, dofs)
+        err_ref, src_ref, out_ref = energy_error(mesh, table, grid, PerPointSource(field), dofs)
+        assert out == out_ref == 0
+        assert abs(err - err_ref) <= 1e-13 * err_ref
+        assert abs(src - src_ref) <= 1e-13 * src_ref
+
+    @pytest.mark.parametrize("name", sorted(FACTORED_CASES))
+    def test_eval_points_is_the_product_of_the_factors(self, name, jitter_rng):
+        field, mesh, _, _ = self._case(name, jitter_rng)
+        kind, dim, params = FACTORED_CASES[name]
+        points = jitter_rng.uniform(-0.5, 1.5, size=(7, dim))
+        ts = np.linspace(-0.3, 2.1, 9)
+        values, inside = field.eval_points(points, ts)
+        assert values.shape == (7, 9, dim) and inside.all()
+        g, h = field.space_factors(points), field.time_factors(ts)
+        assert g.shape[:2] == (7, dim) and h.shape == (g.shape[2], 9) and h.shape[0] <= 2
+        stacked = np.array([field.eval_time_batch(x, ts)[0] for x in points])
+        np.testing.assert_allclose(values, stacked, rtol=1e-14, atol=1e-15)
+        direct = np.array([[closed_form(kind, params, x, t) for t in ts] for x in points])
+        np.testing.assert_allclose(values, direct, rtol=0, atol=1e-13 * np.max(np.abs(direct)))
+
+    def test_samples_are_shared_and_checked(self, jitter_rng, monkeypatch):
+        field, mesh, table, grid = self._case("rotating-multipole-2d", jitter_rng)
+        quad = simplex_quadrature(2, 4)
+        dofs = jitter_rng.standard_normal((table.edge_count, grid.n_steps))
+        samples = sample_source(mesh, table, grid, field, quad)
+        assert isinstance(samples, FactoredSamples)
+        assert samples.space.shape == (mesh.n_elements * len(quad.points) * 2, 2)
+        assert samples.source_time.shape == (2, len(samples.table.points))
+        c, _ = assemble_source_matrix(mesh, table, grid, field)
+        error = energy_error(mesh, table, grid, field, dofs)
+        for name in ("space_factors", "time_factors", "eval_points"):
+            monkeypatch.setattr(AnalyticField, name, None)  # the samples need no evaluation
+        shared, outside = assemble_source_matrix(mesh, table, grid, field, space_quad=quad,
+                                                 samples=samples)
+        assert np.array_equal(shared, c) and outside == 0
+        assert energy_error(mesh, table, grid, field, dofs, space_quad=quad, samples=samples) == error
+        other = AnalyticField("rotating-multipole", **FACTORED_CASES["rotating-multipole-2d"][2])
+        for kwargs in (dict(time_quad_points=3), dict(policy="strict")):
+            with pytest.raises(ValueError, match="samples were taken for other arguments"):
+                assemble_source_matrix(mesh, table, grid, field, space_quad=quad, samples=samples,
+                                       **kwargs)
+        with pytest.raises(ValueError, match="samples were taken for other arguments"):
+            energy_error(mesh, table, grid, other, dofs, space_quad=quad, samples=samples)
+
+    def test_project_evaluates_the_factors_once(self, jitter_rng, monkeypatch):
+        field, mesh, table, grid = self._case("rotating-multipole-2d", jitter_rng)
+        calls = []
+        for name in ("space_factors", "time_factors"):
+            original = getattr(AnalyticField, name)
+
+            def counting(self, arg, original=original, name=name):
+                calls.append(name)
+                return original(self, arg)
+
+            monkeypatch.setattr(AnalyticField, name, counting)
+        monkeypatch.setattr(AnalyticField, "eval_points", None)
+        project(ProjectionProblem(mesh=mesh, edge_table=table, grid=grid, source=field))
+        assert sorted(calls) == ["space_factors", "time_factors"]
+
+    def test_bitwise_repeatable(self, jitter_rng):
+        field, mesh, table, grid = self._case("rotating-multipole-2d", jitter_rng)
+        problem = ProjectionProblem(mesh=mesh, edge_table=table, grid=grid, source=field)
+        first, second = project(problem), project(problem)
+        assert np.array_equal(first.dofs, second.dofs)
+        assert (first.error, first.source_energy) == (second.error, second.source_energy)
+        c1, _ = assemble_source_matrix(mesh, table, grid, field)
+        c2, _ = assemble_source_matrix(mesh, table, grid, field)
+        assert np.array_equal(c1, c2)
+
+    def test_rejects_a_field_of_another_dimension(self, jitter_rng):
+        _, mesh, table, grid = self._case("constant-3d", jitter_rng)
+        with pytest.raises(ValueError, match="2-D source does not fit a 3-D target mesh"):
+            assemble_source_matrix(mesh, table, grid, AnalyticField("constant", vector=(1.0, 0.0)))

@@ -293,6 +293,23 @@ class TestProjectFaultsAreConfigErrors:
                                      "analytic_kind = constant\n")
         assert "analytic_vector" in self._run(tmp_path, config)
 
+    @pytest.mark.parametrize("lines, name", [
+        ("analytic_kind = poly-time\nanalytic_vector = 1 0\nanalytic_coeffs =\n", "coeffs"),
+        ("analytic_kind = linear\nanalytic_matrix = 1 0 0 1\nanalytic_offset = 0.5\n", "offset"),
+        ("analytic_kind = linear\nanalytic_matrix = 1 0 0\n", "matrix"),
+        ("analytic_kind = rotating-multipole\nanalytic_pole_pairs = 2\nanalytic_omega = 1\n"
+         "analytic_center = 0 0 1\n", "center"),
+        ("analytic_kind = rotating-multipole\nanalytic_pole_pairs = 2.5\nanalytic_omega = 1\n",
+         "pole_pairs"),
+        ("analytic_kind = sinusoid\nanalytic_wavenumber = nan\n", "wavenumber"),
+        ("analytic_kind = constant\nanalytic_vector = 1 inf\n", "vector"),
+    ], ids=["empty-coeffs", "short-offset", "short-matrix", "long-center", "half-pole-pair",
+            "nan-wavenumber", "inf-vector"])
+    def test_bad_analytic_parameter(self, tmp_path, lines, name):
+        write_demo_inputs(tmp_path)
+        config = BASE_CONFIG.replace("source_mesh = src.stgp\nsource_field = src.stgpf\n", lines)
+        assert f"'{name}'" in self._run(tmp_path, config)
+
     def test_probe_outside_target_mesh(self, tmp_path):
         write_demo_inputs(tmp_path)
         config = BASE_CONFIG.replace("probe = 0.4 0.6", "probe = 1.5 0.6")

@@ -51,6 +51,41 @@ class TestAnalyticRecipes:
             assert np.allclose(row, f.eval(x, float(t)))
 
 
+class TestAnalyticParameters:
+    """Each kind checks its parameters when built; a ValueError names the parameter."""
+
+    @pytest.mark.parametrize("kind, dim, params, name", [
+        ("constant", 2, dict(), "vector"),
+        ("constant", 2, dict(vector=(1.0, 0.0, 0.0)), "vector"),
+        ("constant", 3, dict(vector=(1.0, np.nan, 0.0)), "vector"),
+        ("linear", 2, dict(matrix=[1.0, 2.0, 3.0]), "matrix"),
+        ("linear", 2, dict(matrix=[[1.0, 0.0], [0.0, np.inf]]), "matrix"),
+        ("linear", 2, dict(matrix=np.eye(2), offset=(0.5,)), "offset"),
+        ("linear", 3, dict(matrix=np.eye(3), offset=(0.5, 0.5)), "offset"),
+        ("poly-time", 2, dict(vector=(1.0, 0.0), coeffs=()), "coeffs"),
+        ("poly-time", 2, dict(vector=(1.0, 0.0), coeffs=(1.0, -np.inf)), "coeffs"),
+        ("poly-time", 2, dict(vector=(1.0,), coeffs=(1.0,)), "vector"),
+        ("sinusoid", 2, dict(wavenumber=np.nan), "wavenumber"),
+        ("sinusoid", 2, dict(wavenumber=1.0, amplitude=(1.0, 2.0)), "amplitude"),
+        ("rotating-multipole", 2, dict(pole_pairs=2, omega=1.0, center=(0.0, 0.0, 1.0)), "center"),
+        ("rotating-multipole", 2, dict(pole_pairs=0, omega=1.0), "pole_pairs"),
+        ("rotating-multipole", 2, dict(pole_pairs=2.5, omega=1.0), "pole_pairs"),
+        ("rotating-multipole", 2, dict(pole_pairs=2, omega=np.inf), "omega"),
+        ("rotating-multipole", 2, dict(pole_pairs=2, omega=1.0, modulation=np.nan), "modulation"),
+        ("rotating-multipole", 2, dict(pole_pairs=2, omega=1.0, amplitude="loud"), "amplitude"),
+        ("rotating-multipole", 2, dict(pole_pairs=2), "omega"),
+    ])
+    def test_bad_parameter_named(self, kind, dim, params, name):
+        with pytest.raises(ValueError, match=f"'{name}'"):
+            AnalyticField(kind, dim=dim, **params)
+
+    def test_flat_and_nested_matrix_agree(self):
+        x = np.array([0.3, -0.7])
+        nested = AnalyticField("linear", matrix=[[1.0, 2.0], [0.5, -1.0]], offset=(0.5, 0.25))
+        flat = AnalyticField("linear", matrix=[1.0, 2.0, 0.5, -1.0], offset=(0.5, 0.25))
+        assert np.array_equal(nested.eval(x, 0.0), flat.eval(x, 0.0))
+
+
 ANALYTIC_KINDS = {
     "constant": dict(vector=(1.0, -0.5)),
     "linear": dict(matrix=[[1.0, 2.0], [0.5, -1.0]], offset=(0.5, 0.25)),
@@ -261,6 +296,17 @@ class TestDiscreteField:
                               np.ones((table.edge_count, 2)))
         with pytest.raises(ValueError, match="source span"):
             field.eval(np.array([0.5, 0.5]), 1.5)
+
+    def test_leaves_the_callers_array_writeable(self, square_mesh_2):
+        table = build_edge_table(square_mesh_2)
+        grid = TemporalGrid(np.array([0.0, 1.0]))
+        dofs = np.ones((table.edge_count, 2))
+        field = DiscreteField(square_mesh_2, table, grid, dofs)
+        assert dofs.flags.writeable and not field.dofs.flags.writeable
+        assert np.shares_memory(field.dofs, dofs)  # read without copying
+        dofs[0, 0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            field.dofs[0, 0] = 3.0
 
     def test_dof_shape_mismatch_rejected(self, square_mesh_2):
         table = build_edge_table(square_mesh_2)
