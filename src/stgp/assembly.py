@@ -2,35 +2,33 @@
 
 C (and the error integrals that reuse the same quadrature) is stored dense,
 column = time step; vectorization is column-major throughout. Work runs as
-whole-array kernels in index order, so results are bitwise repeatable. A
-source takes one of three paths, chosen only by its type:
+whole-array kernels in index order, so results are bitwise repeatable.
 
-- Linear path, for a DiscreteField. Its samples are linear in its DOFs D_s.
-  Each target spatial quadrature point is located in the source mesh once
-  (`sample_source` keeps its element and barycentric coordinates). Two
-  sparse Whitney sampling matrices, S_t (target, P d x M) and S_s (source,
-  P d x M_s), one row per point and component, are built from those in
-  bounded blocks of rows. C = K D_s G, with the mixed mass
-  K = S_t^T diag(scale) S_s summed over the blocks and the mixed hat Gram
-  G = H_s diag(w) H_t^T, exact on the time table's merged knots. The energy
-  error squares the local difference S_t X H_t - S_s D_s H_s block by block.
-- Factored path, for an AnalyticField, whose every kind is a sum of R <= 2
-  separable factors g_r(x) h_r(t). `sample_source` keeps the spatial
-  factors at the target's quadrature points, G (P d x R), and the temporal
-  ones at the time-table points, H_f (R x T). Then
-  C = (S_t^T diag(scale) G)(H_f diag(w) H_t^T), an M x R by R x N product,
-  and the energy error squares S_t X H_t - G H_f block by block.
-- Generic sweep, for any other source: fixed blocks of target elements, one
-  `eval_points` call per block, so the samples held at once stay bounded. A
-  source with only the per-point `eval_time_batch` is evaluated point by
-  point through `fields.eval_points_per_point`. It is the oracle the two
-  structured paths are tested against.
+`sample_source` prepares every source once. A source of either stgp type is
+separable, H(x, t) = sum_r s_r(x) f_r(t): spatial rows, one per target
+quadrature point and component, times a temporal basis at the time-table
+points (R x T). Two producers, chosen only by the type, fill that one form:
 
-`project` samples a structured source once and shares the samples between C
-and the error.
+- DiscreteField: each target quadrature point is located in the source mesh
+  once; the rows are the source's Whitney values there times its DOFs D_s
+  (R = N_s), formed block by block, and the basis is its grid's hats.
+- AnalyticField: the rows are G, its R <= 2 spatial factors g_r at the
+  quadrature points, and the basis is H_f, its time factors h_r.
+
+With S_t the target's Whitney sampling matrix and H_t its hats,
+C = (sum over blocks S_t^T diag(scale) rows)(source_time diag(w) H_t^T), which
+is K D_s G for a DiscreteField, and the energy error squares
+S_t X H_t - rows source_time block by block.
+
+Any other source takes the generic sweep: one `eval_points` call per block of
+target elements (or one `eval_time_batch` call per point, through
+`fields.eval_points_per_point`). It is the oracle the separable form is
+tested against.
 """
 from __future__ import annotations
 
+import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 
@@ -41,19 +39,19 @@ from .basis import (QuadratureRule, TemporalGrid, _within_span, bracket, gauss_u
                     simplex_quadrature, whitney_local)
 from .fields import (AnalyticField, DiscreteField, PointOutsideDomainError, SourceField,
                      check_policy, eval_points_per_point, locate_points, whitney_at)
-from .mesh import (EdgeTable, Mesh, MeshFormatError, _format_row, _LineReader,
-                   barycentric_transforms, signed_volumes)
+from .mesh import (LOCAL_EDGE_VERTICES, EdgeTable, Mesh, MeshFormatError, _format_row,
+                   _LineReader, barycentric_transforms, signed_volumes)
 
 # Source samples (points x times x components) held at once by one sweep block
-# or, on a structured path, by one block of rows of the energy error.
+# or, in the separable form, by one block of rows of C or of the energy error.
 # Larger blocks ran no faster and raised the peak RSS (2**18: +7 % on the
 # benchmark's transfer-2d workload).
 SWEEP_SAMPLES = 2**15
-# Fewest rows (point, component) in one such block of the energy error. A
-# block costs a fixed set-up worth about 10**4 samples' work, so a long time
-# table would otherwise shrink the blocks until that set-up took a third of
-# the time (multipole-windows-2d: 64 rows at 510 time points).
-ERROR_BLOCK_ROWS = 256
+# Fewest rows (point, component) in one block of the separable form. A block
+# of the energy error costs a fixed set-up worth about 10**4 samples' work,
+# so a long time table would otherwise shrink the blocks until that set-up
+# took a third of the time (multipole-windows-2d: 64 rows at 510 time points).
+MIN_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -101,6 +99,19 @@ def assemble_temporal_gram(grid: TemporalGrid) -> TriDiagMatrix:
     return TriDiagMatrix(diag=diag, off=h / 6.0)
 
 
+def _fitted_rule(mesh: Mesh, edge_table: EdgeTable, quad: QuadratureRule | None) -> QuadratureRule:
+    """The spatial rule, order 4 by default, once it and the edge table are checked to fit the mesh."""
+    ends = np.sort(mesh.elements[:, LOCAL_EDGE_VERTICES[mesh.dim]], axis=2)   # (E, nl, 2) node ids
+    if (edge_table.element_edges.shape != ends.shape[:2]
+            or not np.array_equal(edge_table.edges[edge_table.element_edges], ends)):
+        raise ValueError("the edge table was built for another mesh")
+    if quad is None:
+        return simplex_quadrature(mesh.dim, 4)
+    if quad.dim != mesh.dim:
+        raise ValueError(f"a {quad.dim}-D quadrature rule does not fit a {mesh.dim}-D mesh")
+    return quad
+
+
 def assemble_spatial_mass(mesh: Mesh, edge_table: EdgeTable,
                           quad: QuadratureRule | None = None) -> sp.csr_matrix:
     """Permeability-weighted mass matrix of the Whitney edge basis (M x M, SPD).
@@ -108,9 +119,8 @@ def assemble_spatial_mass(mesh: Mesh, edge_table: EdgeTable,
     The integrand is quadratic in the barycentric coordinates, so the default
     order-4 rule makes every entry quadrature-exact.
     """
-    if quad is None:
-        quad = simplex_quadrature(mesh.dim, 4)
-    if quad.dim != mesh.dim or quad.order < 2:
+    quad = _fitted_rule(mesh, edge_table, quad)
+    if quad.order < 2:
         raise ValueError("spatial mass assembly needs a simplex rule of order >= 2")
 
     _, _, grads = barycentric_transforms(mesh)
@@ -194,21 +204,20 @@ def _element_blocks(mesh: Mesh, edge_table: EdgeTable, space_quad: QuadratureRul
         yield el, w, scale
 
 
-def _sweep(mesh: Mesh, edge_table: EdgeTable, source: SourceField,
-           space_quad: QuadratureRule, table: _TimeTable, policy: str):
+def _sweep(samples: SourceSamples):
     """Source samples at every space-time quadrature point, in blocks of elements in index order.
 
     Axis P runs over the d components at each of the Q spatial quadrature
     points. Yields (elements (B,), Whitney values (B, nl, P), weights (B, P)
     with mu and Jacobian, source samples (B, P, T), outside-point count).
     """
-    check_policy(policy)
+    mesh, edge_table, _, source, space_quad, _, policy = samples.args
     evaluate = getattr(source, "eval_points", None) or partial(eval_points_per_point, source)
-    n_q, n_t, dim = len(space_quad.points), len(table.points), mesh.dim
+    n_q, n_t, dim = len(space_quad.points), len(samples.table.points), mesh.dim
     block = max(1, SWEEP_SAMPLES // (n_q * n_t * dim))
     for el, w, scale in _element_blocks(mesh, edge_table, space_quad, block):
         w = np.swapaxes(w, 1, 2).reshape(len(el), -1, n_q * dim)                 # (B, nl, P)
-        values, inside = evaluate(_quadrature_points(mesh, space_quad, el), table.points,
+        values, inside = evaluate(_quadrature_points(mesh, space_quad, el), samples.table.points,
                                   policy=policy)                                  # (B*Q, T, d)
         hs = np.swapaxes(values, 1, 2).reshape(len(el), n_q * dim, n_t)
         yield el, w, scale, hs, int(np.count_nonzero(~inside))
@@ -216,38 +225,24 @@ def _sweep(mesh: Mesh, edge_table: EdgeTable, source: SourceField,
 
 @dataclass(frozen=True)
 class SourceSamples:
-    """A source sampled once at the target's space-time quadrature, for a structured path.
+    """A source prepared once, by `sample_source`, for the target's space-time quadrature.
 
     Spatial quadrature points run in element order, Q per element; a row
-    (point, component) of a sampling matrix is point * d + component. The
-    target hats are the target grid's (N x T) at the time-table points, and
-    source_time the source's temporal basis there: its grid's hats
-    (N_s x T, sparse) or its time factors H_f (R x T).
+    (point, component) is point * d + component. The target hats are the
+    target grid's (N x T) at the time-table points. A separable source,
+    H(x, t) = sum_r s_r(x) f_r(t), also has its temporal basis there,
+    source_time (R x T), and `space(points)`, its spatial rows at a slice
+    of the points (rows x R); both are None for a source that the generic
+    sweep evaluates. outside counts the points that missed the source mesh
+    (the sweep counts its own).
     """
 
     args: tuple  # (mesh, edge_table, grid, source, space_quad, time_quad_points, policy)
     table: _TimeTable
     target_hats: sp.csr_matrix
-    source_time: sp.csr_matrix | np.ndarray
-    outside: int
-
-
-@dataclass(frozen=True)
-class DiscreteSamples(SourceSamples):
-    """A DiscreteField located once: spatial quadrature point i lies in source element
-    elements[i] at barycentric lam[i], or outside the source mesh where inside[i] is False."""
-
-    inside: np.ndarray    # (P,) bool
-    elements: np.ndarray  # (P,)
-    lam: np.ndarray       # (P, d+1)
-
-
-@dataclass(frozen=True)
-class FactoredSamples(SourceSamples):
-    """An AnalyticField's separable factors, H(x, t) = sum_r g_r(x) h_r(t): G at the
-    target's spatial quadrature points, H_f (source_time) at the time-table points."""
-
-    space: np.ndarray  # G (P d, R)
+    source_time: sp.csr_matrix | np.ndarray | None = None
+    space: Callable[[slice], np.ndarray] | None = None
+    outside: int = 0
 
 
 def _hat_matrix(k: np.ndarray, left: np.ndarray, right: np.ndarray, n_steps: int) -> sp.csr_matrix:
@@ -256,51 +251,6 @@ def _hat_matrix(k: np.ndarray, left: np.ndarray, right: np.ndarray, n_steps: int
     return sp.csr_matrix((np.concatenate([left, right]),
                           (np.concatenate([k, k + 1]), np.concatenate([cols, cols]))),
                          shape=(n_steps, len(k)))
-
-
-def sample_source(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid, source: SourceField,
-                  space_quad: QuadratureRule | None = None, time_quad_points: int = 2,
-                  policy: str = "zero") -> SourceSamples | None:
-    """Sample a DiscreteField or an AnalyticField source at the target's quadrature, once.
-
-    A DiscreteField's target spatial quadrature points are located in its
-    mesh (DiscreteSamples); an AnalyticField's space and time factors are
-    evaluated there and at the time-table points (FactoredSamples). Returns
-    None for any other source; the generic sweep samples those.
-    """
-    if not isinstance(source, (DiscreteField, AnalyticField)):
-        return None
-    if source.dim != mesh.dim:
-        raise ValueError(f"a {source.dim}-D source does not fit a {mesh.dim}-D target mesh")
-    if space_quad is None:
-        space_quad = simplex_quadrature(mesh.dim, 4)
-    check_span(grid, source)
-    table = build_time_table(grid, source, time_quad_points)
-    check_policy(policy)
-    common = dict(args=(mesh, edge_table, grid, source, space_quad, time_quad_points, policy),
-                  table=table, target_hats=_hat_matrix(table.k, table.left, table.right, grid.n_steps))
-    xq = _quadrature_points(mesh, space_quad, slice(None))
-    if isinstance(source, AnalyticField):
-        space = source.space_factors(xq)
-        return FactoredSamples(**common, source_time=source.time_factors(table.points), outside=0,
-                               space=space.reshape(-1, space.shape[2]))
-    inside, elements, lam = locate_points(source.locator, xq)
-    if policy == "strict" and not inside.all():
-        raise PointOutsideDomainError(xq[np.argmin(inside)])
-    k_s, theta_s = bracket(source.grid, table.points)
-    return DiscreteSamples(**common,
-                           source_time=_hat_matrix(k_s, 1.0 - theta_s, theta_s, source.grid.n_steps),
-                           outside=int(np.count_nonzero(~inside)), inside=inside, elements=elements,
-                           lam=lam)
-
-
-def _samples_for(samples: SourceSamples | None, *args) -> SourceSamples | None:
-    """The given samples, checked against the arguments, or fresh ones taken for them."""
-    if samples is None:
-        return sample_source(*args)
-    if not all(a == b if isinstance(a, (int, str)) else a is b for a, b in zip(samples.args, args)):
-        raise ValueError("samples were taken for other arguments")
-    return samples
 
 
 def _sampling_matrix(inside: np.ndarray, values: np.ndarray, edges: np.ndarray,
@@ -316,31 +266,93 @@ def _sampling_matrix(inside: np.ndarray, values: np.ndarray, edges: np.ndarray,
     return sp.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(len(inside) * dim, n_edges))
 
 
-def _sampling_blocks(samples: SourceSamples, rows: int):
-    """The sampling matrices of a structured path, about `rows` rows at a time.
+def _factor_rows(space: np.ndarray, points: slice) -> np.ndarray:
+    """An AnalyticField's spatial factors G (P, d, R) at a slice of the points, as rows (rows x R)."""
+    return space[points].reshape(-1, space.shape[2])
 
-    Yields (target Whitney values S_t (R x M), the source's spatial part,
-    row weights with mu and Jacobian (R,)). The spatial part is the source
-    Whitney values S_s (R x M_s, sparse) of a DiscreteField, or the rows of
-    G (R x R_f) of an AnalyticField.
+
+def _located_rows(source: DiscreteField, inside: np.ndarray, elements: np.ndarray, lam: np.ndarray,
+                  points: slice) -> np.ndarray:
+    """A located DiscreteField's Whitney values times D_s at a slice of the points (rows x N_s).
+
+    Point i lies in source element elements[i] at barycentric lam[i], or
+    outside the source mesh, with zero rows, where inside[i] is False.
     """
-    mesh, edge_table, _, source, space_quad = samples.args[:5]
+    inside = inside[points]
+    hit = np.flatnonzero(inside)
+    edges, values = whitney_at(source.locator, source.edge_table, elements[points][hit],
+                               lam[points][hit])
+    return _sampling_matrix(inside, values, edges, source.edge_table.edge_count) @ source.dofs
+
+
+def sample_source(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid, source: SourceField,
+                  space_quad: QuadratureRule | None = None, time_quad_points: int = 2,
+                  policy: str = "zero") -> SourceSamples:
+    """Prepare a source for the target's space-time quadrature, once.
+
+    Fills in the default spatial rule, checks the policy, the time span and
+    that the edge table, rule and source fit the mesh, and builds the time
+    table. A DiscreteField's target quadrature points are then located in its
+    mesh, and an AnalyticField's space and time factors evaluated there and
+    at the time-table points; any other source is left to the generic sweep.
+    """
+    space_quad = _fitted_rule(mesh, edge_table, space_quad)
+    dim = getattr(source, "dim", mesh.dim)
+    if dim != mesh.dim:
+        raise ValueError(f"a {dim}-D source does not fit a {mesh.dim}-D target mesh")
+    check_policy(policy)
+    check_span(grid, source)
+    table = build_time_table(grid, source, time_quad_points)
+    common = dict(args=(mesh, edge_table, grid, source, space_quad, time_quad_points, policy),
+                  table=table, target_hats=_hat_matrix(table.k, table.left, table.right, grid.n_steps))
+    if not isinstance(source, (AnalyticField, DiscreteField)):
+        return SourceSamples(**common)
+    xq = _quadrature_points(mesh, space_quad, slice(None))
+    if isinstance(source, AnalyticField):
+        return SourceSamples(**common, source_time=source.time_factors(table.points),
+                             space=partial(_factor_rows, source.space_factors(xq)))
+    inside, elements, lam = locate_points(source.locator, xq)
+    if policy == "strict" and not inside.all():
+        raise PointOutsideDomainError(xq[np.argmin(inside)])
+    k_s, theta_s = bracket(source.grid, table.points)
+    return SourceSamples(**common,
+                         source_time=_hat_matrix(k_s, 1.0 - theta_s, theta_s, source.grid.n_steps),
+                         space=partial(_located_rows, source, inside, elements, lam),
+                         outside=int(np.count_nonzero(~inside)))
+
+
+def _samples_for(samples: SourceSamples | None, *args) -> SourceSamples:
+    """The given samples, checked against the arguments, or fresh ones taken for them.
+
+    Mesh, edge table, grid and source must be the objects sampled; the rule
+    (None: the default), the point count and the policy must be equal.
+    """
+    if samples is None:
+        return sample_source(*args)
+    mesh, edge_table, _, _, space_quad, *settings = args
+    if not (all(map(operator.is_, samples.args[:4], args[:4]))
+            and samples.args[4:] == (_fitted_rule(mesh, edge_table, space_quad), *settings)):
+        raise ValueError("samples were taken for other arguments")
+    return samples
+
+
+def _sampling_blocks(samples: SourceSamples, width: int):
+    """The target's sampling matrix and a separable source's spatial rows, block by block.
+
+    A block of elements holds about SWEEP_SAMPLES // width rows (point,
+    component), and at least MIN_BLOCK_ROWS. Yields (target Whitney values
+    S_t (rows x M, sparse), the source's spatial rows (rows x R), row
+    weights with mu and Jacobian (rows,)).
+    """
+    mesh, edge_table, _, _, space_quad = samples.args[:5]
     n_q, dim = len(space_quad.points), mesh.dim
+    rows = max(SWEEP_SAMPLES // width, MIN_BLOCK_ROWS)
     for el, w, scale in _element_blocks(mesh, edge_table, space_quad, max(1, rows // (n_q * dim))):
-        points = slice(el[0] * n_q, (el[-1] + 1) * n_q)
         n = len(el) * n_q
         target = _sampling_matrix(np.ones(n, dtype=bool), w.reshape(n, -1, dim),
                                   np.repeat(edge_table.element_edges[el], n_q, axis=0),
                                   edge_table.edge_count)
-        if isinstance(samples, FactoredSamples):
-            yield target, samples.space[points.start * dim:points.stop * dim], scale.ravel()
-            continue
-        inside = samples.inside[points]
-        hit = np.flatnonzero(inside)
-        edges, values = whitney_at(source.locator, source.edge_table,
-                                   samples.elements[points][hit], samples.lam[points][hit])
-        yield (target, _sampling_matrix(inside, values, edges, source.edge_table.edge_count),
-               scale.ravel())
+        yield target, samples.space(slice(el[0] * n_q, (el[-1] + 1) * n_q)), scale.ravel()
 
 
 def assemble_source_matrix(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid,
@@ -351,32 +363,25 @@ def assemble_source_matrix(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid
 
     Each target interval is additionally split at interior source time nodes,
     so piecewise-linear-in-time sources integrate exactly and spatial
-    quadrature is the only residual integration error. A DiscreteField
-    source takes the linear path, C = K D_s G, and an AnalyticField the
-    factored one, C = (S_t^T diag(scale) G) (H_f diag(w) H_t^T); `samples`,
-    taken by `sample_source` with the same arguments, spares sampling again.
+    quadrature is the only residual integration error. A separable source
+    gives C = (sum S_t^T diag(scale) rows) (source_time diag(w) H_t^T), which
+    is K D_s G for a DiscreteField; `samples`, taken by `sample_source` with
+    the same arguments, spares preparing the source again.
 
     Returns (C, outside_point_count).
     """
-    if space_quad is None:
-        space_quad = simplex_quadrature(mesh.dim, 4)
-    check_span(grid, source)
     samples = _samples_for(samples, mesh, edge_table, grid, source, space_quad, time_quad_points, policy)
-    if samples is not None:
-        # K = S_t^T diag(scale) S_s (M x M_s, sparse), or S_t^T diag(scale) G (M x R).
+    if samples.space is not None:
+        # The mixed spatial mass times the source's spatial coefficients (M x R).
         mass = sum(target.T @ (sp.diags(scale) @ spatial)
-                   for target, spatial, scale in _sampling_blocks(samples, SWEEP_SAMPLES))
-        # The mixed time Gram: H_s diag(w) H_t^T (N_s x N, sparse), or H_f diag(w) H_t^T (R x N).
+                   for target, spatial, scale in _sampling_blocks(samples, samples.source_time.shape[0]))
+        # The mixed time Gram (R x N): H_s diag(w) H_t^T (sparse) or H_f diag(w) H_t^T.
         gram = samples.source_time @ sp.diags(samples.table.weights) @ samples.target_hats.T
-        if isinstance(samples, DiscreteSamples):
-            # K D_s first: on a fine source and a fine target grid its M x N_s product is
-            # smaller than D_s G (M_s x N).
-            mass = mass @ source.dofs
         return mass @ gram, samples.outside
-    table = build_time_table(grid, source, time_quad_points)
+    table = samples.table
     c = np.zeros((edge_table.edge_count, grid.n_steps))
     outside = 0
-    for el, w, scale, hs, out in _sweep(mesh, edge_table, source, space_quad, table, policy):
+    for el, w, scale, hs, out in _sweep(samples):
         moments = (w * scale[:, None, :]) @ hs * table.weights                  # (B, nl, T)
         rows = edge_table.element_edges[el][:, :, None]
         np.add.at(c, (rows, table.k), moments * table.left)
@@ -392,37 +397,30 @@ def energy_error(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid, source: 
     """Energy-weighted error of a trial DOF matrix against the source, plus source energy.
 
     Uses the same space-time quadrature as assemble_source_matrix, so the
-    consistency identities hold to machine precision. Every path squares the
+    consistency identities hold to machine precision. Both forms square the
     local difference of the two fields at each sample, never the expanded
     form, whose cancellation would floor the error near 1e-16 relative.
     `samples` is as for assemble_source_matrix.
     """
-    if space_quad is None:
-        space_quad = simplex_quadrature(mesh.dim, 4)
-    check_span(grid, source)
     dofs = np.asarray(dofs, dtype=float)
     if dofs.shape != (edge_table.edge_count, grid.n_steps):
         raise ValueError("dofs shape must be (edge count, time steps)")
     samples = _samples_for(samples, mesh, edge_table, grid, source, space_quad, time_quad_points, policy)
+    table = samples.table
     err = src = 0.0
-    if samples is not None:
-        weights = samples.table.weights
-        rows = max(SWEEP_SAMPLES // len(weights), ERROR_BLOCK_ROWS)
-        for target, spatial, scale in _sampling_blocks(samples, rows):
-            if isinstance(samples, DiscreteSamples):
-                spatial = spatial @ source.dofs
-            hs = spatial @ samples.source_time                                         # (R, T)
-            # In place: the squares reuse the two (R, T) arrays of the block.
+    if samples.space is not None:
+        for target, spatial, scale in _sampling_blocks(samples, len(table.weights)):
+            hs = spatial @ samples.source_time                                    # (rows, T)
+            # In place: the squares reuse the two (rows, T) arrays of the block.
             diff = (target @ dofs) @ samples.target_hats
             diff -= hs
             diff *= diff
             hs *= hs
-            err += 0.5 * float(scale @ (diff @ weights))
-            src += 0.5 * float(scale @ (hs @ weights))
+            err += 0.5 * float(scale @ (diff @ table.weights))
+            src += 0.5 * float(scale @ (hs @ table.weights))
         return err, src, samples.outside
-    table = build_time_table(grid, source, time_quad_points)
     outside = 0
-    for el, w, scale, hs, out in _sweep(mesh, edge_table, source, space_quad, table, policy):
+    for el, w, scale, hs, out in _sweep(samples):
         coeff = dofs[edge_table.element_edges[el]]                                # (B, nl, N)
         series = coeff[:, :, table.k] * table.left + coeff[:, :, table.k + 1] * table.right
         diff = np.swapaxes(w, 1, 2) @ series - hs                                # (B, P, T)

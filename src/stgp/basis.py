@@ -102,6 +102,14 @@ class QuadratureRule:
         points.flags.writeable = False
         weights.flags.writeable = False
 
+    def __eq__(self, other) -> bool:
+        """Equal by value, so an equal rule built twice is the same rule."""
+        if not isinstance(other, QuadratureRule):
+            return NotImplemented
+        return ((self.dim, self.order) == (other.dim, other.order)
+                and np.array_equal(self.points, other.points)
+                and np.array_equal(self.weights, other.weights))
+
 
 def gauss_unit_interval(n: int) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss-Legendre points and weights on [0, 1]."""

@@ -294,8 +294,8 @@ class DiscreteField(SourceField):
 
 
 # Location plus Whitney sampling: DiscreteField.eval_points and the assembly's
-# linear path for discrete sources both sample a mesh's edge elements through
-# these two kernels.
+# producer of a discrete source's samples both sample a mesh's edge elements
+# through these two kernels.
 
 
 def locate_points(locator: PointLocator, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

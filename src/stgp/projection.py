@@ -48,7 +48,7 @@ def project(problem: ProjectionProblem) -> ProjectionResult:
     quad = simplex_quadrature(mesh.dim, problem.space_quad_order)
     a = assemble_spatial_mass(mesh, edge_table, quad=quad)
     b = assemble_temporal_gram(grid)
-    # A discrete or analytic source is sampled once, for both C and the energy error.
+    # The source is prepared once, for both C and the energy error.
     samples = sample_source(mesh, edge_table, grid, problem.source, quad,
                             problem.time_quad_points, problem.outside_policy)
     c, outside = assemble_source_matrix(

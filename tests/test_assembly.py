@@ -1,5 +1,6 @@
 """Assembly of the spatial mass, temporal Gram, and source matrices."""
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from stgp import (AnalyticField, DiscreteField, Mesh, MeshFormatError, PointLoca
                   assemble_source_matrix, assemble_spatial_mass, assemble_temporal_gram,
                   build_edge_table, energy_error, generate_structured_mesh, project, read_matrix,
                   simplex_quadrature, write_matrix)
-from stgp.assembly import (SWEEP_SAMPLES, FactoredSamples, TriDiagMatrix, build_time_table,
+import stgp.assembly
+from stgp.assembly import (SWEEP_SAMPLES, SourceSamples, TriDiagMatrix, build_time_table,
                            sample_source)
 from stgp.basis import whitney_local
 from stgp.fields import edge_circulations
@@ -559,8 +561,8 @@ def target_past_source(kind, n, rng, past):
 
 
 class TestLinearPath:
-    """A DiscreteField source takes the linear path, C = K D_s G; a per-point wrapper of the
-    same field takes the generic sweep. Both must give the same numbers."""
+    """A DiscreteField source takes the separable form, C = K D_s G; a per-point wrapper of
+    the same field takes the generic sweep. Both must give the same numbers."""
 
     def _case(self, kind, n_source, n_target, past, rng):
         src_mesh = jittered_mesh(kind, n_source, rng)
@@ -643,7 +645,9 @@ class TestLinearPath:
         field, mesh, table, grid = self._case("unit-square-tri", 5, 4, "overhang", jitter_rng)
         quad = simplex_quadrature(2, 4)
         samples = sample_source(mesh, table, grid, field, quad)
-        assert sample_source(mesh, table, grid, PerPointSource(field)) is None
+        # A source with neither structure is left to the generic sweep.
+        generic = sample_source(mesh, table, grid, PerPointSource(field))
+        assert generic.space is None and generic.source_time is None
         c, outside = assemble_source_matrix(mesh, table, grid, field)
         monkeypatch.setattr(PointLocator, "locate", None)  # the samples need no location
         shared, shared_outside = assemble_source_matrix(mesh, table, grid, field, space_quad=quad,
@@ -654,7 +658,7 @@ class TestLinearPath:
                                    samples=samples)
         with pytest.raises(ValueError, match="samples were taken for other arguments"):
             energy_error(mesh, table, grid, field, np.zeros((table.edge_count, grid.n_steps)),
-                         samples=samples)
+                         space_quad=simplex_quadrature(2, 6), samples=samples)
 
 
 FACTORED_CASES = {
@@ -690,7 +694,7 @@ def closed_form(kind, params, x, t):
 
 
 class TestAnalyticFactors:
-    """An AnalyticField source takes the factored path, C = (S_t^T diag(scale) G)(H_f diag(w) H_t^T);
+    """An AnalyticField source takes the separable form, C = (S_t^T diag(scale) G)(H_f diag(w) H_t^T);
     a per-point wrapper of the same field takes the generic sweep. Both must give the same numbers."""
 
     def _case(self, name, rng):
@@ -734,8 +738,8 @@ class TestAnalyticFactors:
         quad = simplex_quadrature(2, 4)
         dofs = jitter_rng.standard_normal((table.edge_count, grid.n_steps))
         samples = sample_source(mesh, table, grid, field, quad)
-        assert isinstance(samples, FactoredSamples)
-        assert samples.space.shape == (mesh.n_elements * len(quad.points) * 2, 2)
+        assert type(samples) is SourceSamples
+        assert samples.space(slice(None)).shape == (mesh.n_elements * len(quad.points) * 2, 2)
         assert samples.source_time.shape == (2, len(samples.table.points))
         c, _ = assemble_source_matrix(mesh, table, grid, field)
         error = energy_error(mesh, table, grid, field, dofs)
@@ -782,3 +786,104 @@ class TestAnalyticFactors:
         _, mesh, table, grid = self._case("constant-3d", jitter_rng)
         with pytest.raises(ValueError, match="2-D source does not fit a 3-D target mesh"):
             assemble_source_matrix(mesh, table, grid, AnalyticField("constant", vector=(1.0, 0.0)))
+
+
+class TestSamplingEntry:
+    """`sample_source` prepares every source, of each kind, and checks that the inputs fit."""
+
+    def _case(self, kind, rng, source_steps=6):
+        src_mesh = jittered_mesh("unit-square-tri", 3, rng)
+        src_table = build_edge_table(src_mesh)
+        field = DiscreteField(src_mesh, src_table, TemporalGrid(np.linspace(0.0, 1.0, source_steps)),
+                              rng.standard_normal((src_table.edge_count, source_steps)))
+        source = {"discrete": field, "generic": PerPointSource(field),
+                  "analytic": AnalyticField("rotating-multipole", pole_pairs=2, amplitude=1.0,
+                                            omega=2 * np.pi, center=(0.4, 0.6), modulation=0.2)}[kind]
+        mesh = jittered_mesh("unit-square-tri", 4, rng)
+        return source, mesh, build_edge_table(mesh), TemporalGrid(np.array([0.0, 0.15, 0.55, 0.9]))
+
+    @pytest.mark.parametrize("kind", ["discrete", "analytic", "generic"])
+    def test_samples_taken_under_the_default_rule_are_accepted(self, kind, jitter_rng):
+        source, mesh, table, grid = self._case(kind, jitter_rng)
+        dofs = jitter_rng.standard_normal((table.edge_count, grid.n_steps))
+        c, outside = assemble_source_matrix(mesh, table, grid, source)
+        error = energy_error(mesh, table, grid, source, dofs)
+        samples = sample_source(mesh, table, grid, source)
+        # The default rule, and an equal rule built again, are the rule the samples were taken with.
+        for rule in ({}, dict(space_quad=simplex_quadrature(2, 4))):
+            shared, shared_outside = assemble_source_matrix(mesh, table, grid, source, samples=samples,
+                                                            **rule)
+            assert np.array_equal(shared, c) and shared_outside == outside
+            assert energy_error(mesh, table, grid, source, dofs, samples=samples, **rule) == error
+        with pytest.raises(ValueError, match="samples were taken for other arguments"):
+            assemble_source_matrix(mesh, table, grid, source, space_quad=simplex_quadrature(2, 6),
+                                   samples=samples)
+
+    @pytest.mark.parametrize("kind", ["discrete", "analytic", "generic"])
+    def test_project_builds_the_time_table_once(self, kind, jitter_rng, monkeypatch):
+        source, mesh, table, grid = self._case(kind, jitter_rng)
+        calls = []
+        original = stgp.assembly.build_time_table
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(stgp.assembly, "build_time_table", counting)
+        project(ProjectionProblem(mesh=mesh, edge_table=table, grid=grid, source=source))
+        assert len(calls) == 1
+
+    def test_discrete_samples_hold_no_dense_rows(self, jitter_rng):
+        # The spatial rows times D_s (P d x N_s) are formed per block: the samples hold each
+        # point's element, barycentric row and inside flag, the two hat matrices and the table.
+        field, mesh, table, grid = self._case("discrete", jitter_rng, source_steps=33)
+        quad = simplex_quadrature(2, 4)
+        n_points = mesh.n_elements * len(quad.points)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            samples = sample_source(mesh, table, grid, field, quad)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        hats = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+                   for m in (samples.target_hats, samples.source_time))
+        times = sum(getattr(samples.table, f.name).nbytes for f in dataclasses.fields(samples.table))
+        located = n_points * ((mesh.dim + 2) * 8 + 1)
+        dense_rows = n_points * mesh.dim * field.grid.n_steps * 8
+        assert held <= located + hats + times + 16 * 1024 < dense_rows
+
+    @pytest.mark.parametrize("kind", ["discrete", "analytic", "generic"])
+    def test_edge_table_of_another_mesh_is_named(self, kind, jitter_rng):
+        source, mesh, _, grid = self._case(kind, jitter_rng)
+        larger = build_edge_table(generate_structured_mesh("unit-square-tri", 5, 1.0))
+        # As many elements, numbered in another order: its edge table fits by size alone.
+        shuffled = build_edge_table(Mesh(dim=2, nodes=mesh.nodes, mu=mesh.mu,
+                                         elements=mesh.elements[jitter_rng.permutation(mesh.n_elements)]))
+        for table in (larger, shuffled):
+            with pytest.raises(ValueError, match="the edge table was built for another mesh"):
+                assemble_source_matrix(mesh, table, grid, source)
+            with pytest.raises(ValueError, match="the edge table was built for another mesh"):
+                energy_error(mesh, table, grid, source, np.zeros((table.edge_count, grid.n_steps)))
+            with pytest.raises(ValueError, match="the edge table was built for another mesh"):
+                assemble_spatial_mass(mesh, table)
+            with pytest.raises(ValueError, match="the edge table was built for another mesh"):
+                project(ProjectionProblem(mesh=mesh, edge_table=table, grid=grid, source=source))
+
+    @pytest.mark.parametrize("kind", ["discrete", "analytic", "generic"])
+    def test_rule_of_another_dimension_is_named(self, kind, jitter_rng):
+        source, mesh, table, grid = self._case(kind, jitter_rng)
+        rule = simplex_quadrature(3, 4)
+        with pytest.raises(ValueError, match="a 3-D quadrature rule does not fit a 2-D mesh"):
+            assemble_source_matrix(mesh, table, grid, source, space_quad=rule)
+        with pytest.raises(ValueError, match="a 3-D quadrature rule does not fit a 2-D mesh"):
+            energy_error(mesh, table, grid, source, np.zeros((table.edge_count, grid.n_steps)),
+                         space_quad=rule)
+
+    def test_generic_source_of_another_dimension_is_named(self, jitter_rng):
+        field, _, _, grid = self._case("discrete", jitter_rng)
+        source = PerPointSource(field)
+        source.dim = field.dim  # a generic-route source may declare its dimension
+        mesh = jittered_mesh("unit-cube-tet", 1, jitter_rng)
+        with pytest.raises(ValueError, match="a 2-D source does not fit a 3-D target mesh"):
+            assemble_source_matrix(mesh, build_edge_table(mesh), grid, source)
