@@ -15,15 +15,18 @@ points (R x T). Two producers, chosen only by the type, fill that one form:
 - AnalyticField: the rows are G, its R <= 2 spatial factors g_r at the
   quadrature points, and the basis is H_f, its time factors h_r.
 
-With S_t the target's Whitney sampling matrix and H_t its hats,
-C = (sum over blocks S_t^T diag(scale) rows)(source_time diag(w) H_t^T), which
-is K D_s G for a DiscreteField, and the energy error squares
-S_t X H_t - rows source_time block by block.
+Any other source is evaluated by `eval_points` (or by `eval_time_batch` one
+point at a time, through `fields.eval_points_per_point`).
 
-Any other source takes the generic sweep: one `eval_points` call per block of
-target elements (or one `eval_time_batch` call per point, through
-`fields.eval_points_per_point`). It is the oracle the separable form is
-tested against.
+One block loop, `_sweep`, serves every source: it runs over the target
+elements in index order and yields their Whitney values and weights with the
+source's samples there. C of a separable source is the mixed spatial mass
+(the target's weighted Whitney values times the spatial rows, scattered over
+element edges; K D_s for a DiscreteField) times the mixed temporal Gram,
+source_time diag(w) H_t^T. C of any other source scatters the moments of its
+samples, and that generic form is the oracle the separable one is tested
+against. The energy error has one loop for every source; a separable source
+gives its samples there as spatial rows times source_time.
 """
 from __future__ import annotations
 
@@ -42,16 +45,12 @@ from .fields import (AnalyticField, DiscreteField, PointOutsideDomainError, Sour
 from .mesh import (LOCAL_EDGE_VERTICES, EdgeTable, Mesh, MeshFormatError, _format_row,
                    _LineReader, barycentric_transforms, signed_volumes)
 
-# Source samples (points x times x components) held at once by one sweep block
-# or, in the separable form, by one block of rows of C or of the energy error.
+# Source samples (rows x columns) held at once by one block of the sweep.
 # Larger blocks ran no faster and raised the peak RSS (2**18: +7 % on the
 # benchmark's transfer-2d workload).
 SWEEP_SAMPLES = 2**15
-# Fewest rows (point, component) in one block of the separable form. A block
-# of the energy error costs a fixed set-up worth about 10**4 samples' work,
-# so a long time table would otherwise shrink the blocks until that set-up
-# took a third of the time (multipole-windows-2d: 64 rows at 510 time points).
-MIN_BLOCK_ROWS = 256
+# Most Gauss points per temporal subinterval.
+MAX_TIME_QUAD_POINTS = 6
 
 
 @dataclass(frozen=True)
@@ -154,8 +153,9 @@ class _TimeTable:
 
 
 def build_time_table(grid: TemporalGrid, source: SourceField, n_points: int) -> _TimeTable:
-    if not 1 <= n_points <= 6:
-        raise ValueError("temporal quadrature uses 1..6 Gauss points per subinterval")
+    if not 1 <= n_points <= MAX_TIME_QUAD_POINTS:
+        raise ValueError(f"temporal quadrature uses 1..{MAX_TIME_QUAD_POINTS} Gauss points"
+                         " per subinterval")
     gauss_points, gauss_weights = gauss_unit_interval(n_points)
     breakers = np.asarray(source.interior_time_nodes(), dtype=float)
     times = grid.times
@@ -188,41 +188,6 @@ def _quadrature_points(mesh: Mesh, space_quad: QuadratureRule, elements) -> np.n
                      mesh.nodes[mesh.elements[elements]]).reshape(-1, mesh.dim)
 
 
-def _element_blocks(mesh: Mesh, edge_table: EdgeTable, space_quad: QuadratureRule, block: int):
-    """Target elements in index order, `block` at a time, with their spatial quadrature.
-
-    Yields (elements (B,), Whitney values (B, Q, nl, d), weights with mu and
-    Jacobian (B, Q*d)); axis Q*d runs over the d components at each of the
-    Q points.
-    """
-    _, _, grads = barycentric_transforms(mesh)
-    jac = np.abs(signed_volumes(mesh)) / space_quad.weights.sum()
-    for start in range(0, mesh.n_elements, block):
-        el = np.arange(start, min(start + block, mesh.n_elements))
-        w = whitney_local(mesh.dim, grads[el], edge_table.element_signs[el], space_quad.points)
-        scale = np.repeat((mesh.mu[el] * jac[el])[:, None] * space_quad.weights, mesh.dim, axis=1)
-        yield el, w, scale
-
-
-def _sweep(samples: SourceSamples):
-    """Source samples at every space-time quadrature point, in blocks of elements in index order.
-
-    Axis P runs over the d components at each of the Q spatial quadrature
-    points. Yields (elements (B,), Whitney values (B, nl, P), weights (B, P)
-    with mu and Jacobian, source samples (B, P, T), outside-point count).
-    """
-    mesh, edge_table, _, source, space_quad, _, policy = samples.args
-    evaluate = getattr(source, "eval_points", None) or partial(eval_points_per_point, source)
-    n_q, n_t, dim = len(space_quad.points), len(samples.table.points), mesh.dim
-    block = max(1, SWEEP_SAMPLES // (n_q * n_t * dim))
-    for el, w, scale in _element_blocks(mesh, edge_table, space_quad, block):
-        w = np.swapaxes(w, 1, 2).reshape(len(el), -1, n_q * dim)                 # (B, nl, P)
-        values, inside = evaluate(_quadrature_points(mesh, space_quad, el), samples.table.points,
-                                  policy=policy)                                  # (B*Q, T, d)
-        hs = np.swapaxes(values, 1, 2).reshape(len(el), n_q * dim, n_t)
-        yield el, w, scale, hs, int(np.count_nonzero(~inside))
-
-
 @dataclass(frozen=True)
 class SourceSamples:
     """A source prepared once, by `sample_source`, for the target's space-time quadrature.
@@ -232,9 +197,9 @@ class SourceSamples:
     target grid's (N x T) at the time-table points. A separable source,
     H(x, t) = sum_r s_r(x) f_r(t), also has its temporal basis there,
     source_time (R x T), and `space(points)`, its spatial rows at a slice
-    of the points (rows x R); both are None for a source that the generic
-    sweep evaluates. outside counts the points that missed the source mesh
-    (the sweep counts its own).
+    of the points (rows x R); both are None for a source that `_sweep`
+    evaluates through `eval_points`. outside counts the points that missed
+    the source mesh (the sweep counts those of any other source).
     """
 
     args: tuple  # (mesh, edge_table, grid, source, space_quad, time_quad_points, policy)
@@ -253,19 +218,6 @@ def _hat_matrix(k: np.ndarray, left: np.ndarray, right: np.ndarray, n_steps: int
                          shape=(n_steps, len(k)))
 
 
-def _sampling_matrix(inside: np.ndarray, values: np.ndarray, edges: np.ndarray,
-                     n_edges: int) -> sp.csr_matrix:
-    """Rows (point, component) of Whitney values (H, nl, d) on the inside points' edges (H, nl).
-
-    A point outside the mesh has empty rows.
-    """
-    _, n_local, dim = values.shape
-    indptr = np.concatenate([[0], np.cumsum(np.repeat(inside, dim) * n_local)])
-    data = np.swapaxes(values, 1, 2)                                              # (H, d, nl)
-    indices = np.broadcast_to(edges[:, None, :], data.shape)
-    return sp.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(len(inside) * dim, n_edges))
-
-
 def _factor_rows(space: np.ndarray, points: slice) -> np.ndarray:
     """An AnalyticField's spatial factors G (P, d, R) at a slice of the points, as rows (rows x R)."""
     return space[points].reshape(-1, space.shape[2])
@@ -282,7 +234,9 @@ def _located_rows(source: DiscreteField, inside: np.ndarray, elements: np.ndarra
     hit = np.flatnonzero(inside)
     edges, values = whitney_at(source.locator, source.edge_table, elements[points][hit],
                                lam[points][hit])
-    return _sampling_matrix(inside, values, edges, source.edge_table.edge_count) @ source.dofs
+    rows = np.zeros((len(inside), source.dim, source.dofs.shape[1]))
+    rows[hit] = np.swapaxes(values, 1, 2) @ source.dofs[edges]                    # (H, d, N_s)
+    return rows.reshape(-1, rows.shape[2])
 
 
 def sample_source(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid, source: SourceField,
@@ -336,23 +290,44 @@ def _samples_for(samples: SourceSamples | None, *args) -> SourceSamples:
     return samples
 
 
-def _sampling_blocks(samples: SourceSamples, width: int):
-    """The target's sampling matrix and a separable source's spatial rows, block by block.
+def _sweep(samples: SourceSamples, spatial: bool = False):
+    """The source's samples at the target's quadrature, in blocks of elements in index order.
 
-    A block of elements holds about SWEEP_SAMPLES // width rows (point,
-    component), and at least MIN_BLOCK_ROWS. Yields (target Whitney values
-    S_t (rows x M, sparse), the source's spatial rows (rows x R), row
-    weights with mu and Jacobian (rows,)).
+    Axis P runs over the d components at each of the Q spatial quadrature
+    points. Yields (elements (B,), Whitney values (B, nl, P), weights (B, P)
+    with mu and Jacobian, samples (B, P, width), outside-point count). The
+    samples are the source's values at the T time-table points or, with
+    `spatial`, a separable source's spatial rows (width R). A block holds
+    SWEEP_SAMPLES // width rows (point, component), at least one element's;
+    the values of a separable source take width max(T, R), as its rows are
+    held too.
     """
-    mesh, edge_table, _, _, space_quad = samples.args[:5]
-    n_q, dim = len(space_quad.points), mesh.dim
-    rows = max(SWEEP_SAMPLES // width, MIN_BLOCK_ROWS)
-    for el, w, scale in _element_blocks(mesh, edge_table, space_quad, max(1, rows // (n_q * dim))):
-        n = len(el) * n_q
-        target = _sampling_matrix(np.ones(n, dtype=bool), w.reshape(n, -1, dim),
-                                  np.repeat(edge_table.element_edges[el], n_q, axis=0),
-                                  edge_table.edge_count)
-        yield target, samples.space(slice(el[0] * n_q, (el[-1] + 1) * n_q)), scale.ravel()
+    mesh, edge_table, _, source, space_quad, _, policy = samples.args
+    n_q, n_t, dim = len(space_quad.points), len(samples.table.points), mesh.dim
+    if samples.space is None:
+        evaluate = getattr(source, "eval_points", None) or partial(eval_points_per_point, source)
+        width = n_t
+    else:
+        n_r = samples.source_time.shape[0]
+        width = n_r if spatial else max(n_t, n_r)
+    block = max(1, SWEEP_SAMPLES // width // (n_q * dim))
+    _, _, grads = barycentric_transforms(mesh)
+    jac = np.abs(signed_volumes(mesh)) / space_quad.weights.sum()
+    for start in range(0, mesh.n_elements, block):
+        el = np.arange(start, min(start + block, mesh.n_elements))
+        w = whitney_local(dim, grads[el], edge_table.element_signs[el], space_quad.points)
+        w = np.swapaxes(w, 1, 2).reshape(len(el), -1, n_q * dim)                 # (B, nl, P)
+        scale = np.repeat((mesh.mu[el] * jac[el])[:, None] * space_quad.weights, dim, axis=1)
+        if samples.space is None:
+            values, inside = evaluate(_quadrature_points(mesh, space_quad, el), samples.table.points,
+                                      policy=policy)                              # (B*Q, T, d)
+            hs = np.swapaxes(values, 1, 2).reshape(len(el), n_q * dim, n_t)
+            yield el, w, scale, hs, int(np.count_nonzero(~inside))
+        else:
+            rows = samples.space(slice(start * n_q, (start + len(el)) * n_q))     # (B*P, R)
+            if not spatial:
+                rows = rows @ samples.source_time                                  # (B*P, T)
+            yield el, w, scale, rows.reshape(len(el), n_q * dim, -1), 0
 
 
 def assemble_source_matrix(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid,
@@ -364,21 +339,24 @@ def assemble_source_matrix(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid
     Each target interval is additionally split at interior source time nodes,
     so piecewise-linear-in-time sources integrate exactly and spatial
     quadrature is the only residual integration error. A separable source
-    gives C = (sum S_t^T diag(scale) rows) (source_time diag(w) H_t^T), which
-    is K D_s G for a DiscreteField; `samples`, taken by `sample_source` with
-    the same arguments, spares preparing the source again.
+    gives C = (mixed spatial mass) (source_time diag(w) H_t^T), the mass
+    scattered from the sweep's weighted Whitney values times the spatial
+    rows; for a DiscreteField this is K D_s G. `samples`, taken by
+    `sample_source` with the same arguments, spares preparing the source
+    again.
 
     Returns (C, outside_point_count).
     """
     samples = _samples_for(samples, mesh, edge_table, grid, source, space_quad, time_quad_points, policy)
+    table = samples.table
     if samples.space is not None:
         # The mixed spatial mass times the source's spatial coefficients (M x R).
-        mass = sum(target.T @ (sp.diags(scale) @ spatial)
-                   for target, spatial, scale in _sampling_blocks(samples, samples.source_time.shape[0]))
+        mass = np.zeros((edge_table.edge_count, samples.source_time.shape[0]))
+        for el, w, scale, rows, _ in _sweep(samples, spatial=True):
+            np.add.at(mass, edge_table.element_edges[el], (w * scale[:, None, :]) @ rows)
         # The mixed time Gram (R x N): H_s diag(w) H_t^T (sparse) or H_f diag(w) H_t^T.
-        gram = samples.source_time @ sp.diags(samples.table.weights) @ samples.target_hats.T
+        gram = samples.source_time @ sp.diags(table.weights) @ samples.target_hats.T
         return mass @ gram, samples.outside
-    table = samples.table
     c = np.zeros((edge_table.edge_count, grid.n_steps))
     outside = 0
     for el, w, scale, hs, out in _sweep(samples):
@@ -397,9 +375,9 @@ def energy_error(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid, source: 
     """Energy-weighted error of a trial DOF matrix against the source, plus source energy.
 
     Uses the same space-time quadrature as assemble_source_matrix, so the
-    consistency identities hold to machine precision. Both forms square the
-    local difference of the two fields at each sample, never the expanded
-    form, whose cancellation would floor the error near 1e-16 relative.
+    consistency identities hold to machine precision. It squares the local
+    difference of the two fields at each sample, never the expanded form,
+    whose cancellation would floor the error near 1e-16 relative.
     `samples` is as for assemble_source_matrix.
     """
     dofs = np.asarray(dofs, dtype=float)
@@ -408,18 +386,7 @@ def energy_error(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid, source: 
     samples = _samples_for(samples, mesh, edge_table, grid, source, space_quad, time_quad_points, policy)
     table = samples.table
     err = src = 0.0
-    if samples.space is not None:
-        for target, spatial, scale in _sampling_blocks(samples, len(table.weights)):
-            hs = spatial @ samples.source_time                                    # (rows, T)
-            # In place: the squares reuse the two (rows, T) arrays of the block.
-            diff = (target @ dofs) @ samples.target_hats
-            diff -= hs
-            diff *= diff
-            hs *= hs
-            err += 0.5 * float(scale @ (diff @ table.weights))
-            src += 0.5 * float(scale @ (hs @ table.weights))
-        return err, src, samples.outside
-    outside = 0
+    outside = samples.outside
     for el, w, scale, hs, out in _sweep(samples):
         coeff = dofs[edge_table.element_edges[el]]                                # (B, nl, N)
         series = coeff[:, :, table.k] * table.left + coeff[:, :, table.k + 1] * table.right

@@ -190,6 +190,9 @@ def cmd_project(config_path: str) -> int:
                             if "solver_max_iterations" in config else None),
             preconditioner=config.get("preconditioner", "jacobi"),
         )
+        allow = config.get("allow_nonconverged", "false")
+        if allow not in ("true", "false"):
+            raise ConfigError(f"allow_nonconverged must be true or false, got {allow!r}")
         problem = ProjectionProblem(
             mesh=target_mesh,
             edge_table=build_edge_table(target_mesh),
@@ -199,7 +202,7 @@ def cmd_project(config_path: str) -> int:
             time_quad_points=int(config.get("time_quad_points", "2")),
             outside_policy=config.get("outside_policy", "zero"),
             solver=solver,
-            allow_nonconverged=config.get("allow_nonconverged", "false") == "true",
+            allow_nonconverged=allow == "true",
         )
         check_span(grid, source)
         probes = [np.array(_floats(p)) for p in config["probe"]]

@@ -6,7 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import TemporalGrid, _within_span, bracket, edge_circulation_rule, whitney_local
-from .mesh import EdgeTable, Mesh, MeshFormatError, PointLocator, _format_row, _LineReader
+from .mesh import (EdgeTable, Mesh, MeshFormatError, PointLocator, _format_row, _LineReader,
+                   check_points)
 
 OUTSIDE_POLICIES = ("zero", "strict")
 
@@ -190,6 +191,7 @@ class AnalyticField(SourceField):
     def space_factors(self, points) -> np.ndarray:
         """The spatial factors g_r at points (P, dim): (P, dim, R)."""
         points = np.asarray(points, dtype=float)
+        check_points(points, self.dim, 2, "field")
         kind = self.kind
         if kind in ("constant", "poly-time"):
             g = np.repeat(self._vector[None, :], len(points), axis=0)
@@ -305,6 +307,7 @@ def locate_points(locator: PointLocator, points) -> tuple[np.ndarray, np.ndarray
     barycentric row then describe the nearest element and mean nothing.
     """
     points = np.asarray(points, dtype=float)
+    check_points(points, locator.mesh.dim, 2)
     n = len(points)
     inside = np.empty(n, dtype=bool)
     elements = np.empty(n, dtype=np.int64)

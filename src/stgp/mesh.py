@@ -171,6 +171,17 @@ def build_edge_table(mesh: Mesh) -> EdgeTable:
     return EdgeTable(edges=edges, element_edges=element_edges, element_signs=signs)
 
 
+def check_points(points: np.ndarray, dim: int, ndim: int, what: str = "mesh") -> None:
+    """Raise ValueError unless points is one point (ndim 1) or a stack of points (ndim 2)
+    of `dim` coordinates each."""
+    n = points.shape[-1] if points.ndim else 1
+    if n != dim:
+        raise ValueError(f"a {n}-D point does not fit a {dim}-D {what}")
+    if points.ndim != ndim:
+        want = f"({dim},)" if ndim == 1 else f"(P, {dim})"
+        raise ValueError(f"expected points of shape {want}, got {points.shape}")
+
+
 @dataclass(frozen=True)
 class LocationResult:
     element: int
@@ -244,6 +255,7 @@ class PointLocator:
         if tol < 0:
             raise ValueError("tol must be >= 0")
         x = np.asarray(x, dtype=float)
+        check_points(x, self.mesh.dim, 1)
         found, dist = None, math.inf
         if np.all(x >= self._lo - self._snap_dist) and np.all(x <= self._hi + self._snap_dist):
             candidates = self._bins.get(tuple(self._bin_index(x)))

@@ -6,9 +6,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import (assemble_source_matrix, assemble_spatial_mass,
+from .assembly import (MAX_TIME_QUAD_POINTS, assemble_source_matrix, assemble_spatial_mass,
                        assemble_temporal_gram, energy_error, sample_source)
-from .basis import TemporalGrid, _within_span, simplex_quadrature
+from .basis import MAX_QUAD_ORDER, TemporalGrid, _within_span, simplex_quadrature
 from .fields import DiscreteField, PointOutsideDomainError, SourceField, check_policy
 from .mesh import EdgeTable, Mesh, PointLocator
 from .solver import SolveReport, SolverConfig, SolverNonConvergence, cg_solve
@@ -29,6 +29,13 @@ class ProjectionProblem:
 
     def __post_init__(self):
         check_policy(self.outside_policy)
+        # Order 2 is the least that integrates the mass matrix.
+        if not 2 <= self.space_quad_order <= MAX_QUAD_ORDER:
+            raise ValueError(f"space_quad_order must be in 2..{MAX_QUAD_ORDER},"
+                             f" got {self.space_quad_order}")
+        if not 1 <= self.time_quad_points <= MAX_TIME_QUAD_POINTS:
+            raise ValueError(f"time_quad_points must be in 1..{MAX_TIME_QUAD_POINTS},"
+                             f" got {self.time_quad_points}")
 
 
 @dataclass(frozen=True)

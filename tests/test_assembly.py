@@ -416,6 +416,29 @@ class TestPerPointSources:
                          policy="stirct")
 
 
+class TestErrorAgainstMassAndGram:
+    """The error's target side against an independent reference: for a source Y on the target's
+    own mesh and grid, the energy error of X is 1/2 <E, A E B> with E = X - Y, where A and B
+    come from their own assemblers (the rule and the time table integrate both exactly)."""
+
+    @pytest.mark.parametrize("wrapper", [None, PerPointSource], ids=["discrete", "generic"])
+    @pytest.mark.parametrize("kind,n", [("unit-square-tri", 4), ("unit-cube-tet", 2)])
+    def test_error_is_the_quadratic_form(self, kind, n, wrapper, jitter_rng):
+        mesh = jittered_mesh(kind, n, jitter_rng)
+        table = build_edge_table(mesh)
+        grid = random_grid(jitter_rng, 6)
+        y = jitter_rng.standard_normal((table.edge_count, grid.n_steps))
+        x = jitter_rng.standard_normal((table.edge_count, grid.n_steps))
+        source = DiscreteField(mesh, table, grid, y)
+        err, src, outside = energy_error(mesh, table, grid, wrapper(source) if wrapper else source, x)
+        a = assemble_spatial_mass(mesh, table).toarray()
+        b = assemble_temporal_gram(grid).to_dense()
+        e = x - y
+        assert outside == 0
+        assert abs(err - 0.5 * np.sum(e * (a @ e @ b))) <= 1e-12 * err
+        assert abs(src - 0.5 * np.sum(y * (a @ y @ b))) <= 1e-12 * src
+
+
 class TestTimeTable:
     def test_matches_interval_loop(self, jitter_rng):
         # reference: split every target interval at the source nodes inside it

@@ -320,6 +320,20 @@ class TestProjectFaultsAreConfigErrors:
         config = BASE_CONFIG.replace("probe_samples = 8", "probe_samples = 1")
         assert "probe_samples must be >= 2" in self._run(tmp_path, config)
 
+    def test_quadrature_setting_out_of_range(self, tmp_path):
+        write_demo_inputs(tmp_path)
+        for line, message in (("space_quad_order = 0", "space_quad_order must be in 2..6, got 0"),
+                              ("space_quad_order = 1", "space_quad_order must be in 2..6, got 1"),
+                              ("space_quad_order = 9", "space_quad_order must be in 2..6, got 9"),
+                              ("time_quad_points = 9", "time_quad_points must be in 1..6, got 9")):
+            assert message in self._run(tmp_path, BASE_CONFIG + line + "\n")
+
+    def test_allow_nonconverged_takes_only_true_or_false(self, tmp_path):
+        write_demo_inputs(tmp_path)
+        for value in ("True", "yes", "1", "maybe"):
+            stderr = self._run(tmp_path, BASE_CONFIG + f"allow_nonconverged = {value}\n")
+            assert f"allow_nonconverged must be true or false, got '{value}'" in stderr
+
     def test_strict_policy_with_target_outside_source(self, tmp_path):
         write_demo_inputs(tmp_path)
         target = read_mesh((tmp_path / "tgt.stgp").read_text())

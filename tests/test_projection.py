@@ -6,7 +6,8 @@ from stgp import (AnalyticField, DiscreteField, Mesh, PointLocator, ProjectionPr
                   SolverConfig, TemporalGrid, apply_operator, assemble_spatial_mass,
                   assemble_temporal_gram, build_edge_table, error_norm, eval_projected,
                   generate_structured_mesh, probe_timeseries, project, sample_field)
-from stgp.fields import edge_circulations
+from stgp.fields import edge_circulations, locate_points
+from stgp.mesh import locate_point
 from stgp.solver import SolverNonConvergence
 
 from conftest import jittered_mesh
@@ -379,3 +380,63 @@ class TestEvalReadsOnlyTheLocatedRows:
         poisoned_times, poisoned_values = probe_timeseries(poisoned, mesh, table, locator, grid, x, 9)
         assert np.array_equal(poisoned_times, times)
         assert np.array_equal(poisoned_values, values)
+
+
+class TestProblemSettings:
+    @pytest.mark.parametrize("settings, message", [
+        (dict(space_quad_order=0), "space_quad_order must be in 2..6, got 0"),
+        (dict(space_quad_order=1), "space_quad_order must be in 2..6, got 1"),
+        (dict(space_quad_order=9), "space_quad_order must be in 2..6, got 9"),
+        (dict(time_quad_points=0), "time_quad_points must be in 1..6, got 0"),
+        (dict(time_quad_points=9), "time_quad_points must be in 1..6, got 9"),
+    ])
+    def test_quadrature_out_of_range_rejected_at_construction(self, settings, message,
+                                                              square_mesh_2):
+        grid = TemporalGrid(np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match=message):
+            make_problem(square_mesh_2, grid, AnalyticField("constant", vector=(1.0, 0.0)),
+                         **settings)
+
+    def test_quadrature_range_ends_accepted(self, square_mesh_2):
+        grid = TemporalGrid(np.array([0.0, 1.0]))
+        source = AnalyticField("constant", vector=(1.0, 0.0))
+        for order, points in ((2, 1), (6, 6)):
+            result = project(make_problem(square_mesh_2, grid, source, space_quad_order=order,
+                                          time_quad_points=points))
+            assert result.relative_error <= 1e-8
+
+
+class TestPointDimension:
+    """A point with another number of coordinates than the mesh or field is named, not
+    evaluated: each entry that takes a point checks it."""
+
+    @pytest.mark.parametrize("point", [[0.5], [0.5, 0.5, 0.5]], ids=["1-D", "3-D"])
+    def test_wrong_dimension_named(self, point, square_mesh_2):
+        mesh = square_mesh_2
+        table = build_edge_table(mesh)
+        grid = TemporalGrid(np.array([0.0, 1.0]))
+        locator = PointLocator(mesh)
+        dofs = np.ones((table.edge_count, 2))
+        field = DiscreteField(mesh, table, grid, dofs)
+        constant = AnalyticField("constant", vector=(1.0, 0.0))
+        x, points = np.array(point), np.array([point])
+        calls = {
+            "eval_projected": lambda: eval_projected(dofs, mesh, table, locator, grid, x, 0.5),
+            "probe_timeseries": lambda: probe_timeseries(dofs, mesh, table, locator, grid, x, 3),
+            "locate_point": lambda: locate_point(mesh, locator, x),
+            "PointLocator.locate": lambda: locator.locate(x),
+            "locate_points": lambda: locate_points(locator, points),
+            "DiscreteField.eval_points": lambda: field.eval_points(points, np.array([0.5])),
+            "DiscreteField.eval": lambda: field.eval(x, 0.5),
+        }
+        for name, call in calls.items():
+            with pytest.raises(ValueError, match=f"a {len(point)}-D point does not fit a 2-D mesh"):
+                call()
+        for call in (lambda: constant.eval_points(points, np.array([0.5])),
+                     lambda: constant.space_factors(points)):
+            with pytest.raises(ValueError, match=f"a {len(point)}-D point does not fit a 2-D field"):
+                call()
+
+    def test_a_stack_of_points_is_not_one_point(self, square_mesh_2):
+        with pytest.raises(ValueError, match=r"expected points of shape \(2,\), got \(1, 2\)"):
+            PointLocator(square_mesh_2).locate(np.array([[0.5, 0.5]]))
