@@ -1,10 +1,13 @@
-"""Kronecker operator, conjugate-gradient solve, dense reference solve."""
+"""Kronecker operator, separable conjugate-gradient solve, dense reference solve."""
+import warnings
+
 import numpy as np
 import pytest
 
 from stgp import (SolverConfig, TemporalGrid, apply_operator, assemble_spatial_mass,
                   assemble_temporal_gram, build_edge_table, cg_solve, dense_oracle_solve)
 from stgp.assembly import TriDiagMatrix
+from stgp import solver as solver_module
 from stgp.solver import KroneckerOperator, SolverNonConvergence
 
 from conftest import jittered_mesh, random_grid
@@ -18,6 +21,15 @@ def tridiag_from_dense(dense: np.ndarray) -> TriDiagMatrix:
 def random_spd_tridiag(rng, n: int) -> TriDiagMatrix:
     grid = random_grid(rng, n)
     return assemble_temporal_gram(grid)
+
+
+def general_spd_tridiag(rng, n: int) -> TriDiagMatrix:
+    """SPD by strict diagonal dominance; mixed-sign off-diagonals, so not a hat Gram."""
+    off = rng.uniform(-1.0, 1.0, size=n - 1)
+    diag = rng.uniform(0.05, 2.0, size=n)
+    diag[:-1] += np.abs(off)
+    diag[1:] += np.abs(off)
+    return TriDiagMatrix(diag=diag, off=off)
 
 
 def assembled_pair(rng, n_time=4):
@@ -199,6 +211,11 @@ class TestConjugateGradient:
             SolverConfig(tol=0.0)
         with pytest.raises(ValueError):
             SolverConfig(max_iterations=0)
+        for cap in (2.5, 3.0, True, False, float("inf"), float("nan"), np.float64(3.0), "3", -1):
+            with pytest.raises(ValueError, match="max_iterations"):
+                SolverConfig(max_iterations=cap)
+        for cap in (1, 7, np.int64(3), np.int32(1)):
+            assert SolverConfig(max_iterations=cap).max_iterations == cap
         with pytest.raises(ValueError):
             SolverConfig(preconditioner="ilu")
 
@@ -210,3 +227,109 @@ class TestConjugateGradient:
         exc = SolverNonConvergence(report)
         assert exc.report is report
         assert "did not converge" in str(exc)
+
+
+class TestSeparableSolve:
+    """A X = C B^-1 by one banded time solve, then column-batched CG on A."""
+
+    @pytest.mark.parametrize("preconditioner", ["jacobi", "none"])
+    def test_matches_dense_oracle_on_non_uniform_grids(self, preconditioner):
+        rng = np.random.default_rng(31)
+        config = SolverConfig(preconditioner=preconditioner)
+        graded = TemporalGrid(np.concatenate(([0.0], np.cumsum(0.5 ** np.arange(7)))))
+        for kind, n in (("unit-square-tri", 2), ("unit-cube-tet", 1)):
+            mesh = jittered_mesh(kind, n, rng)
+            a = assemble_spatial_mass(mesh, build_edge_table(mesh))
+            for b in (assemble_temporal_gram(random_grid(rng, 6)), assemble_temporal_gram(graded),
+                      general_spd_tridiag(rng, 7)):
+                c = rng.standard_normal((a.shape[0], b.n))
+                x, report = cg_solve(a, b, c, config)
+                x_ref = dense_oracle_solve(a, b, c)
+                assert report.converged and report.restarts == 0
+                assert np.linalg.norm(x - x_ref) / np.linalg.norm(x_ref) <= 1e-8
+
+    def test_single_time_node(self):
+        rng = np.random.default_rng(32)
+        a, _ = assembled_pair(rng)
+        b = tridiag_from_dense(np.array([[0.4]]))
+        c = rng.standard_normal((a.shape[0], 1))
+        x, report = cg_solve(a, b, c)
+        assert report.converged
+        x_ref = dense_oracle_solve(a, b, c)
+        assert np.linalg.norm(x - x_ref) / np.linalg.norm(x_ref) <= 1e-8
+
+    @pytest.mark.parametrize("preconditioner", ["jacobi", "none"])
+    def test_zero_columns_stay_exactly_zero(self, preconditioner):
+        # X = A^-1 C B^-1, so a zero column of C is a zero column of X only where
+        # B does not couple it to a nonzero one: a zero off-diagonal splits B.
+        rng = np.random.default_rng(33)
+        a, b = assembled_pair(rng, n_time=6)
+        off = b.off.copy()
+        off[2] = 0.0
+        b = TriDiagMatrix(diag=b.diag, off=off)
+        c = rng.standard_normal((a.shape[0], b.n))
+        c[:, 3:] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            x, report = cg_solve(a, b, c, SolverConfig(preconditioner=preconditioner))
+        assert report.converged
+        assert np.all(np.isfinite(x))
+        assert np.all(x[:, 3:] == 0.0)
+        x_ref = dense_oracle_solve(a, b, c)
+        assert np.linalg.norm(x - x_ref) / np.linalg.norm(x_ref) <= 1e-8
+
+    def test_converged_run_honours_the_stop_bound(self):
+        rng = np.random.default_rng(34)
+        for kind, n, n_time in (("unit-square-tri", 3, 9), ("unit-cube-tet", 2, 5)):
+            mesh = jittered_mesh(kind, n, rng, mu_range=(0.5, 50.0))
+            table = build_edge_table(mesh)
+            a = assemble_spatial_mass(mesh, table)
+            b = assemble_temporal_gram(random_grid(rng, n_time))
+            c = rng.standard_normal((table.edge_count, n_time))
+            for tol in (1e-6, 1e-10, 1e-12):
+                x, report = cg_solve(a, b, c, SolverConfig(tol=tol))
+                true = np.linalg.norm(apply_operator(a, b, x) - c) / np.linalg.norm(c)
+                assert report.converged and report.restarts == 0
+                assert true <= tol
+
+    def test_restarts_count_confirmations_that_sent_the_loop_back(self, monkeypatch):
+        rng = np.random.default_rng(35)
+        a, b = assembled_pair(rng, n_time=5)
+        c = rng.standard_normal((a.shape[0], b.n))
+        _, plain = cg_solve(a, b, c)
+        assert plain.restarts == 0
+        # An understated ||B|| bound stops the loop early; the true residual catches it.
+        true_bound = solver_module._norm_bound
+        monkeypatch.setattr(solver_module, "_norm_bound", lambda b: 1e-4 * true_bound(b))
+        x, forced = cg_solve(a, b, c)
+        assert forced.restarts >= 1
+        assert forced.converged and forced.iterations >= plain.iterations
+        assert np.linalg.norm(apply_operator(a, b, x) - c) <= 1e-10 * np.linalg.norm(c)
+        _, again = cg_solve(a, b, c)
+        assert again.restarts == forced.restarts and again.iterations == forced.iterations
+
+    def test_non_finite_initial_guess_rejected(self):
+        # With a NaN warm start the old restart loop never ended.
+        mesh = jittered_mesh("unit-square-tri", 2, np.random.default_rng(36))
+        table = build_edge_table(mesh)
+        a = assemble_spatial_mass(mesh, table)
+        b = assemble_temporal_gram(TemporalGrid(np.linspace(0.0, 1.0, 4)))
+        c = np.ones((table.edge_count, 4))
+        for bad in (np.nan, np.inf):
+            guess = np.zeros_like(c)
+            guess[1, 2] = bad
+            with pytest.raises(ValueError, match="finite"):
+                cg_solve(a, b, c, SolverConfig(initial_guess=guess))
+
+    def test_non_finite_true_residual_ends_the_loop(self):
+        rng = np.random.default_rng(37)
+        a, b = assembled_pair(rng)
+        a = a.tocoo()
+        data = a.data.copy()
+        data[np.flatnonzero(a.row != a.col)[0]] = np.nan
+        a = type(a)((data, (a.row, a.col)), shape=a.shape).tocsr()
+        c = rng.standard_normal((a.shape[0], b.n))
+        x, report = cg_solve(a, b, c, SolverConfig(max_iterations=50))
+        assert not report.converged
+        assert not np.isfinite(report.relative_residual)
+        assert report.restarts == 0 and report.iterations < 50
