@@ -1,7 +1,6 @@
 """Simplicial meshes: edge enumeration, point location, structured generation, file I/O."""
 from __future__ import annotations
 
-import itertools
 import math
 from array import array
 from dataclasses import dataclass
@@ -190,80 +189,113 @@ class LocationResult:
 
 
 class PointLocator:
-    """Uniform spatial bins over the mesh bounding box for O(1) expected point location.
+    """Uniform bins over the mesh bounding box, stored as CSR, for O(1) expected point location.
 
-    Bin size follows the mean element diameter. Pure reads only after
+    Bins are sized from the element count: each axis gets
+    extent * (n_elements / box volume)^(1/dim) of them, at least 1 and at
+    most 128, so a bin covers about one element's volume. Every element is
+    listed in each bin that its bounding box touches; bin b's element ids
+    are _ids[_offsets[b]:_offsets[b + 1]], ascending, so the first candidate
+    that holds a point is the lowest-index one. Pure reads only after
     construction, so a single locator may serve concurrent queries.
     """
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
-        self._origins, self._inv_edges, self._grads = barycentric_transforms(mesh)
+        origins, self._inv_edges, self._grads = barycentric_transforms(mesh)
+        # Contiguous, so that take() gathers rows without copying the whole array first.
+        self._origins = np.ascontiguousarray(origins)
         self._grad_norms = np.linalg.norm(self._grads, axis=2)  # (ne, d+1)
-        self._lo, self._hi = mesh.bounding_box()
+        lo, hi = mesh.bounding_box()
         self._snap_dist = SNAP_REL_TOL * mesh.bbox_diagonal()
+        self._lower = (lo - self._snap_dist).tolist()
+        self._upper = (hi + self._snap_dist).tolist()
 
+        extent = hi - lo
+        per_length = (mesh.n_elements / np.prod(extent)) ** (1.0 / mesh.dim)
+        counts = np.clip(np.floor(extent * per_length), 1, 128).astype(np.int64)
+        size = extent / counts
+        self._axes = list(zip(lo.tolist(), size.tolist(), counts.tolist()))
+
+        # One entry per (element, touched bin): an element's bins are the box
+        # first..last of bin coordinates, walked in C order by its rank.
         verts = mesh.nodes[mesh.elements]
-        diams = np.zeros(mesh.n_elements)
-        for i in range(mesh.dim + 1):
-            for j in range(i + 1, mesh.dim + 1):
-                diams = np.maximum(diams, np.linalg.norm(verts[:, i] - verts[:, j], axis=1))
-        mean_diam = float(diams.mean())
-        extent = self._hi - self._lo
-        counts = np.maximum(1, np.minimum(128, np.floor(extent / max(mean_diam, 1e-300)))).astype(int)
-        self._counts = counts
-        self._size = np.where(extent > 0, extent / counts, 1.0)
-
-        bins: dict[tuple, list[int]] = {}
-        ilo = self._bin_index(verts.min(axis=1)).tolist()
-        ihi = self._bin_index(verts.max(axis=1)).tolist()
-        for e, (lo, hi) in enumerate(zip(ilo, ihi)):
-            for key in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-                bins.setdefault(key, []).append(e)
-        self._bins = {key: np.array(elements) for key, elements in bins.items()}
-        self._all = np.arange(mesh.n_elements)
-
-    def _bin_index(self, x: np.ndarray) -> np.ndarray:
-        idx = np.floor((x - self._lo) / self._size).astype(int)
-        return np.clip(idx, 0, self._counts - 1)
+        first = np.clip(np.floor((verts.min(axis=1) - lo) / size).astype(np.int64), 0, counts - 1)
+        last = np.clip(np.floor((verts.max(axis=1) - lo) / size).astype(np.int64), 0, counts - 1)
+        span = last - first + 1
+        per_element = span.prod(axis=1)
+        elements = np.repeat(np.arange(mesh.n_elements), per_element)
+        rank = np.arange(len(elements)) - np.repeat(np.cumsum(per_element) - per_element, per_element)
+        bins = np.zeros(len(elements), dtype=np.int64)
+        stride = 1
+        for axis in reversed(range(mesh.dim)):
+            step = span[elements, axis]
+            bins += (first[elements, axis] + rank % step) * stride
+            rank //= step
+            stride *= int(counts[axis])
+        self._ids = elements[np.lexsort((elements, bins))]
+        self._offsets = np.zeros(stride + 1, dtype=np.int64)
+        np.cumsum(np.bincount(bins, minlength=stride), out=self._offsets[1:])
 
     def element_gradients(self, element) -> np.ndarray:
         """Barycentric-coordinate gradients of an element index, (dim+1, dim), or of an
         array of element indices (...,), (..., dim+1, dim)."""
         return self._grads[element]
 
-    def _nearest(self, elements: np.ndarray, x: np.ndarray,
+    def _nearest(self, elements: np.ndarray | None, x: np.ndarray,
                  tol: float) -> tuple[LocationResult, float]:
-        """The lowest-index element of `elements` holding x, else the nearest, and its distance.
+        """The lowest-index element of `elements` (None: every element) holding x, else the
+        nearest, and its distance.
 
         The distance is estimated from barycentric violations: each negative
         coordinate sits -lam/|grad lam| below its opposite face plane.
         """
-        tail = np.einsum("eij,ej->ei", self._inv_edges[elements], x - self._origins[elements])
-        lam = np.concatenate([1.0 - tail.sum(axis=1, keepdims=True), tail], axis=1)
-        inside = lam.min(axis=1) >= -tol
-        if np.any(inside):
-            i = int(np.argmax(inside))
-            return LocationResult(element=int(elements[i]), barycentric=lam[i], status="inside"), 0.0
-        dists = np.where(lam < 0.0, -lam / self._grad_norms[elements], 0.0).max(axis=1)
-        i = int(np.argmin(dists))
-        return (LocationResult(element=int(elements[i]), barycentric=lam[i], status="outside"),
-                float(dists[i]))
+        inv_edges, origins, grad_norms = self._inv_edges, self._origins, self._grad_norms
+        if elements is not None:
+            inv_edges, origins = inv_edges.take(elements, axis=0), origins.take(elements, axis=0)
+        # Direct ufunc reductions: the ndarray methods cost a Python call each.
+        tail = np.einsum("eij,ej->ei", inv_edges, x - origins)
+        lam = np.concatenate([1.0 - np.add.reduce(tail, axis=1, keepdims=True), tail], axis=1)
+        inside = np.minimum.reduce(lam, axis=1) >= -tol
+        i = int(inside.argmax())
+        if inside[i]:
+            status, dist = "inside", 0.0
+        else:
+            if elements is not None:
+                grad_norms = grad_norms.take(elements, axis=0)
+            dists = np.maximum.reduce(np.where(lam < 0.0, -lam / grad_norms, 0.0), axis=1)
+            i = int(dists.argmin())
+            status, dist = "outside", float(dists[i])
+        e = i if elements is None else int(elements[i])
+        return LocationResult(element=e, barycentric=lam[i], status=status), dist
 
     def locate(self, x, tol: float = 1e-12) -> LocationResult:
-        """Find the element containing x; ties resolve to the lowest element index."""
+        """Find the element containing x; ties resolve to the lowest element index.
+
+        A non-finite x is outside, with element 0 and a NaN barycentric row.
+        """
         if tol < 0:
             raise ValueError("tol must be >= 0")
         x = np.asarray(x, dtype=float)
         check_points(x, self.mesh.dim, 1)
+        coords = x.tolist()
         found, dist = None, math.inf
-        if np.all(x >= self._lo - self._snap_dist) and np.all(x <= self._hi + self._snap_dist):
-            candidates = self._bins.get(tuple(self._bin_index(x)))
-            if candidates is not None:
-                found, dist = self._nearest(candidates, x, tol)
+        if all(map(float.__le__, self._lower, coords)) and all(map(float.__le__, coords, self._upper)):
+            # The build's clip(floor((c - lo) / size)): int() differs from floor
+            # only below 0, which the clamp sends to bin 0 either way.
+            b = 0
+            for c, (lo, size, count) in zip(coords, self._axes):
+                i = int((c - lo) / size)
+                b = b * count + (0 if i < 0 else count - 1 if i >= count else i)
+            start, stop = self._offsets[b:b + 2].tolist()
+            if start < stop:
+                found, dist = self._nearest(self._ids[start:stop], x, tol)
+        elif not all(map(math.isfinite, coords)):
+            # NaN and inf fail the box test above; no element is nearest to them.
+            return LocationResult(element=0, barycentric=np.full(len(coords) + 1, math.nan), status="outside")
         if dist > self._snap_dist:
             # Exhaustive fallback: rare (genuinely outside points, or empty bin).
-            found, dist = self._nearest(self._all, x, tol)
+            found, dist = self._nearest(None, x, tol)
         if found.status == "outside" and dist <= self._snap_dist:
             lam = np.maximum(found.barycentric, 0.0)
             lam /= lam.sum()

@@ -315,6 +315,12 @@ class TestProjectFaultsAreConfigErrors:
         config = BASE_CONFIG.replace("probe = 0.4 0.6", "probe = 1.5 0.6")
         assert "probe '1.5 0.6' is outside the target mesh" in self._run(tmp_path, config)
 
+    @pytest.mark.parametrize("probe", ["nan 0.5", "inf 0.5", "0.5 -inf"])
+    def test_non_finite_probe_outside_target_mesh(self, tmp_path, probe):
+        write_demo_inputs(tmp_path)
+        config = BASE_CONFIG.replace("probe = 0.4 0.6", f"probe = {probe}")
+        assert f"probe '{probe}' is outside the target mesh" in self._run(tmp_path, config)
+
     def test_too_few_probe_samples(self, tmp_path):
         write_demo_inputs(tmp_path)
         config = BASE_CONFIG.replace("probe_samples = 8", "probe_samples = 1")

@@ -1,4 +1,6 @@
 """Source-field evaluators: analytic recipes, discrete fields, field file I/O."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from stgp import (AnalyticField, DiscreteField, MeshFormatError, PointLocator,
                   PointOutsideDomainError, SourceField, TemporalGrid, bind_field,
                   build_edge_table, generate_structured_mesh, read_field, sample_field,
                   write_field)
-from stgp.fields import edge_circulations
+from stgp.fields import edge_circulations, locate_points
 
 from conftest import jittered_mesh
 
@@ -140,6 +142,22 @@ class TestEvalPoints:
         with pytest.raises(PointOutsideDomainError) as info:
             field.eval_points(points, np.array([0.5]), policy="strict")
         assert np.array_equal(info.value.point, [-0.5, 0.5])
+
+    def test_discrete_non_finite_points_are_outside(self, jitter_rng):
+        field = self._field(jitter_rng)
+        points = np.array([[0.5, 0.5], [np.nan, 0.5], [0.5, np.inf], [-np.inf, np.nan], [0.2, 0.2]])
+        ts = np.array([0.1, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inside, _, _ = locate_points(field.locator, points)
+            values, flags = field.eval_points(points, ts)
+            with pytest.raises(PointOutsideDomainError) as info:
+                field.eval_points(points, ts, policy="strict")
+        assert inside.tolist() == [True, False, False, False, True]
+        assert flags.tolist() == inside.tolist()
+        assert np.all(values[~inside] == 0.0) and np.all(np.isfinite(values))
+        assert np.array_equal(values[inside], field.eval_points(points[inside], ts)[0])
+        assert np.array_equal(info.value.point, [np.nan, 0.5], equal_nan=True)
 
     def test_base_class_without_an_implementation_raises(self):
         with pytest.raises(NotImplementedError):

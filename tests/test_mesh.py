@@ -1,5 +1,7 @@
 """Mesh construction, edge tables, point location, structured generation, file I/O."""
 import itertools
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -149,21 +151,39 @@ class TestPointLocation:
         locator = PointLocator(mesh)
         origins, inv_edges, grads = (locator._origins, locator._inv_edges, locator._grads)
         snap = SNAP_REL_TOL * mesh.bbox_diagonal()
+        lo, hi = mesh.bounding_box()
         points = jitter_rng.uniform(-0.1, 1.1, size=(60, mesh.dim))
         near = jitter_rng.uniform(0.0, 1.0, size=(20, mesh.dim))
         near[np.arange(20), np.arange(20) % mesh.dim] = np.where(np.arange(20) < 10, -1e-10, 1 + 1e-10)
+        # Points on bin boundaries, on the box's max faces and within the snap
+        # distance outside the box, one coordinate moved per point.
+        on_bins = jitter_rng.uniform(0.0, 1.0, size=(30, mesh.dim))
+        for i in range(30):
+            start, size, count = locator._axes[i % mesh.dim]
+            on_bins[i, i % mesh.dim] = start + int(jitter_rng.integers(count + 1)) * size
+        rows, axes = np.arange(10), np.arange(10) % mesh.dim
+        faces = jitter_rng.uniform(0.0, 1.0, size=(10, mesh.dim))
+        faces[rows, axes] = hi[axes]
+        beyond = jitter_rng.uniform(0.0, 1.0, size=(10, mesh.dim))
+        beyond[rows, axes] = np.where(rows < 5, lo[axes] - 0.5 * snap, hi[axes] + 0.5 * snap)
+        clouds = [points, near, on_bins, faces, beyond]
+        if mesh.dim == 3:
+            # The overhang-3d target: the box reaches past the mesh up to z = 1.25.
+            clouds.append(jitter_rng.uniform(0.0, 1.0, size=(40, 3)) * [1.0, 1.0, 1.25])
         statuses = set()
-        for p in np.concatenate([points, near]):
+        for p in np.concatenate(clouds):
             loc = locator.locate(p)
-            hits, dists = [], []
+            hits, dists, lams = [], [], []
             for e in range(mesh.n_elements):
                 lam1 = inv_edges[e] @ (p - origins[e])
                 lam = np.concatenate([[1 - lam1.sum()], lam1])
                 if lam.min() >= -1e-12:
                     hits.append(e)
+                lams.append(lam)
                 dists.append(max(max(-l / np.linalg.norm(g), 0.0) for l, g in zip(lam, grads[e])))
             if hits:
                 assert (loc.status, loc.element) == ("inside", min(hits))
+                assert np.abs(loc.barycentric - lams[min(hits)]).max() <= 1e-14
             else:
                 # outside a boundary face, elements that share its plane tie up to round-off
                 nearest = np.flatnonzero(np.array(dists) <= min(dists) + 1e-12)
@@ -171,6 +191,21 @@ class TestPointLocation:
                 assert loc.element in nearest
             statuses.add(loc.status)
         assert statuses == {"inside", "snapped", "outside"}
+
+    @pytest.mark.parametrize("kind", ["unit-square-tri", "unit-cube-tet"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_is_outside(self, kind, value):
+        mesh = generate_structured_mesh(kind, 2, 1.0)
+        locator = PointLocator(mesh)
+        for axis in range(mesh.dim):
+            p = np.full(mesh.dim, 0.5)
+            p[axis] = value
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                loc = locator.locate(p)
+            assert loc.status == "outside"
+            assert loc.barycentric.shape == (mesh.dim + 1,)
+            assert np.all(np.isnan(loc.barycentric))
 
     def test_random_barycentric_points_are_inside(self, jitter_rng):
         mesh = jittered_mesh("unit-cube-tet", 1, jitter_rng)
@@ -194,6 +229,69 @@ class TestPointLocation:
         m2 = generate_structured_mesh("unit-square-tri", 2, 1.0)
         with pytest.raises(ValueError, match="different mesh"):
             locate_point(m2, PointLocator(m1), np.array([0.5, 0.5]))
+
+
+class TestLocatorBins:
+    """The locator's CSR bins: offsets (n_bins + 1,) and element ids, both int64."""
+
+    @staticmethod
+    def bins(locator, b):
+        return locator._ids[locator._offsets[b]:locator._offsets[b + 1]]
+
+    @pytest.mark.parametrize("kind,n", [("unit-square-tri", 1), ("unit-square-tri", 5),
+                                        ("unit-cube-tet", 1), ("unit-cube-tet", 3)])
+    def test_element_listed_in_every_bin_its_box_touches(self, kind, n, jitter_rng):
+        mesh = jittered_mesh(kind, n, jitter_rng)
+        locator = PointLocator(mesh)
+        counts = [count for _, _, count in locator._axes]
+        expected = {}
+        for e, verts in enumerate(mesh.nodes[mesh.elements]):
+            ranges = []
+            for (start, size, count), a, b in zip(locator._axes, verts.min(axis=0), verts.max(axis=0)):
+                first, last = (min(max(math.floor((c - start) / size), 0), count - 1) for c in (a, b))
+                ranges.append(range(first, last + 1))
+            for key in itertools.product(*ranges):
+                expected.setdefault(int(np.ravel_multi_index(key, counts)), []).append(e)
+        assert len(locator._offsets) == math.prod(counts) + 1
+        for b in range(math.prod(counts)):
+            assert self.bins(locator, b).tolist() == expected.get(b, [])
+
+    @pytest.mark.parametrize("kind,n", [("unit-square-tri", 6), ("unit-cube-tet", 3)])
+    def test_bin_ids_strictly_ascending(self, kind, n, jitter_rng):
+        locator = PointLocator(jittered_mesh(kind, n, jitter_rng))
+        assert locator._offsets[0] == 0 and locator._offsets[-1] == len(locator._ids)
+        assert np.all(np.diff(locator._offsets) >= 0)
+        for b in range(len(locator._offsets) - 1):
+            assert np.all(np.diff(self.bins(locator, b)) > 0)
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_bins_sized_from_element_count(self, n):
+        mesh = generate_structured_mesh("unit-cube-tet", n, 1.0)
+        locator = PointLocator(mesh)
+        counts = [count for _, _, count in locator._axes]
+        side = math.floor(mesh.n_elements ** (1 / 3))   # 3, 7 and 14 bins per axis
+        assert counts == [side] * 3
+        assert np.diff(locator._offsets).max() <= 64
+
+    def test_bin_count_capped_per_axis(self):
+        # A 1000 x 1 strip would want 358 x 0 bins; each axis keeps 1..128.
+        mesh = generate_structured_mesh("unit-square-tri", 8, 1.0)
+        strip = Mesh(dim=2, nodes=mesh.nodes * [1000.0, 1.0], elements=mesh.elements, mu=mesh.mu)
+        locator = PointLocator(strip)
+        assert [count for _, _, count in locator._axes] == [128, 1]
+        for p in ([1.0, 0.5], [999.0, 0.5], [500.0, 0.25]):
+            assert locator.locate(np.array(p)).status == "inside"
+
+    def test_only_int64_bins_and_per_element_floats(self, jitter_rng):
+        mesh = jittered_mesh("unit-cube-tet", 2, jitter_rng)
+        locator = PointLocator(mesh)
+        assert locator._offsets.dtype == np.int64 and locator._ids.dtype == np.int64
+        for name, value in vars(locator).items():
+            assert not isinstance(value, dict), name
+            if isinstance(value, list):
+                assert not any(isinstance(item, np.ndarray) for item in value), name
+            if isinstance(value, np.ndarray) and value.dtype.kind == "f":
+                assert len(value) == mesh.n_elements, name
 
 
 class TestStructuredMeshes:

@@ -1,4 +1,6 @@
 """End-to-end projection: identities, error norm, field evaluation, probes."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -219,6 +221,19 @@ class TestEvalProjected:
         with pytest.raises(ValueError, match="outside the target mesh"):
             eval_projected(np.zeros((table.edge_count, 2)), square_mesh_2, table,
                            locator, grid, np.array([5.0, 5.0]), 0.5)
+
+    @pytest.mark.parametrize("x", [[np.nan, 0.5], [np.inf, 0.5], [0.5, -np.inf]])
+    def test_non_finite_point_rejected(self, square_mesh_2, x):
+        table = build_edge_table(square_mesh_2)
+        grid = TemporalGrid(np.array([0.0, 1.0]))
+        locator = PointLocator(square_mesh_2)
+        dofs = np.ones((table.edge_count, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="outside the target mesh"):
+                eval_projected(dofs, square_mesh_2, table, locator, grid, np.array(x), 0.5)
+            with pytest.raises(ValueError, match="outside the target mesh"):
+                probe_timeseries(dofs, square_mesh_2, table, locator, grid, np.array(x), 4)
 
     def test_time_outside_span_rejected(self, square_mesh_2):
         table = build_edge_table(square_mesh_2)
