@@ -7,8 +7,7 @@ from .fields import (AnalyticField, DiscreteField, FieldFile, PointOutsideDomain
                      SourceField, bind_field, edge_circulations, read_field, sample_field,
                      write_field)
 from .mesh import (EdgeTable, LocationResult, Mesh, MeshFormatError, PointLocator,
-                   build_edge_table, generate_structured_mesh, locate_point, read_mesh,
-                   write_mesh)
+                   build_edge_table, generate_structured_mesh, read_mesh, write_mesh)
 from .projection import (ProjectionProblem, ProjectionResult, error_norm, eval_projected,
                          probe_timeseries, project)
 from .solver import (KroneckerOperator, SolveReport, SolverConfig, SolverNonConvergence,
@@ -24,7 +23,7 @@ __all__ = [
     "apply_operator", "assemble_source_matrix", "assemble_spatial_mass",
     "assemble_temporal_gram", "bind_field", "build_edge_table", "cg_solve",
     "dense_oracle_solve", "edge_circulations", "energy_error", "error_norm",
-    "eval_projected", "generate_structured_mesh", "hat_eval", "locate_point",
+    "eval_projected", "generate_structured_mesh", "hat_eval",
     "probe_timeseries", "project", "read_field", "read_matrix", "read_mesh",
     "sample_field", "simplex_quadrature", "whitney_edge_eval", "write_field",
     "write_matrix", "write_mesh",

@@ -1,12 +1,13 @@
 """Whitney edge basis, temporal hat functions, and quadrature on simplices and intervals."""
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from .mesh import LOCAL_EDGE_VERTICES, EdgeTable, Mesh, barycentric_transforms
+from .mesh import LOCAL_EDGE_VERTICES, EdgeTable, Mesh
 
 REFERENCE_MEASURE = {1: 1.0, 2: 0.5, 3: 1.0 / 6.0}
 MAX_QUAD_ORDER = 6
@@ -199,8 +200,12 @@ def whitney_edge_eval(mesh: Mesh, edge_table: EdgeTable, element: int, x_bary) -
         raise ValueError(f"barycentric point must have {mesh.dim + 1} entries")
     if abs(lam.sum() - 1.0) > 1e-10:
         raise ValueError("barycentric coordinates must sum to 1")
-    _, _, grads = barycentric_transforms(mesh)
-    return whitney_local(mesh.dim, grads[element], edge_table.element_signs[element], lam[None, :])[0]
+    if not 0 <= operator.index(element) < mesh.n_elements:
+        raise ValueError(f"element {element} is out of range; valid range is 0..{mesh.n_elements - 1}")
+    verts = mesh.nodes[mesh.elements[element]]
+    inv_edges = np.linalg.inv((verts[1:] - verts[0]).T)
+    grads = np.concatenate([-inv_edges.sum(axis=0, keepdims=True), inv_edges])
+    return whitney_local(mesh.dim, grads, edge_table.element_signs[element], lam[None, :])[0]
 
 
 def whitney_local(dim: int, grads: np.ndarray, signs: np.ndarray, lam: np.ndarray) -> np.ndarray:

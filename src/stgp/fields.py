@@ -303,8 +303,8 @@ class DiscreteField(SourceField):
 def locate_points(locator: PointLocator, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Locate each point once: (inside (P,) bool, element (P,), barycentric (P, dim+1)).
 
-    inside is False where a point missed the mesh; its element and
-    barycentric row then describe the nearest element and mean nothing.
+    inside is False where a point missed the mesh; its element is then 0 and
+    its barycentric row NaN.
     """
     points = np.asarray(points, dtype=float)
     check_points(points, locator.mesh.dim, 2)

@@ -183,8 +183,8 @@ def check_points(points: np.ndarray, dim: int, ndim: int, what: str = "mesh") ->
 
 @dataclass(frozen=True)
 class LocationResult:
-    element: int
-    barycentric: np.ndarray  # (dim+1,), sums to 1
+    element: int             # 0 when outside
+    barycentric: np.ndarray  # (dim+1,), sums to 1; all NaN when outside
     status: str              # 'inside' | 'snapped' | 'outside'
 
 
@@ -194,8 +194,10 @@ class PointLocator:
     Bins are sized from the element count: each axis gets
     extent * (n_elements / box volume)^(1/dim) of them, at least 1 and at
     most 128, so a bin covers about one element's volume. Every element is
-    listed in each bin that its bounding box touches; bin b's element ids
-    are _ids[_offsets[b]:_offsets[b + 1]], ascending, so the first candidate
+    listed in each bin that its bounding box, padded by the snap distance,
+    touches, so a point's bin lists every element within the snap distance
+    of it and alone decides its status. Bin b's element ids are
+    _ids[_offsets[b]:_offsets[b + 1]], ascending, so the first candidate
     that holds a point is the lowest-index one. Pure reads only after
     construction, so a single locator may serve concurrent queries.
     """
@@ -207,9 +209,9 @@ class PointLocator:
         self._origins = np.ascontiguousarray(origins)
         self._grad_norms = np.linalg.norm(self._grads, axis=2)  # (ne, d+1)
         lo, hi = mesh.bounding_box()
-        self._snap_dist = SNAP_REL_TOL * mesh.bbox_diagonal()
-        self._lower = (lo - self._snap_dist).tolist()
-        self._upper = (hi + self._snap_dist).tolist()
+        self._snap_dist = pad = SNAP_REL_TOL * mesh.bbox_diagonal()
+        self._lower = (lo - pad).tolist()
+        self._upper = (hi + pad).tolist()
 
         extent = hi - lo
         per_length = (mesh.n_elements / np.prod(extent)) ** (1.0 / mesh.dim)
@@ -220,8 +222,8 @@ class PointLocator:
         # One entry per (element, touched bin): an element's bins are the box
         # first..last of bin coordinates, walked in C order by its rank.
         verts = mesh.nodes[mesh.elements]
-        first = np.clip(np.floor((verts.min(axis=1) - lo) / size).astype(np.int64), 0, counts - 1)
-        last = np.clip(np.floor((verts.max(axis=1) - lo) / size).astype(np.int64), 0, counts - 1)
+        first = np.clip(np.floor((verts.min(axis=1) - pad - lo) / size).astype(np.int64), 0, counts - 1)
+        last = np.clip(np.floor((verts.max(axis=1) + pad - lo) / size).astype(np.int64), 0, counts - 1)
         span = last - first + 1
         per_element = span.prod(axis=1)
         elements = np.repeat(np.arange(mesh.n_elements), per_element)
@@ -242,44 +244,25 @@ class PointLocator:
         array of element indices (...,), (..., dim+1, dim)."""
         return self._grads[element]
 
-    def _nearest(self, elements: np.ndarray | None, x: np.ndarray,
-                 tol: float) -> tuple[LocationResult, float]:
-        """The lowest-index element of `elements` (None: every element) holding x, else the
-        nearest, and its distance.
-
-        The distance is estimated from barycentric violations: each negative
-        coordinate sits -lam/|grad lam| below its opposite face plane.
-        """
-        inv_edges, origins, grad_norms = self._inv_edges, self._origins, self._grad_norms
-        if elements is not None:
-            inv_edges, origins = inv_edges.take(elements, axis=0), origins.take(elements, axis=0)
-        # Direct ufunc reductions: the ndarray methods cost a Python call each.
-        tail = np.einsum("eij,ej->ei", inv_edges, x - origins)
-        lam = np.concatenate([1.0 - np.add.reduce(tail, axis=1, keepdims=True), tail], axis=1)
-        inside = np.minimum.reduce(lam, axis=1) >= -tol
-        i = int(inside.argmax())
-        if inside[i]:
-            status, dist = "inside", 0.0
-        else:
-            if elements is not None:
-                grad_norms = grad_norms.take(elements, axis=0)
-            dists = np.maximum.reduce(np.where(lam < 0.0, -lam / grad_norms, 0.0), axis=1)
-            i = int(dists.argmin())
-            status, dist = "outside", float(dists[i])
-        e = i if elements is None else int(elements[i])
-        return LocationResult(element=e, barycentric=lam[i], status=status), dist
-
     def locate(self, x, tol: float = 1e-12) -> LocationResult:
-        """Find the element containing x; ties resolve to the lowest element index.
+        """Locate x among the elements of its bin.
 
-        A non-finite x is outside, with element 0 and a NaN barycentric row.
+        x is inside the lowest-index candidate whose barycentric coordinates
+        are all >= -tol. Failing that, it is snapped to the nearest candidate
+        within the snap distance, estimated from barycentric violations: each
+        negative coordinate sits -lam/|grad lam| below its opposite face
+        plane. Otherwise, and always beyond the padded box or for a NaN or
+        infinite coordinate, x is outside: element 0, a NaN barycentric row.
+        tol is at most 1e-12, so that an element holding x lies within the
+        snap distance of it and is listed in its bin.
         """
-        if tol < 0:
-            raise ValueError("tol must be >= 0")
+        if not 0.0 <= tol <= 1e-12:
+            raise ValueError(f"tol must be in [0, 1e-12], got {tol!r}")
         x = np.asarray(x, dtype=float)
         check_points(x, self.mesh.dim, 1)
         coords = x.tolist()
-        found, dist = None, math.inf
+        elements = self._ids[:0]
+        # NaN and inf fail the box test, so they reach no arithmetic.
         if all(map(float.__le__, self._lower, coords)) and all(map(float.__le__, coords, self._upper)):
             # The build's clip(floor((c - lo) / size)): int() differs from floor
             # only below 0, which the clamp sends to bin 0 either way.
@@ -288,26 +271,24 @@ class PointLocator:
                 i = int((c - lo) / size)
                 b = b * count + (0 if i < 0 else count - 1 if i >= count else i)
             start, stop = self._offsets[b:b + 2].tolist()
-            if start < stop:
-                found, dist = self._nearest(self._ids[start:stop], x, tol)
-        elif not all(map(math.isfinite, coords)):
-            # NaN and inf fail the box test above; no element is nearest to them.
-            return LocationResult(element=0, barycentric=np.full(len(coords) + 1, math.nan), status="outside")
-        if dist > self._snap_dist:
-            # Exhaustive fallback: rare (genuinely outside points, or empty bin).
-            found, dist = self._nearest(None, x, tol)
-        if found.status == "outside" and dist <= self._snap_dist:
-            lam = np.maximum(found.barycentric, 0.0)
-            lam /= lam.sum()
-            return LocationResult(element=found.element, barycentric=lam, status="snapped")
-        return found
-
-
-def locate_point(mesh: Mesh, accel: PointLocator, x, tol: float = 1e-12) -> LocationResult:
-    """Locate x in the mesh using a prebuilt PointLocator."""
-    if accel.mesh is not mesh:
-        raise ValueError("accel was built for a different mesh")
-    return accel.locate(x, tol=tol)
+            elements = self._ids[start:stop]
+        if len(elements):
+            # Direct ufunc reductions: the ndarray methods cost a Python call each.
+            tail = np.einsum("eij,ej->ei", self._inv_edges.take(elements, axis=0),
+                             x - self._origins.take(elements, axis=0))
+            lam = np.concatenate([1.0 - np.add.reduce(tail, axis=1, keepdims=True), tail], axis=1)
+            inside = np.minimum.reduce(lam, axis=1) >= -tol
+            i = int(inside.argmax())
+            if inside[i]:
+                return LocationResult(element=int(elements[i]), barycentric=lam[i], status="inside")
+            dists = np.where(lam < 0.0, -lam / self._grad_norms.take(elements, axis=0), 0.0)
+            dists = np.maximum.reduce(dists, axis=1)
+            i = int(dists.argmin())
+            if dists[i] <= self._snap_dist:
+                lam = np.maximum(lam[i], 0.0)
+                lam /= lam.sum()
+                return LocationResult(element=int(elements[i]), barycentric=lam, status="snapped")
+        return LocationResult(element=0, barycentric=np.full(len(coords) + 1, math.nan), status="outside")
 
 
 def generate_structured_mesh(kind: str, n: int, mu: float) -> Mesh:

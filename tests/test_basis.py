@@ -173,6 +173,20 @@ class TestWhitneyBasis:
             whitney_edge_eval(reference_triangle, table, 0, np.array([1.0, 1.0, 1.0]))
 
     @pytest.mark.parametrize("kind,n", [("unit-square-tri", 2), ("unit-cube-tet", 1)])
+    def test_element_index_checked(self, kind, n, jitter_rng):
+        mesh = jittered_mesh(kind, n, jitter_rng)
+        table = build_edge_table(mesh)
+        _, _, grads = barycentric_transforms(mesh)
+        lam = np.full(mesh.dim + 1, 1.0 / (mesh.dim + 1))
+        last = mesh.n_elements - 1
+        for element in (-1, mesh.n_elements):
+            with pytest.raises(ValueError, match=f"element {element} .*valid range is 0..{last}"):
+                whitney_edge_eval(mesh, table, element, lam)
+        for element in (0, np.int64(last)):
+            expected = whitney_local(mesh.dim, grads[element], table.element_signs[element], lam[None, :])[0]
+            assert np.array_equal(whitney_edge_eval(mesh, table, element, lam), expected)
+
+    @pytest.mark.parametrize("kind,n", [("unit-square-tri", 2), ("unit-cube-tet", 1)])
     def test_circulation_duality(self, kind, n, jitter_rng):
         # 5-point Gauss line quadrature oracle for the edge line integrals
         mesh = jittered_mesh(kind, n, jitter_rng)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from stgp import (Mesh, MeshFormatError, PointLocator, build_edge_table,
-                  generate_structured_mesh, locate_point, read_mesh, write_mesh)
+                  generate_structured_mesh, read_mesh, write_mesh)
 from stgp.mesh import LOCAL_EDGE_VERTICES, SNAP_REL_TOL
 
 from conftest import jittered_mesh
@@ -124,7 +124,9 @@ class TestPointLocation:
         mesh = generate_structured_mesh("unit-square-tri", 2, 1.0)
         loc = PointLocator(mesh).locate(np.array([2.0, 2.0]))
         assert loc.status == "outside"
-        assert 0 <= loc.element < mesh.n_elements  # nearest element recorded
+        assert loc.element == 0
+        assert loc.barycentric.shape == (mesh.dim + 1,)
+        assert np.all(np.isnan(loc.barycentric))
 
     def test_snap_just_outside_boundary(self):
         mesh = generate_structured_mesh("unit-square-tri", 2, 1.0)
@@ -188,7 +190,10 @@ class TestPointLocation:
                 # outside a boundary face, elements that share its plane tie up to round-off
                 nearest = np.flatnonzero(np.array(dists) <= min(dists) + 1e-12)
                 assert loc.status == ("snapped" if min(dists) <= snap else "outside")
-                assert loc.element in nearest
+                if loc.status == "snapped":
+                    assert loc.element in nearest
+                else:
+                    assert loc.element == 0 and np.all(np.isnan(loc.barycentric))
             statuses.add(loc.status)
         assert statuses == {"inside", "snapped", "outside"}
 
@@ -224,11 +229,29 @@ class TestPointLocation:
         with pytest.raises(ValueError):
             PointLocator(mesh).locate(np.array([0.5, 0.5]), tol=-1.0)
 
-    def test_locate_point_rejects_foreign_accel(self):
-        m1 = generate_structured_mesh("unit-square-tri", 1, 1.0)
-        m2 = generate_structured_mesh("unit-square-tri", 2, 1.0)
-        with pytest.raises(ValueError, match="different mesh"):
-            locate_point(m2, PointLocator(m1), np.array([0.5, 0.5]))
+    @pytest.mark.parametrize("tol", [2e-12, 1e-6, np.nan])
+    def test_rejects_tol_beyond_bin_padding(self, tol):
+        # Only up to 1e-12 does the snap-padded bin provably list every element holding x.
+        locator = PointLocator(generate_structured_mesh("unit-square-tri", 1, 1.0))
+        assert locator.locate(np.array([0.5, 0.5]), tol=1e-12).status == "inside"
+        with pytest.raises(ValueError, match="tol must be in"):
+            locator.locate(np.array([0.5, 0.5]), tol=tol)
+
+    @pytest.mark.parametrize("kind", ["unit-square-tri", "unit-cube-tet"])
+    def test_beyond_padded_box_is_outside_without_arithmetic(self, kind, jitter_rng):
+        mesh = jittered_mesh(kind, 2, jitter_rng)
+        locator = PointLocator(mesh)
+        lo, hi = mesh.bounding_box()
+        snap = SNAP_REL_TOL * mesh.bbox_diagonal()
+        for axis in range(mesh.dim):
+            for c in (lo[axis] - 4 * snap, hi[axis] + 4 * snap, 1e300, -1e300):
+                p = np.full(mesh.dim, 0.5)
+                p[axis] = c
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    loc = locator.locate(p)
+                assert (loc.status, loc.element) == ("outside", 0)
+                assert np.all(np.isnan(loc.barycentric))
 
 
 class TestLocatorBins:
@@ -241,13 +264,16 @@ class TestLocatorBins:
     @pytest.mark.parametrize("kind,n", [("unit-square-tri", 1), ("unit-square-tri", 5),
                                         ("unit-cube-tet", 1), ("unit-cube-tet", 3)])
     def test_element_listed_in_every_bin_its_box_touches(self, kind, n, jitter_rng):
+        # The box of each element is padded by the snap distance.
         mesh = jittered_mesh(kind, n, jitter_rng)
         locator = PointLocator(mesh)
+        snap = SNAP_REL_TOL * mesh.bbox_diagonal()
         counts = [count for _, _, count in locator._axes]
         expected = {}
         for e, verts in enumerate(mesh.nodes[mesh.elements]):
             ranges = []
-            for (start, size, count), a, b in zip(locator._axes, verts.min(axis=0), verts.max(axis=0)):
+            for (start, size, count), a, b in zip(locator._axes, verts.min(axis=0) - snap,
+                                                  verts.max(axis=0) + snap):
                 first, last = (min(max(math.floor((c - start) / size), 0), count - 1) for c in (a, b))
                 ranges.append(range(first, last + 1))
             for key in itertools.product(*ranges):
@@ -255,6 +281,36 @@ class TestLocatorBins:
         assert len(locator._offsets) == math.prod(counts) + 1
         for b in range(math.prod(counts)):
             assert self.bins(locator, b).tolist() == expected.get(b, [])
+
+    @pytest.mark.parametrize("kind,n", [("unit-square-tri", 2), ("unit-cube-tet", 6)])
+    def test_bin_lists_every_element_within_snap_distance(self, kind, n, jitter_rng):
+        # With 2 and 10 bins per axis, the unjittered boundary nodes at 0.5 lie on a
+        # bin boundary, so elements that start or end there are listed only by padding.
+        mesh = jittered_mesh(kind, n, jitter_rng)
+        locator = PointLocator(mesh)
+        snap = SNAP_REL_TOL * mesh.bbox_diagonal()
+        lo, hi = mesh.bounding_box()
+        verts = mesh.nodes[mesh.elements]
+        vmin, vmax = verts.min(axis=1), verts.max(axis=1)
+        box_lo, box_hi = vmin - snap, vmax + snap
+        # Points on, just inside and just beyond the box faces.
+        faces = jitter_rng.uniform(0.0, 1.0, size=(100, mesh.dim))
+        rows, axes = np.arange(100), np.arange(100) % mesh.dim
+        offset = np.array([-snap, -0.5 * snap, 0.0, 0.5 * snap, snap])[rows % 5]
+        faces[rows, axes] = np.where(rows % 2, lo[axes], hi[axes]) + offset
+        # Each element's centroid moved to half the snap distance beyond a face of its box.
+        across = []
+        for axis in range(mesh.dim):
+            for bound in (vmin - 0.5 * snap, vmax + 0.5 * snap):
+                p = verts.mean(axis=1)
+                p[:, axis] = bound[:, axis]
+                across.append(p)
+        for p in np.concatenate([faces, *across]):
+            b = 0
+            for c, (start, size, count) in zip(p.tolist(), locator._axes):
+                b = b * count + min(max(math.floor((c - start) / size), 0), count - 1)
+            holders = np.flatnonzero(np.all((box_lo <= p) & (p <= box_hi), axis=1))
+            assert set(holders.tolist()) <= set(self.bins(locator, b).tolist())
 
     @pytest.mark.parametrize("kind,n", [("unit-square-tri", 6), ("unit-cube-tet", 3)])
     def test_bin_ids_strictly_ascending(self, kind, n, jitter_rng):

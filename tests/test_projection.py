@@ -9,7 +9,6 @@ from stgp import (AnalyticField, DiscreteField, Mesh, PointLocator, ProjectionPr
                   assemble_temporal_gram, build_edge_table, error_norm, eval_projected,
                   generate_structured_mesh, probe_timeseries, project, sample_field)
 from stgp.fields import edge_circulations, locate_points
-from stgp.mesh import locate_point
 from stgp.solver import SolverNonConvergence
 
 from conftest import jittered_mesh
@@ -438,7 +437,6 @@ class TestPointDimension:
         calls = {
             "eval_projected": lambda: eval_projected(dofs, mesh, table, locator, grid, x, 0.5),
             "probe_timeseries": lambda: probe_timeseries(dofs, mesh, table, locator, grid, x, 3),
-            "locate_point": lambda: locate_point(mesh, locator, x),
             "PointLocator.locate": lambda: locator.locate(x),
             "locate_points": lambda: locate_points(locator, points),
             "DiscreteField.eval_points": lambda: field.eval_points(points, np.array([0.5])),
