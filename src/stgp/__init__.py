@@ -11,7 +11,7 @@ from .mesh import (EdgeTable, LocationResult, Mesh, MeshFormatError, PointLocato
 from .projection import (ProjectionProblem, ProjectionResult, error_norm, eval_projected,
                          probe_timeseries, project)
 from .solver import (KroneckerOperator, SolveReport, SolverConfig, SolverNonConvergence,
-                     apply_operator, cg_solve, dense_oracle_solve)
+                     apply_operator, cg_solve, dense_oracle_solve, factored_solve)
 
 __version__ = "0.1.0"
 
@@ -23,7 +23,7 @@ __all__ = [
     "apply_operator", "assemble_source_matrix", "assemble_spatial_mass",
     "assemble_temporal_gram", "bind_field", "build_edge_table", "cg_solve",
     "dense_oracle_solve", "edge_circulations", "energy_error", "error_norm",
-    "eval_projected", "generate_structured_mesh", "hat_eval",
+    "eval_projected", "factored_solve", "generate_structured_mesh", "hat_eval",
     "probe_timeseries", "project", "read_field", "read_matrix", "read_mesh",
     "sample_field", "simplex_quadrature", "whitney_edge_eval", "write_field",
     "write_matrix", "write_mesh",

@@ -82,11 +82,8 @@ class TriDiagMatrix:
         return out
 
     def right_multiply(self, x: np.ndarray) -> np.ndarray:
-        """x @ B for an (M, N) matrix x."""
-        out = x * self.diag[None, :]
-        out[:, :-1] += x[:, 1:] * self.off[None, :]
-        out[:, 1:] += x[:, :-1] * self.off[None, :]
-        return out
+        """x @ B for an (M, N) matrix x, as one sparse tridiagonal product."""
+        return x @ sp.diags((self.off, self.diag, self.off), (-1, 0, 1), format="csr")
 
 
 def assemble_temporal_gram(grid: TemporalGrid) -> TriDiagMatrix:

@@ -86,6 +86,9 @@ class TestProject:
         values = dict(line.split(" = ", 1) for line in report.splitlines()
                       if " = " in line)
         assert values["converged"] == "true"
+        assert values["method"] == "factored"
+        assert values["preconditioner"] == "none"
+        assert values["iterations"] == "0" and values["restarts"] == "0"
         assert float(values["relative_error"]) <= 1e-8
         assert values["outside_points"] == "0"
         probe = (tmp_path / "probe_000.csv").read_text().splitlines()
@@ -108,7 +111,7 @@ class TestProject:
 
     def test_nonconvergence_exits_2(self, tmp_path):
         write_demo_inputs(tmp_path)
-        config = BASE_CONFIG + "solver_max_iterations = 1\nsolver_tol = 1e-14\n"
+        config = BASE_CONFIG + "solver_max_iterations = 1\nsolver_tol = 1e-20\n"
         (tmp_path / "p.cfg").write_text(config)
         result = run_cli("project", "p.cfg", cwd=tmp_path)
         assert result.returncode == 2
@@ -146,7 +149,7 @@ class TestProject:
 
     def test_nonconvergence_override_flag(self, tmp_path):
         write_demo_inputs(tmp_path)
-        config = (BASE_CONFIG + "solver_max_iterations = 1\nsolver_tol = 1e-14\n"
+        config = (BASE_CONFIG + "solver_max_iterations = 1\nsolver_tol = 1e-20\n"
                   "allow_nonconverged = true\n")
         (tmp_path / "p.cfg").write_text(config)
         result = run_cli("project", "p.cfg", cwd=tmp_path)

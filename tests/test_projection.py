@@ -138,9 +138,9 @@ class TestProjectIdentities:
         source = AnalyticField("sinusoid", wavenumber=np.pi)
         with pytest.raises(SolverNonConvergence):
             project(make_problem(mesh, grid, source,
-                                 solver=SolverConfig(tol=1e-14, max_iterations=1)))
+                                 solver=SolverConfig(tol=1e-20, max_iterations=1)))
         result = project(make_problem(mesh, grid, source,
-                                      solver=SolverConfig(tol=1e-14, max_iterations=1),
+                                      solver=SolverConfig(tol=1e-20, max_iterations=1),
                                       allow_nonconverged=True))
         assert not result.report.converged
 

@@ -1,11 +1,12 @@
-"""Kronecker operator, separable conjugate-gradient solve, dense reference solve."""
+"""Kronecker operator, separable CG and factored solves, dense reference solve."""
 import warnings
 
 import numpy as np
 import pytest
 
-from stgp import (SolverConfig, TemporalGrid, apply_operator, assemble_spatial_mass,
-                  assemble_temporal_gram, build_edge_table, cg_solve, dense_oracle_solve)
+from stgp import (AnalyticField, ProjectionProblem, SolverConfig, TemporalGrid, apply_operator,
+                  assemble_spatial_mass, assemble_temporal_gram, build_edge_table, cg_solve,
+                  dense_oracle_solve, factored_solve, project)
 from stgp.assembly import TriDiagMatrix
 from stgp import solver as solver_module
 from stgp.solver import KroneckerOperator, SolverNonConvergence
@@ -81,6 +82,16 @@ class TestApplyOperator:
             rhs = float(np.sum(x * apply_operator(a, b, y)))
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
             assert float(np.sum(apply_operator(a, b, x) * x)) > 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 300])
+    def test_right_multiply_matches_dense(self, n):
+        rng = np.random.default_rng(3)
+        b = general_spd_tridiag(rng, n) if n > 1 else tridiag_from_dense(np.array([[0.7]]))
+        for m in (0, 1, 7, 800):
+            for x in (rng.standard_normal((m, n)), np.asfortranarray(rng.standard_normal((m, n)))):
+                y = b.right_multiply(x)
+                assert y.shape == (m, n) and y.dtype == np.float64
+                np.testing.assert_allclose(y, x @ b.to_dense(), rtol=1e-13, atol=1e-13)
 
     def test_kronecker_diagonal_is_outer_product(self):
         rng = np.random.default_rng(2)
@@ -333,3 +344,101 @@ class TestSeparableSolve:
         assert not report.converged
         assert not np.isfinite(report.relative_residual)
         assert report.restarts == 0 and report.iterations < 50
+
+
+class TestFactoredSolve:
+    """A X = C B^-1 by one banded time solve, then one sparse LU of A for all columns."""
+
+    @pytest.mark.parametrize("kind,n", [("unit-square-tri", 2), ("unit-cube-tet", 1)])
+    def test_matches_dense_oracle(self, kind, n):
+        rng = np.random.default_rng(41)
+        mesh = jittered_mesh(kind, n, rng, mu_range=(0.5, 50.0))
+        a = assemble_spatial_mass(mesh, build_edge_table(mesh))
+        for b in (assemble_temporal_gram(random_grid(rng, 6)), general_spd_tridiag(rng, 7),
+                  tridiag_from_dense(np.array([[0.4]]))):
+            c = rng.standard_normal((a.shape[0], b.n))
+            x, report = factored_solve(a, b, c)
+            x_ref = dense_oracle_solve(a, b, c)
+            assert report.method == "factored" and report.converged
+            assert report.iterations == 0 and report.restarts == 0
+            assert report.preconditioner == "none"
+            assert np.linalg.norm(x - x_ref) / np.linalg.norm(x_ref) <= 1e-12
+            true = np.linalg.norm(apply_operator(a, b, x) - c) / np.linalg.norm(c)
+            assert report.relative_residual == pytest.approx(true, rel=1e-12, abs=1e-30)
+
+    def test_zero_rhs_returns_exact_zeros_in_zero_iterations(self):
+        rng = np.random.default_rng(42)
+        a, b = assembled_pair(rng)
+        x, report = factored_solve(a, b, np.zeros((a.shape[0], b.n)))
+        assert np.all(x == 0.0)
+        assert report.iterations == 0 and report.converged and report.relative_residual == 0.0
+
+    def test_rejects_non_finite_or_misshapen_rhs(self):
+        rng = np.random.default_rng(43)
+        a, b = assembled_pair(rng)
+        for bad in (np.nan, np.inf):
+            c = np.ones((a.shape[0], b.n))
+            c[2, 1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                factored_solve(a, b, c)
+        with pytest.raises(ValueError, match="shape"):
+            factored_solve(a, b, np.ones((a.shape[0], b.n + 1)))
+
+    @pytest.mark.parametrize("cap", [1, 3])
+    def test_unmet_tolerance_continues_with_capped_cg(self, cap):
+        # No float64 answer reaches 1e-20, so CG continues from the factored answer.
+        rng = np.random.default_rng(44)
+        a, b = assembled_pair(rng)
+        c = rng.standard_normal((a.shape[0], b.n))
+        x, report = factored_solve(a, b, c, SolverConfig(tol=1e-20, max_iterations=cap))
+        assert report.method == "cg" and not report.converged
+        assert report.preconditioner == "jacobi"
+        assert 1 <= report.iterations <= cap
+        assert report.relative_residual < 1e-12  # it started from the factored answer
+        assert np.all(np.isfinite(x))
+
+    def test_singular_factor_hands_over_to_cg(self):
+        # SuperLU calls an A holding a NaN exactly singular; CG then reports it.
+        rng = np.random.default_rng(45)
+        a, b = assembled_pair(rng)
+        a = a.tocoo()
+        data = a.data.copy()
+        data[np.flatnonzero(a.row != a.col)[0]] = np.nan
+        a = type(a)((data, (a.row, a.col)), shape=a.shape).tocsr()
+        c = rng.standard_normal((a.shape[0], b.n))
+        _, report = factored_solve(a, b, c, SolverConfig(max_iterations=50))
+        assert report.method == "cg" and not report.converged
+        assert not np.isfinite(report.relative_residual)
+
+    def test_non_finite_factored_answer_restarts_cg_from_zero(self):
+        # A subnormal pivot is not exactly singular, but its solve overflows to inf.
+        a = np.diag([1e-320, 1.0])
+        b = assemble_temporal_gram(TemporalGrid(np.linspace(0.0, 1.0, 3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            _, report = factored_solve(a, b, np.ones((2, 3)), SolverConfig(max_iterations=5))
+        assert report.method == "cg" and not report.converged
+
+    def test_bitwise_repeatable(self):
+        rng = np.random.default_rng(46)
+        mesh = jittered_mesh("unit-square-tri", 4, rng)
+        a = assemble_spatial_mass(mesh, build_edge_table(mesh))
+        b = assemble_temporal_gram(random_grid(rng, 9))
+        c = rng.standard_normal((a.shape[0], b.n))
+        x1, r1 = factored_solve(a, b, c)
+        x2, r2 = factored_solve(a, b, c)
+        assert np.array_equal(x1, x2)
+        assert r1.relative_residual == r2.relative_residual
+
+    @pytest.mark.parametrize("kind,vector,method", [
+        ("unit-square-tri", (1.0, -0.5), "factored"),
+        ("unit-cube-tet", (1.0, -0.5, 0.25), "cg"),
+    ])
+    def test_project_factors_in_2d_and_runs_cg_in_3d(self, kind, vector, method):
+        mesh = jittered_mesh(kind, 2, np.random.default_rng(47))
+        result = project(ProjectionProblem(
+            mesh=mesh, edge_table=build_edge_table(mesh),
+            grid=TemporalGrid(np.linspace(0.0, 1.0, 4)),
+            source=AnalyticField("constant", dim=mesh.dim, vector=vector)))
+        assert result.report.method == method and result.report.converged
+        assert (result.report.iterations == 0) == (method == "factored")
