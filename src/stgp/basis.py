@@ -54,7 +54,7 @@ def hat_eval(grid: TemporalGrid, j: int, t: float) -> float:
     times = grid.times
     if not 0 <= j < len(times):
         raise ValueError(f"hat index {j} out of range 0..{len(times) - 1}")
-    if t < times[0] or t > times[-1]:
+    if not times[0] <= t <= times[-1]:  # NaN fails too
         raise ValueError(f"t={t} outside the grid span [{times[0]}, {times[-1]}]")
     if j > 0 and times[j - 1] <= t <= times[j]:
         return float((t - times[j - 1]) / (times[j] - times[j - 1]))
@@ -198,6 +198,8 @@ def whitney_edge_eval(mesh: Mesh, edge_table: EdgeTable, element: int, x_bary) -
     lam = np.asarray(x_bary, dtype=float)
     if lam.shape != (mesh.dim + 1,):
         raise ValueError(f"barycentric point must have {mesh.dim + 1} entries")
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("barycentric coordinates must be finite")
     if abs(lam.sum() - 1.0) > 1e-10:
         raise ValueError("barycentric coordinates must sum to 1")
     if not 0 <= operator.index(element) < mesh.n_elements:

@@ -11,7 +11,7 @@ from .assembly import (MAX_TIME_QUAD_POINTS, assemble_source_matrix, assemble_sp
 from .basis import MAX_QUAD_ORDER, TemporalGrid, _within_span, simplex_quadrature
 from .fields import DiscreteField, PointOutsideDomainError, SourceField, check_policy
 from .mesh import EdgeTable, Mesh, PointLocator
-from .solver import SolveReport, SolverConfig, SolverNonConvergence, cg_solve, factored_solve
+from .solver import SolveReport, SolverConfig, SolverNonConvergence, factored_solve
 
 
 @dataclass(frozen=True)
@@ -62,10 +62,7 @@ def project(problem: ProjectionProblem) -> ProjectionResult:
         mesh, edge_table, grid, problem.source, space_quad=quad,
         time_quad_points=problem.time_quad_points, policy=problem.outside_policy,
         samples=samples)
-    # Measured against CG (ROADMAP item 5): a factor wins in 2D up to M = 49,408; in 3D
-    # it loses from M = 7,930, and on the small 3D workload it only raises peak memory.
-    solve = factored_solve if mesh.dim == 2 else cg_solve
-    dofs, report = solve(a, b, c, problem.solver)
+    dofs, report = factored_solve(a, b, c, problem.solver)
     if not report.converged and not problem.allow_nonconverged:
         raise SolverNonConvergence(report)
     err, source_energy, _ = energy_error(

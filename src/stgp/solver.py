@@ -2,12 +2,12 @@
 
 B is tridiagonal SPD, so A X B = C is A X = C B^-1: one banded solve in time,
 then a solve with the sparse spatial mass A for all N columns at once (the
-tensor-product method of Lynch, Rice & Thomas, 1964). `project` picks the
-spatial solve by dimension. On 2D meshes `factored_solve` factors A once with
-a sparse LU, since nested dissection fills a 2D mesh's factor only
-O(n log n) (George, 1973). On 3D meshes `cg_solve` runs conjugate gradients,
-each column with its own scalar recurrence. Both confirm their answer with
-the true residual ||A X B - C||_F. The Kronecker form vec(A X B) =
+tensor-product method of Lynch, Rice & Thomas, 1964). `project` calls
+`factored_solve` on every mesh: it factors A once with a sparse LU and solves
+all columns with that factor, confirmed by the true residual ||A X B - C||_F.
+`cg_solve` runs conjugate gradients on A, each column with its own scalar
+recurrence; it continues from a factored answer that misses the tolerance and
+serves as the iterative reference. The Kronecker form vec(A X B) =
 (B^T kron A) vec(X) (column-major vec) is kept as the verification oracle:
 KroneckerOperator applies it matrix-free, and dense_oracle_solve
 materializes it for small systems.
@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solveh_banded
+from scipy.sparse.linalg import splu
 
 from .assembly import TriDiagMatrix
 
@@ -83,11 +84,6 @@ class KroneckerOperator:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.b.right_multiply(self.a @ x)
-
-    def diagonal(self) -> np.ndarray:
-        """Diagonal of B^T kron A reshaped to (M, N): outer product of the diagonals."""
-        diag_a = self.a.diagonal() if sp.issparse(self.a) else np.diag(self.a)
-        return np.outer(diag_a, self.b.diag)
 
 
 def apply_operator(a, b: TriDiagMatrix, x: np.ndarray) -> np.ndarray:
@@ -226,10 +222,6 @@ def factored_solve(a, b: TriDiagMatrix, c: np.ndarray,
     does for an A holding a NaN, cg_solve runs instead; only then is
     config.initial_guess used.
     """
-    # Imported here, not at module level: importing it raised the peak RSS of
-    # the 3D benchmark workload by 1.7-2.0 MiB, although 3D never factors.
-    from scipy.sparse.linalg import splu
-
     if config is None:
         config = SolverConfig()
     op, c = _checked_system(a, b, c)

@@ -87,8 +87,9 @@ class TestHatFunctions:
 
     def test_rejects_time_outside_span(self):
         grid = TemporalGrid(np.array([0.0, 1.0]))
-        with pytest.raises(ValueError, match="outside"):
-            hat_eval(grid, 0, -0.1)
+        for t in (-0.1, np.nan):
+            with pytest.raises(ValueError, match="outside"):
+                hat_eval(grid, 0, t)
 
 
 class TestQuadrature:
@@ -171,6 +172,8 @@ class TestWhitneyBasis:
         table = build_edge_table(reference_triangle)
         with pytest.raises(ValueError, match="sum to 1"):
             whitney_edge_eval(reference_triangle, table, 0, np.array([1.0, 1.0, 1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            whitney_edge_eval(reference_triangle, table, 0, np.array([np.nan, 0.5, 0.5]))
 
     @pytest.mark.parametrize("kind,n", [("unit-square-tri", 2), ("unit-cube-tet", 1)])
     def test_element_index_checked(self, kind, n, jitter_rng):

@@ -9,7 +9,7 @@ from stgp import (AnalyticField, ProjectionProblem, SolverConfig, TemporalGrid, 
                   dense_oracle_solve, factored_solve, project)
 from stgp.assembly import TriDiagMatrix
 from stgp import solver as solver_module
-from stgp.solver import KroneckerOperator, SolverNonConvergence
+from stgp.solver import SolverNonConvergence
 
 from conftest import jittered_mesh, random_grid
 
@@ -92,13 +92,6 @@ class TestApplyOperator:
                 y = b.right_multiply(x)
                 assert y.shape == (m, n) and y.dtype == np.float64
                 np.testing.assert_allclose(y, x @ b.to_dense(), rtol=1e-13, atol=1e-13)
-
-    def test_kronecker_diagonal_is_outer_product(self):
-        rng = np.random.default_rng(2)
-        a, b = assembled_pair(rng)
-        op = KroneckerOperator(a, b)
-        kron = np.kron(b.to_dense().T, a.toarray())
-        assert np.allclose(op.diagonal().reshape(-1, order="F"), np.diag(kron), atol=1e-15)
 
 
 class TestDenseOracle:
@@ -419,9 +412,10 @@ class TestFactoredSolve:
             _, report = factored_solve(a, b, np.ones((2, 3)), SolverConfig(max_iterations=5))
         assert report.method == "cg" and not report.converged
 
-    def test_bitwise_repeatable(self):
+    @pytest.mark.parametrize("kind,n", [("unit-square-tri", 4), ("unit-cube-tet", 2)])
+    def test_bitwise_repeatable(self, kind, n):
         rng = np.random.default_rng(46)
-        mesh = jittered_mesh("unit-square-tri", 4, rng)
+        mesh = jittered_mesh(kind, n, rng)
         a = assemble_spatial_mass(mesh, build_edge_table(mesh))
         b = assemble_temporal_gram(random_grid(rng, 9))
         c = rng.standard_normal((a.shape[0], b.n))
@@ -430,15 +424,15 @@ class TestFactoredSolve:
         assert np.array_equal(x1, x2)
         assert r1.relative_residual == r2.relative_residual
 
-    @pytest.mark.parametrize("kind,vector,method", [
-        ("unit-square-tri", (1.0, -0.5), "factored"),
-        ("unit-cube-tet", (1.0, -0.5, 0.25), "cg"),
+    @pytest.mark.parametrize("kind,vector", [
+        ("unit-square-tri", (1.0, -0.5)),
+        ("unit-cube-tet", (1.0, -0.5, 0.25)),
     ])
-    def test_project_factors_in_2d_and_runs_cg_in_3d(self, kind, vector, method):
+    def test_project_factors_on_every_mesh(self, kind, vector):
         mesh = jittered_mesh(kind, 2, np.random.default_rng(47))
         result = project(ProjectionProblem(
             mesh=mesh, edge_table=build_edge_table(mesh),
             grid=TemporalGrid(np.linspace(0.0, 1.0, 4)),
             source=AnalyticField("constant", dim=mesh.dim, vector=vector)))
-        assert result.report.method == method and result.report.converged
-        assert (result.report.iterations == 0) == (method == "factored")
+        assert result.report.method == "factored" and result.report.converged
+        assert result.report.iterations == 0
