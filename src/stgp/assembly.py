@@ -442,7 +442,7 @@ def read_matrix(text: str):
     if len(tokens) != 1 + len(labels):
         raise MeshFormatError(lineno, f"expected '{kind}' followed by {len(labels)} sizes")
     sizes = [rd.parse(token, label) for token, label in zip(tokens[1:], labels)]
-    if not all(0 <= size < 2**63 for size in sizes):
+    if min(sizes) < 0:
         raise MeshFormatError(lineno, f"matrix sizes must lie in 0..{2**63 - 1}")
     if kind == "tridiag":
         n, n_off = sizes[0], max(sizes[0] - 1, 0)

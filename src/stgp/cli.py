@@ -49,6 +49,10 @@ class ConfigError(ValueError):
     pass
 
 
+class InputFileError(Exception):
+    """An input path that cannot be read as UTF-8 text; the message names the path."""
+
+
 def parse_config(text: str) -> dict:
     """Flat key = value configuration; '#' comments; 'probe' may repeat."""
     config: dict = {"probe": []}
@@ -123,10 +127,15 @@ def _build_analytic(config: dict, dim: int) -> AnalyticField:
 
 
 def _read_text(path: str) -> str:
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"file not found: {path}")
-    return p.read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        reason = "file not found"
+    except OSError as exc:  # a directory, or no permission to read
+        reason = f"cannot read file ({exc.strerror})"
+    except UnicodeDecodeError as exc:
+        reason = f"not UTF-8 text (byte {exc.start})"
+    raise InputFileError(f"{reason}: {path}")
 
 
 def _fmt(value) -> str:
@@ -149,7 +158,7 @@ def cmd_project(config_path: str) -> int:
 
     try:
         config = parse_config(_read_text(config_path))
-    except FileNotFoundError as exc:
+    except InputFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ConfigError, ValueError) as exc:
@@ -215,7 +224,7 @@ def cmd_project(config_path: str) -> int:
         probe_samples = int(config.get("probe_samples", "200"))
         if probe_samples < 2:
             raise ConfigError("probe_samples must be >= 2")
-    except FileNotFoundError as exc:
+    except InputFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ConfigError, MeshFormatError, ValueError) as exc:
@@ -321,22 +330,26 @@ def cmd_meshgen(kind: str, n: int, mu: float, out_path: str) -> int:
 def cmd_info(path: str) -> int:
     try:
         text = _read_text(path)
-    except FileNotFoundError as exc:
+    except InputFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
         if text.lstrip().startswith("stgp-mesh"):
             mesh = read_mesh(text)
-            lo, hi = mesh.bounding_box()
             print(f"stgp-mesh: dim={mesh.dim} nodes={mesh.n_nodes} elements={mesh.n_elements}")
             print(f"edges (M) = {build_edge_table(mesh).edge_count}")
-            print(f"bounding box: {lo.tolist()} .. {hi.tolist()}")
-            print(f"mu range: {mesh.mu.min():g} .. {mesh.mu.max():g}")
+            # A mesh or field with no nodes, elements or edges has no range to print.
+            if mesh.n_nodes:
+                lo, hi = mesh.bounding_box()
+                print(f"bounding box: {lo.tolist()} .. {hi.tolist()}")
+            if mesh.n_elements:
+                print(f"mu range: {mesh.mu.min():g} .. {mesh.mu.max():g}")
         elif text.lstrip().startswith("stgp-field"):
             ff = read_field(text)
             print(f"stgp-field: mesh={ff.mesh_name} edges={ff.dofs.shape[0]} steps={ff.dofs.shape[1]}")
             print(f"time span: {ff.times[0]:g} .. {ff.times[-1]:g}")
-            print(f"dof range: {ff.dofs.min():g} .. {ff.dofs.max():g}")
+            if ff.dofs.size:
+                print(f"dof range: {ff.dofs.min():g} .. {ff.dofs.max():g}")
         else:
             print("error: not an stgp-mesh or stgp-field file", file=sys.stderr)
             return EXIT_CONFIG

@@ -2,7 +2,8 @@
 from __future__ import annotations
 
 import math
-from array import array
+import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -343,15 +344,54 @@ def _format_row(row: np.ndarray, sep: str = " ") -> str:
     return sep.join(map(repr, row.tolist()))
 
 
+# An int64 column's token: an optional sign and ASCII digits. A token of this
+# form that np.loadtxt rejects lies beyond the 64-bit range.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _parse_rows(texts: list[str], dtype) -> np.ndarray:
+    """Lines of whitespace-separated tokens as one row of `dtype` each, parsed in C by np.loadtxt.
+
+    Raises ValueError unless every line holds exactly dtype's columns and
+    every token converts: an int64 token is an optional sign and ASCII
+    digits within the 64-bit range, a float64 token is Python's float syntax
+    in ASCII without underscores, and a string column keeps its token cut to
+    the column's length. `texts` must be non-empty, with no blank line.
+    """
+    with warnings.catch_warnings():
+        # Some numpy releases (1.23 deprecated it) still read an int64 token
+        # such as '1.0' or '1e3' through float and only warn; it is a fault here.
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            return np.loadtxt(texts, dtype=dtype, comments=None, ndmin=1)
+        except DeprecationWarning as exc:
+            raise ValueError(str(exc)) from None
+
+
+def _row_dtype(width: int, lead: int, integer: bool, keyword: str | None) -> np.dtype:
+    """One row of a block: an optional keyword, `lead` int64 columns, then int64 or float64 ones."""
+    skip = int(keyword is not None)
+    fields = [("lead", np.int64, (lead,)), ("rest", np.int64 if integer else np.float64, (width - skip - lead,))]
+    if skip:
+        # One character longer than the keyword, so that a longer token, cut, still differs.
+        fields.insert(0, ("keyword", f"U{len(keyword) + 1}"))
+    return np.dtype(fields)
+
+
 class _LineReader:
     """The content lines of an stgp text file after its '<kind> 1' header, '#' starting a comment.
 
-    Every fault raises MeshFormatError naming its line.
+    Lines are kept as text. `next` splits one line into tokens; `block`
+    parses a run of numeric lines with one np.loadtxt call, and only when
+    that fails does `_diagnose` look for the faulty line. Every fault raises
+    MeshFormatError naming its line.
     """
 
     def __init__(self, text: str, kind: str):
-        lines = ((lineno, raw.split("#", 1)[0].split()) for lineno, raw in enumerate(text.splitlines(), 1))
-        self._lines = [(lineno, tokens) for lineno, tokens in lines if tokens]
+        lines = text.splitlines()
+        if "#" in text:
+            lines = [line.split("#", 1)[0] for line in lines]
+        self._lines = [(lineno, line) for lineno, line in enumerate(lines, 1) if line and not line.isspace()]
         self._pos = 0
         self.last_line = 0
         lineno, tokens = self.next(f"header '{kind} 1'")
@@ -361,27 +401,32 @@ class _LineReader:
     def next(self, what: str):
         if self._pos >= len(self._lines):
             raise MeshFormatError(self.last_line + 1, f"unexpected end of file, expected {what}")
-        lineno, tokens = self._lines[self._pos]
+        lineno, text = self._lines[self._pos]
         self._pos += 1
         self.last_line = lineno
-        return lineno, tokens
+        return lineno, text.split()
 
     def expect_done(self):
         if self._pos < len(self._lines):
-            lineno, tokens = self._lines[self._pos]
-            raise MeshFormatError(lineno, f"unexpected trailing content: {' '.join(tokens)}")
+            lineno, text = self._lines[self._pos]
+            raise MeshFormatError(lineno, f"unexpected trailing content: {' '.join(text.split())}")
 
     def parse(self, token: str, what: str, convert=int):
-        """A token of the last line read, converted by `convert` (int or float)."""
+        """A token of the last line read, converted by `convert` (int or float) as `block` converts it."""
         try:
-            return convert(token)
+            return convert(_parse_rows([token], np.int64 if convert is int else np.float64)[0])
         except ValueError:
+            if convert is int and _INTEGER.fullmatch(token):
+                raise MeshFormatError(self.last_line, "integer out of the 64-bit range") from None
             noun = "integer" if convert is int else "number"
             raise MeshFormatError(self.last_line, f"expected {noun} {what}, got {token!r}") from None
 
     def keyed(self, keyword: str, what: str, label: str) -> int:
         """The integer of the next line, which must read '<keyword> <integer>'."""
-        return int(self.block(1, 2, what, f"expected {what}", (label,), int, keyword)[0][0][0, 0])
+        lineno, tokens = self.next(what)
+        if len(tokens) != 2 or tokens[0] != keyword:
+            raise MeshFormatError(lineno, f"expected {what}")
+        return self.parse(tokens[1], label)
 
     def block(self, count: int, width: int, what: str, shape: str, labels: tuple[str, ...],
               convert=float, keyword: str | None = None) -> tuple[list[np.ndarray], list[int]]:
@@ -394,31 +439,41 @@ class _LineReader:
         """
         if count < 0:
             raise MeshFormatError(self.last_line, f"count must be >= 0, got {count}")
-        skip, lead = int(keyword is not None), len(labels) - 1
         rows = self._lines[self._pos:self._pos + count]
-        # Typed buffers hold the numbers unboxed, and reject an integer beyond 64 bits.
-        ints, floats = array("q"), array("d")
-        rest_into = ints if convert is int else floats
-        for i, (lineno, tokens) in enumerate(rows):
+        texts = [text for _, text in rows]
+        try:
+            # A line of `width` tokens holds at least 2 * width - 1 characters. np.loadtxt
+            # allocates whole rows of the dtype, so none is built wider than the text can fill.
+            if len(rows) < count or (texts and min(map(len, texts)) < 2 * width - 1):
+                raise ValueError("too few lines, or a line too short")
+            dtype = _row_dtype(width, len(labels) - 1, convert is int, keyword)
+            table = _parse_rows(texts, dtype) if texts else np.zeros(0, dtype)
+            if keyword is not None and np.any(table["keyword"] != keyword):
+                raise ValueError(f"a line does not open with {keyword!r}")
+        except ValueError:
+            self._diagnose(rows, width, what, shape, labels, convert, keyword)
+        self._pos += count
+        self.last_line = rows[-1][0] if rows else self.last_line
+        return [*table["lead"].T, table["rest"]], [lineno for lineno, _ in rows]
+
+    def _diagnose(self, rows, width, what, shape, labels, convert, keyword):
+        """Raise for the first faulty line of a block that `block` could not parse, or for the
+        early end of the file. A line is faulty exactly when it does not parse on its own."""
+        skip, lead = int(keyword is not None), len(labels) - 1
+        for i, (lineno, text) in enumerate(rows):
+            tokens = text.split()
             if len(tokens) != width or (skip and tokens[0] != keyword):
                 raise MeshFormatError(lineno, shape.format(i=i, got=len(tokens)))
             try:
-                ints.extend(map(int, tokens[skip:skip + lead]))
-                rest_into.extend(map(convert, tokens[skip + lead:]))
-            except OverflowError:
-                raise MeshFormatError(lineno, "integer out of the 64-bit range") from None
+                _parse_rows([text], _row_dtype(width, lead, convert is int, keyword))
             except ValueError:
                 self.last_line = lineno
                 for j, token in enumerate(tokens[skip:]):
                     self.parse(token, labels[min(j, lead)], int if j < lead else convert)
-        self._pos += len(rows)
-        self.last_line = rows[-1][0] if rows else self.last_line
-        if len(rows) < count:
-            self.next(what.format(i=len(rows)))  # raises: the file ended early
-        rest = width - skip - lead
-        ints = np.frombuffer(ints, dtype=np.int64).reshape(count, lead + rest if convert is int else lead)
-        last = ints[:, lead:] if convert is int else np.frombuffer(floats, dtype=np.float64).reshape(count, rest)
-        return [*ints[:, :lead].T, last], [lineno for lineno, _ in rows]
+                # Each token parses alone, yet the line does not.
+                raise MeshFormatError(lineno, shape.format(i=i, got=len(tokens))) from None
+        last = rows[-1][0] if rows else self.last_line
+        raise MeshFormatError(last + 1, f"unexpected end of file, expected {what.format(i=len(rows))}")
 
 
 def _check_ids(ids: np.ndarray, lines: list[int], what: str) -> None:

@@ -268,6 +268,87 @@ class TestInfo:
         assert result.returncode == 1
         assert "nope.stgp" in result.stderr
 
+    def test_field_with_no_edges(self, tmp_path):
+        (tmp_path / "e.stgpf").write_text("stgp-field 1\nmesh m.stgp\nedges 0 steps 2\ntimes 0.0 1.0\n")
+        result = run_cli("info", "e.stgpf", cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == ["stgp-field: mesh=m.stgp edges=0 steps=2", "time span: 0 .. 1"]
+
+    def test_mesh_with_no_nodes_or_no_elements(self, tmp_path):
+        (tmp_path / "e.stgp").write_text("stgp-mesh 1\ndim 2\nnodes 0\nelements 0\nmu 0\n")
+        (tmp_path / "n.stgp").write_text("stgp-mesh 1\ndim 2\nnodes 1\n0 0.5 0.25\nelements 0\nmu 0\n")
+        result = run_cli("info", "e.stgp", cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == ["stgp-mesh: dim=2 nodes=0 elements=0", "edges (M) = 0"]
+        result = run_cli("info", "n.stgp", cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert "bounding box: [0.5, 0.25] .. [0.5, 0.25]" in result.stdout and "mu range" not in result.stdout
+
+
+def _make_unreadable(path: Path, how: str):
+    """Make `path` exist but fail to read as UTF-8 text: a directory or bytes that are not UTF-8."""
+    if path.exists():
+        path.unlink()
+    if how == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"stgp-mesh 1\n\xff\xfe\n")
+
+
+def _deny_reading(monkeypatch, name: str):
+    """Reading the file `name` fails with PermissionError, as for a file without read permission.
+    (A chmod cannot show it when the tests run as root.)"""
+    read_text = Path.read_text
+
+    def denied(self, *args, **kwargs):
+        if self.name == name:
+            raise PermissionError(13, "Permission denied", str(self))
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", denied)
+
+
+class TestUnreadableInputs:
+    """An input path that exists but cannot be read exits 1 with one line naming it, no traceback."""
+
+    @staticmethod
+    def _check(result, path: str, reason: str):
+        assert result.returncode == 1
+        assert result.stderr == f"error: {reason}: {path}\n"
+
+    @pytest.mark.parametrize("how, reason", [("directory", "cannot read file (Is a directory)"),
+                                             ("not-utf8", "not UTF-8 text (byte 12)")])
+    def test_info(self, tmp_path, how, reason):
+        _make_unreadable(tmp_path / "x.stgp", how)
+        self._check(run_cli("info", "x.stgp", cwd=tmp_path), "x.stgp", reason)
+
+    @pytest.mark.parametrize("name, how, reason", [
+        ("p.cfg", "directory", "cannot read file (Is a directory)"),
+        ("p.cfg", "not-utf8", "not UTF-8 text (byte 12)"),
+        ("tgt.stgp", "directory", "cannot read file (Is a directory)"),
+        ("src.stgp", "not-utf8", "not UTF-8 text (byte 12)"),
+        ("src.stgpf", "directory", "cannot read file (Is a directory)"),
+        ("src.stgpf", "not-utf8", "not UTF-8 text (byte 12)"),
+    ])
+    def test_project(self, tmp_path, name, how, reason):
+        write_demo_inputs(tmp_path)
+        (tmp_path / "p.cfg").write_text(BASE_CONFIG)
+        _make_unreadable(tmp_path / name, how)
+        self._check(run_cli("project", "p.cfg", cwd=tmp_path), name, reason)
+        assert not (tmp_path / "out.stgpf").exists() and not (tmp_path / "report.txt").exists()
+
+    @pytest.mark.parametrize("command, name", [("info", "src.stgpf"), ("project", "p.cfg"),
+                                               ("project", "tgt.stgp"), ("project", "src.stgpf")])
+    def test_without_read_permission(self, tmp_path, monkeypatch, capsys, command, name):
+        write_demo_inputs(tmp_path)
+        (tmp_path / "p.cfg").write_text(BASE_CONFIG)
+        monkeypatch.chdir(tmp_path)
+        _deny_reading(monkeypatch, name)
+        code = main([command, "p.cfg" if command == "project" else name])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: cannot read file (Permission denied): {name}\n"
+        assert not (tmp_path / "out.stgpf").exists()
+
 
 class TestMainEntry:
     def test_main_callable_directly(self, tmp_path, capsys):

@@ -1,12 +1,17 @@
-"""The stgp text formats as a whole: single-fault corruptions and the writers' bytes."""
+"""The stgp text formats as a whole: single-fault corruptions, the readers' number grammar
+and exactness, and the writers' bytes."""
+import re
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from stgp import (Mesh, MeshFormatError, read_field, read_matrix, read_mesh, write_field,
-                  write_matrix, write_mesh)
+from stgp import (Mesh, MeshFormatError, generate_structured_mesh, read_field, read_matrix, read_mesh,
+                  write_field, write_matrix, write_mesh)
 from stgp.assembly import TriDiagMatrix
-from stgp.mesh import _format_row
+from stgp.mesh import _format_row, _LineReader
 
 from test_fields import CANONICAL_FIELD
 from test_mesh import CANONICAL_TWO_TRIANGLES
@@ -146,3 +151,228 @@ class TestWriterBytes:
 
     def test_probe_rows(self):
         assert _format_row(AWKWARD, ",") == _reference_row(AWKWARD, ",")
+
+
+def _doubles(seed: int, n: int) -> np.ndarray:
+    """n finite doubles: uniformly random bit patterns (every exponent, subnormals too),
+    normal draws and AWKWARD."""
+    rng = np.random.default_rng(seed)
+    values = np.frombuffer(rng.bytes(16 * n), dtype=np.float64)
+    values = np.concatenate([AWKWARD, values[np.isfinite(values)][:n // 2], rng.standard_normal(n)])
+    return values[:n]
+
+
+def _tokens(values: np.ndarray) -> list[str]:
+    """repr for most values, and other spellings of the same numbers for every tenth."""
+    spellings = (repr, "{:.17e}".format, "{:+.25G}".format, "{:.3e}".format, lambda v: f"{v:.12f}".rstrip("0"))
+    return [spellings[(k // 10) % len(spellings)](v) if k % 10 == 9 else repr(v)
+            for k, v in enumerate(values.tolist())]
+
+
+def _assert_bitwise(read: np.ndarray, tokens: list[str]):
+    expected = np.array([float(token) for token in tokens])
+    assert read.shape == expected.shape
+    assert np.array_equal(read.view(np.int64), expected.view(np.int64))
+
+
+class TestReadExactness:
+    """Every number read equals Python's float() of its token, bit for bit."""
+
+    def test_field(self):
+        tokens = _tokens(_doubles(1, 4000))
+        times = _tokens(np.unique(_doubles(2, 40)))
+        text = "\n".join(["stgp-field 1", "mesh m.stgp", f"edges 100 steps {len(times)}", "times " + " ".join(times)]
+                         + [" ".join(tokens[i:i + 40]) for i in range(0, 4000, 40)]) + "\n"
+        ff = read_field(text)
+        _assert_bitwise(ff.times, times)
+        _assert_bitwise(ff.dofs.ravel(), tokens)
+
+    def test_mesh(self):
+        # Coordinates up to 1, so that one large element stays non-degenerate; mu takes every magnitude.
+        values = _doubles(3, 3000)
+        coords = _tokens(np.ldexp(np.frexp(values)[0], np.minimum(np.frexp(values)[1], 0)))
+        mus = [repr(mu) for mu in np.abs(values[values != 0.0]).tolist()]  # other spellings may round to 0
+        n = len(coords) // 2
+        frame = ["-4.0 -4.0", "4.0 -4.0", "-4.0 4.0"]
+        lines = ["stgp-mesh 1", "dim 2", f"nodes {n + 3}"]
+        lines += [f"{i} {coords[2 * i]} {coords[2 * i + 1]}" for i in range(n)]
+        lines += [f"{n + k} {xy}" for k, xy in enumerate(frame)]
+        lines += [f"elements {len(mus)}"] + [f"{i} {n} {n + 1} {n + 2}" for i in range(len(mus))]
+        lines += [f"mu {len(mus)}"] + [f"{i} {mu}" for i, mu in enumerate(mus)]
+        mesh = read_mesh("\n".join(lines) + "\n")
+        _assert_bitwise(mesh.nodes[:n].ravel(), coords[:2 * n])
+        _assert_bitwise(mesh.mu, mus)
+
+    def test_matrices(self):
+        tokens = _tokens(_doubles(4, 3000))
+        dense = read_matrix("\n".join(["stgp-matrix 1", "dense 100 30"]
+                                      + [" ".join(tokens[i:i + 30]) for i in range(0, 3000, 30)]) + "\n")
+        _assert_bitwise(dense.ravel(), tokens)
+
+        diag, off = tokens[:1000], tokens[1000:1999]
+        tri = read_matrix(f"stgp-matrix 1\ntridiag 1000\ndiag {' '.join(diag)}\noff {' '.join(off)}\n")
+        _assert_bitwise(tri.diag, diag)
+        _assert_bitwise(tri.off, off)
+
+        values = [token for token in tokens if float(token) != 0.0][:2000]
+        sparse = read_matrix("\n".join(["stgp-matrix 1", f"sparse-sym {len(values)} {len(values)}"]
+                                       + [f"{i} {i} {v}" for i, v in enumerate(values)]) + "\n")
+        _assert_bitwise(sparse.diagonal(), values)
+
+
+class TestValidInputIsParsedOnce:
+    """Valid text is read by the block parse alone; the per-line diagnosis runs only on faults."""
+
+    @pytest.fixture(autouse=True)
+    def _no_diagnosis(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("valid input reached the per-line diagnosis")
+        monkeypatch.setattr(_LineReader, "_diagnose", fail)
+
+    @pytest.mark.parametrize("name", TEXTS)
+    def test_canonical_texts(self, name):
+        reader, text = TEXTS[name]
+        reader(text)
+
+    def test_generated_mesh_and_field(self):
+        mesh = generate_structured_mesh("unit-square-tri", 32, 1.0)
+        dofs = np.random.default_rng(5).standard_normal((3136, 32))
+        assert np.array_equal(read_mesh(write_mesh(mesh)).nodes, mesh.nodes)
+        assert np.array_equal(read_field(write_field("m.stgp", np.linspace(0.0, 1.0, 32), dofs)).dofs, dofs)
+
+
+class TestEmptyBlocks:
+    """Blocks of no lines or no values read without a warning: np.loadtxt is never given no data."""
+
+    @pytest.mark.parametrize("reader, text, check", [
+        (read_field, "stgp-field 1\nmesh m.stgp\nedges 0 steps 2\ntimes 0.0 1.0\n",
+         lambda ff: ff.dofs.shape == (0, 2) and ff.times.tolist() == [0.0, 1.0]),
+        (read_matrix, "stgp-matrix 1\ndense 0 3\n", lambda m: m.shape == (0, 3)),
+        (read_matrix, "stgp-matrix 1\nsparse-sym 2 0\n", lambda m: m.shape == (2, 2) and m.nnz == 0),
+        (read_matrix, "stgp-matrix 1\ntridiag 1\ndiag 2.0\noff\n",
+         lambda m: m.diag.tolist() == [2.0] and m.off.shape == (0,)),
+        (read_mesh, "stgp-mesh 1\ndim 3\nnodes 0\nelements 0\nmu 0\n",
+         lambda mesh: mesh.nodes.shape == (0, 3) and mesh.elements.shape == (0, 4)),
+    ], ids=["field-edges-0", "dense-0-3", "sparse-sym-2-0", "tridiag-1", "mesh-empty"])
+    def test_reads_cleanly(self, reader, text, check):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert check(reader(text))
+
+
+# The documented grammar: an integer is an optional sign and ASCII digits within
+# the 64-bit range; a number is Python's float syntax in ASCII without underscores.
+INTEGER = re.compile(r"[+-]?[0-9]+")
+NUMBER = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|infinity|nan)", re.IGNORECASE)
+
+
+def _in_grammar(token: str, integer: bool) -> bool:
+    if integer:
+        return INTEGER.fullmatch(token) is not None and -2**63 <= int(token) < 2**63
+    return NUMBER.fullmatch(token) is not None
+
+
+class TestNumberGrammar:
+    @pytest.mark.parametrize("token", ["1.0", "1e3", "1_000", "\u0661", "\uff11", "0x1", "+-1", "1.", "nan", "--1"])
+    def test_integer_column_rejects(self, token):
+        text = CANONICAL_TWO_TRIANGLES.replace("1 0 2 3", f"1 0 2 {token}")
+        with pytest.raises(MeshFormatError, match=re.escape(f"line 10: expected integer node index, got {token!r}")):
+            read_mesh(text)
+
+    @pytest.mark.parametrize("token", ["9223372036854775808", "-9223372036854775809", "123456789012345678901234"])
+    def test_integer_beyond_64_bits_rejected(self, token):
+        text = CANONICAL_TWO_TRIANGLES.replace("1 0 2 3", f"{token} 0 2 3")
+        with pytest.raises(MeshFormatError, match="line 10: integer out of the 64-bit range"):
+            read_mesh(text)
+
+    @pytest.mark.parametrize("old, new, line, message", [
+        ("edges 3 steps 2", "edges 1_0 steps 2", 3, "expected integer edge count, got '1_0'"),
+        ("edges 3 steps 2", "edges 3 steps \u0662", 3, "expected integer step count, got '\u0662'"),
+        ("edges 3 steps 2", "edges 99999999999999999999 steps 2", 3, "integer out of the 64-bit range"),
+        ("times 0.0 1.0", "times 0.0 1_0", 4, "expected number time, got '1_0'"),
+        ("3.0 4.0", "3.0 \u0664", 6, "expected number dof value, got '\u0664'"),
+        ("5.0 6.0", "5.0 6e", 7, "expected number dof value, got '6e'"),
+        ("5.0 6.0", "5.0 0x6", 7, "expected number dof value, got '0x6'"),
+    ])
+    def test_field_faults_name_their_line(self, old, new, line, message):
+        with pytest.raises(MeshFormatError, match=re.escape(f"line {line}: {message}")):
+            read_field(CANONICAL_FIELD.replace(old, new))
+
+    def test_header_integers_follow_the_grammar(self):
+        with pytest.raises(MeshFormatError, match="line 3: expected integer node count, got '4.0'"):
+            read_mesh(CANONICAL_TWO_TRIANGLES.replace("nodes 4", "nodes 4.0"))
+        with pytest.raises(MeshFormatError, match="line 2: expected integer rows, got '2_0'"):
+            read_matrix(CANONICAL_DENSE.replace("dense 2 3", "dense 2_0 3"))
+
+    @pytest.mark.parametrize("token, value", [
+        ("+2", 2.0), (".5", 0.5), ("1.", 1.0), ("-0", -0.0), ("1E+2", 100.0), ("1e999", np.inf),
+        ("-Infinity", -np.inf), ("INF", np.inf), ("+nan", np.nan), ("00012", 12.0), ("4e-324", 5e-324),
+    ])
+    def test_number_column_accepts(self, token, value):
+        matrix = read_matrix(CANONICAL_DENSE.replace("6.0", token))
+        assert np.array_equal(matrix[1, 2:], [value], equal_nan=True)
+        assert np.signbit(matrix[1, 2]) == np.signbit(value)
+
+    def test_declared_width_beyond_the_text_allocates_nothing(self):
+        """A header may declare a million values; a short line fails before a row that wide is allocated."""
+        text = CANONICAL_FIELD.replace("steps 2", "steps 1000000")
+        tracemalloc.start()
+        try:
+            with pytest.raises(MeshFormatError, match="line 4: expected 'times' followed by 1000000 values"):
+                read_field(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_int_read_through_float_is_a_fault(self, monkeypatch):
+        """numpy releases that read an int64 token '3.0' through float only warn; the reader rejects it."""
+        real = np.loadtxt
+
+        def warning_loadtxt(texts, dtype, **kwargs):
+            dtype = np.dtype(dtype)
+            kinds = {dtype[name].base.kind for name in dtype.names} if dtype.names else {dtype.kind}
+            if "i" in kinds and any("3.0" in text for text in texts):
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+                texts = [text.replace("3.0", "3") for text in texts]
+            return real(texts, dtype=dtype, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+        with pytest.raises(MeshFormatError, match="line 10: expected integer node index, got '3.0'"):
+            read_mesh(CANONICAL_TWO_TRIANGLES.replace("1 0 2 3", "1 0 2 3.0"))
+
+    def test_diagnosis_rejects_exactly_what_the_block_parse_rejects(self):
+        """On random lines of two integer and one number column, separated by any whitespace,
+        the block parse, the per-line diagnosis and the documented grammar agree."""
+        rng = np.random.default_rng(11)
+        pieces = ["0", "7", "-2", "+3", "1.5", "1e3", "-.5e-3", "nan", "inf", "1_0", "x", "\u0661", "1.0",
+                  "9223372036854775807", "9223372036854775808", "-", ".", "e1", "1e", "0x1"]
+        alphabet = list("0123456789+-.eE_naifty")
+        separators = [" ", "\t", "  ", "\xa0", "\u2003", "\x1f", "\u3000"]
+        labels, width = ("row", "col", "value"), 3
+
+        def token():
+            if rng.random() < 0.5:
+                return str(rng.choice(pieces))
+            return "".join(rng.choice(alphabet, rng.integers(1, 7)))
+
+        for _ in range(3000):
+            tokens = [token() for _ in range(rng.integers(2, 5))]
+            line = "".join(rng.choice(separators) + token for token in tokens) + rng.choice(["", " ", "\t"])
+            text = f"stgp-test 1\n{line}\n"
+            good = len(tokens) == width and all(_in_grammar(t, j < 2) for j, t in enumerate(tokens))
+
+            try:
+                (rows, cols, values), _ = _LineReader(text, "stgp-test").block(1, width, "row", "bad row", labels)
+            except MeshFormatError as exc:
+                assert not good and exc.line == 2, (line, exc)
+            else:
+                assert good, line
+                assert [rows[0], cols[0]] == [int(t) for t in tokens[:2]]
+                assert np.array_equal(values[:, 0], [float(tokens[2])], equal_nan=True)
+
+            rd = _LineReader(text, "stgp-test")
+            with pytest.raises(MeshFormatError) as err:
+                rd._diagnose(rd._lines[1:], width, "row", "bad row", labels, float, None)
+            found_fault = "unexpected end of file" not in str(err.value)
+            assert found_fault == (not good), (line, err.value)
