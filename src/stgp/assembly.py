@@ -310,10 +310,11 @@ def _sweep(samples: SourceSamples, spatial: bool = False):
     block = max(1, SWEEP_SAMPLES // width // (n_q * dim))
     _, _, grads = barycentric_transforms(mesh)
     jac = np.abs(signed_volumes(mesh)) / space_quad.weights.sum()
+    whitney = whitney_local(dim, grads, edge_table.element_signs, space_quad.points)
+    whitney = np.swapaxes(whitney, 1, 2).reshape(mesh.n_elements, -1, n_q * dim)  # (E, nl, P)
     for start in range(0, mesh.n_elements, block):
         el = np.arange(start, min(start + block, mesh.n_elements))
-        w = whitney_local(dim, grads[el], edge_table.element_signs[el], space_quad.points)
-        w = np.swapaxes(w, 1, 2).reshape(len(el), -1, n_q * dim)                 # (B, nl, P)
+        w = whitney[start:start + len(el)]                                          # a view
         scale = np.repeat((mesh.mu[el] * jac[el])[:, None] * space_quad.weights, dim, axis=1)
         if samples.space is None:
             values, inside = evaluate(_quadrature_points(mesh, space_quad, el), samples.table.points,

@@ -95,13 +95,13 @@ def eval_points_per_point(source, points, ts, policy: str = "zero") -> tuple[np.
 class AnalyticField(SourceField):
     """Closed-form field recipes used as manufactured sources.
 
-    Supported kinds:
-      constant           params: vector
-      linear             params: matrix (dim x dim), offset        H = matrix @ x + offset
-      poly-time          params: vector, coeffs                    H = vector * sum_k coeffs[k] t^k
-      sinusoid           params: amplitude, wavenumber (2D)        H = amp * (sin(w*y), sin(w*x))
-      rotating-multipole params: pole_pairs, amplitude, omega,
-                         center, modulation (2D)
+    Supported kinds; KINDS lists each one's parameters, value counts and
+    defaults:
+      constant                  H = vector
+      linear                    H = matrix @ x + offset
+      poly-time                 H = vector * sum_k coeffs[k] t^k
+      sinusoid (2D)             H = amplitude * (sin(w*y), sin(w*x)), w = wavenumber
+      rotating-multipole (2D)   pole_pairs p, amplitude, omega, center, modulation m
 
     The rotating multipole is a rigidly rotating, radially directed pole
     pattern with an optional once-per-revolution amplitude modulation:
@@ -127,18 +127,43 @@ class AnalyticField(SourceField):
     misshapen or non-finite one raises ValueError naming it.
     """
 
+    # Each kind's parameters in the order they are checked: (name, count,
+    # default). count is None for one value, "dim" or "dim*dim" for that many,
+    # 0 for one or more, else a fixed count. A default of None makes the
+    # parameter required; a vector's default fills each of its values.
+    KINDS = {
+        "constant": (("vector", "dim", None),),
+        "linear": (("matrix", "dim*dim", None), ("offset", "dim", 0.0)),
+        "poly-time": (("vector", "dim", None), ("coeffs", 0, None)),
+        "sinusoid": (("wavenumber", None, None), ("amplitude", None, 1.0)),
+        "rotating-multipole": (("pole_pairs", None, None), ("omega", None, None),
+                               ("amplitude", None, 1.0), ("center", 2, 0.0),
+                               ("modulation", None, 0.0)),
+    }
+    _PLANAR = ("sinusoid", "rotating-multipole")  # kinds defined in 2-D only
+
     def __init__(self, kind: str, dim: int = 2, **params):
         self.kind = kind
         self.dim = dim
         self.params = dict(params)
-        getattr(self, "_setup_" + kind.replace("-", "_"), self._unknown)()
+        if kind not in self.KINDS:
+            raise ValueError(f"unknown analytic field kind {kind!r}")
+        if kind in self._PLANAR and dim != 2:
+            raise ValueError(f"{kind} field is 2-D only")
+        counts = {"dim": dim, "dim*dim": dim * dim}
+        self._values = {}
+        for name, count, default in self.KINDS[kind]:
+            value = self._values[name] = self._param(name, counts.get(count, count), default)
+            if name == "pole_pairs" and (value < 1 or value != int(value)):
+                raise ValueError("rotating-multipole field parameter 'pole_pairs' must be a whole"
+                                 " number >= 1")
 
-    def _unknown(self):
-        raise ValueError(f"unknown analytic field kind {self.kind!r}")
-
-    def _param(self, name: str, count: int | None = None, default=None) -> np.ndarray:
-        """Parameter `name` as finite floats: one value for count None, else `count` values
-        (one or more for count 0), flattened."""
+    def _param(self, name: str, count: int | None, default) -> float | np.ndarray:
+        """Parameter `name` as finite floats: a float for count None, else `count` values
+        (one or more for count 0), flattened. A missing one takes `default`, filled to
+        `count` values."""
+        if default is not None and count is not None:
+            default = np.full(count, default)
         value = self.params.get(name, default)
         if value is None:
             raise ValueError(f"{self.kind} field needs parameter {name!r}")
@@ -156,54 +181,24 @@ class AnalyticField(SourceField):
                                  f" got {array.size}")
         if not np.all(np.isfinite(array)):
             raise ValueError(f"{self.kind} field parameter {name!r} must be finite")
-        return array
-
-    def _setup_constant(self):
-        self._vector = self._param("vector", self.dim)
-
-    def _setup_linear(self):
-        self._matrix = self._param("matrix", self.dim * self.dim).reshape(self.dim, self.dim)
-        self._offset = self._param("offset", self.dim, default=np.zeros(self.dim))
-
-    def _setup_poly_time(self):
-        self._vector = self._param("vector", self.dim)
-        self._coeffs = self._param("coeffs", 0)
-
-    def _setup_sinusoid(self):
-        if self.dim != 2:
-            raise ValueError("sinusoid field is 2-D only")
-        self._amplitude = float(self._param("amplitude", default=1.0))
-        self._wavenumber = float(self._param("wavenumber"))
-
-    def _setup_rotating_multipole(self):
-        if self.dim != 2:
-            raise ValueError("rotating-multipole field is 2-D only")
-        pole_pairs = float(self._param("pole_pairs"))
-        if pole_pairs < 1 or pole_pairs != int(pole_pairs):
-            raise ValueError("rotating-multipole field parameter 'pole_pairs' must be a whole"
-                             " number >= 1")
-        self._pole_pairs = int(pole_pairs)
-        self._amplitude = float(self._param("amplitude", default=1.0))
-        self._omega = float(self._param("omega"))
-        self._center = self._param("center", 2, default=np.zeros(2))
-        self._modulation = float(self._param("modulation", default=0.0))
+        return float(array) if count is None else array
 
     def space_factors(self, points) -> np.ndarray:
         """The spatial factors g_r at points (P, dim): (P, dim, R)."""
         points = np.asarray(points, dtype=float)
         check_points(points, self.dim, 2, "field")
-        kind = self.kind
+        kind, v = self.kind, self._values
         if kind in ("constant", "poly-time"):
-            g = np.repeat(self._vector[None, :], len(points), axis=0)
+            g = np.repeat(v["vector"][None, :], len(points), axis=0)
         elif kind == "linear":
-            g = points @ self._matrix.T + self._offset
+            g = points @ v["matrix"].reshape(self.dim, self.dim).T + v["offset"]
         elif kind == "sinusoid":
-            g = self._amplitude * np.sin(self._wavenumber * points[:, ::-1])
+            g = v["amplitude"] * np.sin(v["wavenumber"] * points[:, ::-1])
         else:
-            rel = points - self._center
+            rel = points - v["center"]
             theta = np.arctan2(rel[:, 1], rel[:, 0])
             radial = np.stack([np.cos(theta), np.sin(theta)], axis=1)                # (P, 2)
-            angle = self._pole_pairs * theta
+            angle = v["pole_pairs"] * theta
             return np.stack([np.cos(angle)[:, None] * radial,
                              np.sin(angle)[:, None] * radial], axis=2)
         return g[:, :, None]
@@ -211,11 +206,12 @@ class AnalyticField(SourceField):
     def time_factors(self, ts) -> np.ndarray:
         """The temporal factors h_r at times ts (T,): (R, T)."""
         ts = np.asarray(ts, dtype=float)
+        v = self._values
         if self.kind == "poly-time":
-            return np.polynomial.polynomial.polyval(ts, self._coeffs)[None, :]
+            return np.polynomial.polynomial.polyval(ts, v["coeffs"])[None, :]
         if self.kind == "rotating-multipole":
-            envelope = self._amplitude * (1.0 + self._modulation * np.cos(self._omega * ts))
-            angle = self._pole_pairs * self._omega * ts
+            envelope = v["amplitude"] * (1.0 + v["modulation"] * np.cos(v["omega"] * ts))
+            angle = v["pole_pairs"] * v["omega"] * ts
             return np.stack([envelope * np.cos(angle), envelope * np.sin(angle)])
         return np.ones((1, len(ts)))
 

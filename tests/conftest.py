@@ -14,11 +14,9 @@ def cli_env(**extra: str) -> dict[str, str]:
     The child may start in another working directory, where a relative
     PYTHONPATH entry such as `src` would name a different folder. So the
     directory holding the imported package goes first, and every other
-    entry is made absolute. STGP_* overrides are cleared before `extra`.
+    entry is made absolute; `extra` is added last.
     """
     env = os.environ.copy()
-    env.pop("STGP_THREADS", None)
-    env.pop("STGP_VERIFY_TAMPER", None)
     package_root = str(Path(stgp.__file__).resolve().parents[1])
     entries = [os.path.abspath(p) for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
     env["PYTHONPATH"] = os.pathsep.join(dict.fromkeys([package_root, *entries]))

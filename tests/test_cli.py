@@ -1,4 +1,6 @@
 """CLI commands: meshgen, project, verify, info; exit codes and determinism."""
+import dataclasses
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +10,7 @@ import pytest
 
 from stgp import (AnalyticField, Mesh, TemporalGrid, build_edge_table, read_field, read_mesh,
                   sample_field, write_field, write_mesh)
+import stgp.cli
 from stgp.cli import main, parse_config
 
 from conftest import cli_env
@@ -55,6 +58,62 @@ class TestConfigParsing:
     def test_probe_repeats_and_comments(self):
         config = parse_config("# demo\nprobe = 0.1 0.2\nprobe = 0.3 0.4  # second\n")
         assert config["probe"] == ["0.1 0.2", "0.3 0.4"]
+
+
+class TestReadmeConfig:
+    """The README's sample `stgp project` config stays one the CLI accepts."""
+
+    def _sample(self) -> str:
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"^```ini\n(.*?)^```", readme, flags=re.M | re.S)
+        assert len(blocks) == 1, "expected one ini block: the sample project config"
+        return blocks[0]
+
+    def test_sample_config_parses(self):
+        config = parse_config(self._sample())
+        assert {"target_mesh", "source_mesh", "source_field", "out_field"} <= config.keys()
+
+    def test_commented_analytic_alternative_parses(self):
+        lines = [line[2:] for line in self._sample().splitlines() if line.startswith("# analytic_")]
+        config = parse_config("\n".join(lines))
+        assert "analytic_kind" in config and len(config) == len(lines) + 1  # + "probe"
+
+
+class TestAnalyticConfig:
+    """The CLI builds each analytic kind from AnalyticField.KINDS alone."""
+
+    SAMPLES = {
+        "constant": dict(vector=(1.0, -0.5)),
+        "linear": dict(matrix=(1.0, 2.0, 0.5, -1.0), offset=(0.5, 0.25)),
+        "poly-time": dict(vector=(2.0, 1.0), coeffs=(0.5, -1.0, 3.0)),
+        "sinusoid": dict(wavenumber=np.pi, amplitude=2.0),
+        "rotating-multipole": dict(pole_pairs=3.0, omega=2.0, amplitude=1.5, center=(0.2, 0.1),
+                                   modulation=0.25),
+    }
+
+    def test_keys_come_from_the_table(self):
+        names = {name for entries in AnalyticField.KINDS.values() for name, _, _ in entries}
+        assert stgp.cli._ANALYTIC_KEYS == {"analytic_kind"} | {f"analytic_{n}" for n in names}
+
+    def test_samples_cover_the_table(self):
+        assert {kind: [name for name, _, _ in entries]
+                for kind, entries in AnalyticField.KINDS.items()} == \
+            {kind: list(params) for kind, params in self.SAMPLES.items()}
+
+    @pytest.mark.parametrize("given", ["all", "required"])
+    @pytest.mark.parametrize("kind", sorted(SAMPLES))
+    def test_config_builds_the_library_field(self, kind, given):
+        params = {name: self.SAMPLES[kind][name] for name, _, default in AnalyticField.KINDS[kind]
+                  if given == "all" or default is None}
+        config = {"analytic_kind": kind}
+        for name, value in params.items():
+            config[f"analytic_{name}"] = " ".join(repr(float(v)) for v in np.ravel(value))
+        from_config = stgp.cli._build_analytic(config, 2)
+        from_library = AnalyticField(kind, dim=2, **params)
+        rng = np.random.default_rng(17)
+        points, ts = rng.uniform(-1.0, 2.0, size=(29, 2)), np.linspace(-0.5, 3.0, 13)
+        assert (from_config.eval_points(points, ts)[0].tobytes()
+                == from_library.eval_points(points, ts)[0].tobytes())
 
 
 class TestMeshgen:
@@ -229,10 +288,23 @@ class TestVerify:
         assert "temporal-convergence-slope" in result.stdout
         assert "FAIL" not in result.stdout
 
-    def test_tampered_solver_detected(self):
-        result = run_cli("verify", "quick", env_extra={"STGP_VERIFY_TAMPER": "1e-3"})
-        assert result.returncode == 2
-        assert "FAIL" in result.stdout
+    def test_tampered_solver_detected(self, monkeypatch, capsys):
+        # Every solve verify runs ships DOFs offset by 1e-3; the battery must notice.
+        def offset(solve):
+            def tampered(*args, **kwargs):
+                x, report = solve(*args, **kwargs)
+                return x + 1e-3, report
+            return tampered
+
+        def offset_project(problem, project=stgp.cli.project):
+            result = project(problem)
+            return dataclasses.replace(result, dofs=result.dofs + 1e-3)
+
+        monkeypatch.setattr(stgp.cli, "project", offset_project)
+        monkeypatch.setattr(stgp.cli, "cg_solve", offset(stgp.cli.cg_solve))
+        monkeypatch.setattr(stgp.cli, "factored_solve", offset(stgp.cli.factored_solve))
+        assert main(["verify", "quick"]) == 2
+        assert "FAIL" in capsys.readouterr().out
 
     def test_bad_level_exits_1(self):
         result = run_cli("verify", "fast")
