@@ -6,14 +6,15 @@ whole-array kernels in index order, so results are bitwise repeatable.
 
 `sample_source` prepares every source once. A source of either stgp type is
 separable, H(x, t) = sum_r s_r(x) f_r(t): spatial rows, one per target
-quadrature point and component, times a temporal basis at the time-table
-points (R x T). Two producers, chosen only by the type, fill that one form:
+quadrature point and component, times its `time_factors` at the time-table
+points (R x T). Only the spatial rows depend on the type:
 
 - DiscreteField: each target quadrature point is located in the source mesh
-  once; the rows are the source's Whitney values there times its DOFs D_s
-  (R = N_s), formed block by block, and the basis is its grid's hats.
+  once; the rows are `fields.located_rows`, the source's Whitney values there
+  times its DOFs D_s (R = N_s), formed block by block. Its time factors are
+  its grid's hats.
 - AnalyticField: the rows are G, its R <= 2 spatial factors g_r at the
-  quadrature points, and the basis is H_f, its time factors h_r.
+  quadrature points; its time factors are H_f, the h_r.
 
 Any other source is evaluated by `eval_points` (or by `eval_time_batch` one
 point at a time, through `fields.eval_points_per_point`).
@@ -39,9 +40,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .basis import (QuadratureRule, TemporalGrid, _within_span, bracket, gauss_unit_interval,
-                    simplex_quadrature, whitney_local)
-from .fields import (AnalyticField, DiscreteField, PointOutsideDomainError, SourceField,
-                     check_policy, eval_points_per_point, locate_points, whitney_at)
+                    hat_matrix, simplex_quadrature, whitney_local)
+from .fields import (AnalyticField, DiscreteField, SourceField, check_policy, eval_points_per_point,
+                     locate_points, located_rows)
 from .mesh import (LOCAL_EDGE_VERTICES, EdgeTable, Mesh, MeshFormatError, _format_row,
                    _LineReader, barycentric_transforms, signed_volumes)
 
@@ -192,7 +193,7 @@ class SourceSamples:
     Spatial quadrature points run in element order, Q per element; a row
     (point, component) is point * d + component. The target hats are the
     target grid's (N x T) at the time-table points. A separable source,
-    H(x, t) = sum_r s_r(x) f_r(t), also has its temporal basis there,
+    H(x, t) = sum_r s_r(x) f_r(t), also has its `time_factors` there,
     source_time (R x T), and `space(points)`, its spatial rows at a slice
     of the points (rows x R); both are None for a source that `_sweep`
     evaluates through `eval_points`. outside counts the points that missed
@@ -207,33 +208,9 @@ class SourceSamples:
     outside: int = 0
 
 
-def _hat_matrix(k: np.ndarray, left: np.ndarray, right: np.ndarray, n_steps: int) -> sp.csr_matrix:
-    """Hats at T times (n_steps x T): time i has value left[i] on hat k[i] and right[i] on k[i] + 1."""
-    cols = np.arange(len(k))
-    return sp.csr_matrix((np.concatenate([left, right]),
-                          (np.concatenate([k, k + 1]), np.concatenate([cols, cols]))),
-                         shape=(n_steps, len(k)))
-
-
 def _factor_rows(space: np.ndarray, points: slice) -> np.ndarray:
     """An AnalyticField's spatial factors G (P, d, R) at a slice of the points, as rows (rows x R)."""
     return space[points].reshape(-1, space.shape[2])
-
-
-def _located_rows(source: DiscreteField, inside: np.ndarray, elements: np.ndarray, lam: np.ndarray,
-                  points: slice) -> np.ndarray:
-    """A located DiscreteField's Whitney values times D_s at a slice of the points (rows x N_s).
-
-    Point i lies in source element elements[i] at barycentric lam[i], or
-    outside the source mesh, with zero rows, where inside[i] is False.
-    """
-    inside = inside[points]
-    hit = np.flatnonzero(inside)
-    edges, values = whitney_at(source.locator, source.edge_table, elements[points][hit],
-                               lam[points][hit])
-    rows = np.zeros((len(inside), source.dim, source.dofs.shape[1]))
-    rows[hit] = np.swapaxes(values, 1, 2) @ source.dofs[edges]                    # (H, d, N_s)
-    return rows.reshape(-1, rows.shape[2])
 
 
 def sample_source(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid, source: SourceField,
@@ -243,9 +220,10 @@ def sample_source(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid, source:
 
     Fills in the default spatial rule, checks the policy, the time span and
     that the edge table, rule and source fit the mesh, and builds the time
-    table. A DiscreteField's target quadrature points are then located in its
-    mesh, and an AnalyticField's space and time factors evaluated there and
-    at the time-table points; any other source is left to the generic sweep.
+    table. Either stgp field's time factors are then taken at the time-table
+    points; a DiscreteField's target quadrature points are located in its
+    mesh, and an AnalyticField's space factors evaluated there. Any other
+    source is left to the generic sweep.
     """
     space_quad = _fitted_rule(mesh, edge_table, space_quad)
     dim = getattr(source, "dim", mesh.dim)
@@ -255,21 +233,18 @@ def sample_source(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid, source:
     check_span(grid, source)
     table = build_time_table(grid, source, time_quad_points)
     common = dict(args=(mesh, edge_table, grid, source, space_quad, time_quad_points, policy),
-                  table=table, target_hats=_hat_matrix(table.k, table.left, table.right, grid.n_steps))
+                  table=table, target_hats=hat_matrix(grid, table.points))
     if not isinstance(source, (AnalyticField, DiscreteField)):
         return SourceSamples(**common)
     xq = _quadrature_points(mesh, space_quad, slice(None))
     if isinstance(source, AnalyticField):
-        return SourceSamples(**common, source_time=source.time_factors(table.points),
-                             space=partial(_factor_rows, source.space_factors(xq)))
-    inside, elements, lam = locate_points(source.locator, xq)
-    if policy == "strict" and not inside.all():
-        raise PointOutsideDomainError(xq[np.argmin(inside)])
-    k_s, theta_s = bracket(source.grid, table.points)
-    return SourceSamples(**common,
-                         source_time=_hat_matrix(k_s, 1.0 - theta_s, theta_s, source.grid.n_steps),
-                         space=partial(_located_rows, source, inside, elements, lam),
-                         outside=int(np.count_nonzero(~inside)))
+        space, outside = partial(_factor_rows, source.space_factors(xq)), 0
+    else:
+        inside, elements, lam = locate_points(source.locator, xq, policy)
+        space = partial(located_rows, source, inside, elements, lam)
+        outside = int(np.count_nonzero(~inside))
+    return SourceSamples(**common, source_time=source.time_factors(table.points), space=space,
+                         outside=outside)
 
 
 def _samples_for(samples: SourceSamples | None, *args) -> SourceSamples:

@@ -5,6 +5,7 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import roots_jacobi, roots_legendre
 
 from .mesh import LOCAL_EDGE_VERTICES, EdgeTable, Mesh
@@ -52,6 +53,7 @@ def _within_span(lo: float, hi: float, span: tuple[float, float]) -> bool:
 def hat_eval(grid: TemporalGrid, j: int, t: float) -> float:
     """Piecewise-linear hat: 1 at t_j, 0 at the other nodes."""
     times = grid.times
+    j = operator.index(j)
     if not 0 <= j < len(times):
         raise ValueError(f"hat index {j} out of range 0..{len(times) - 1}")
     if not times[0] <= t <= times[-1]:  # NaN fails too
@@ -74,6 +76,19 @@ def bracket(grid: TemporalGrid, t) -> tuple[np.ndarray, np.ndarray]:
     k = np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 2)
     theta = (t - times[k]) / (times[k + 1] - times[k])
     return k, theta
+
+
+def hat_matrix(grid: TemporalGrid, t) -> sp.csr_matrix:
+    """The grid's hats at times t (T,), as CSR (n_steps x T).
+
+    Column i holds 1 - theta on hat k and theta on hat k + 1, with k and
+    theta from `bracket` at t[i].
+    """
+    k, theta = bracket(grid, t)
+    cols = np.arange(len(k))
+    return sp.csr_matrix((np.concatenate([1.0 - theta, theta]),
+                          (np.concatenate([k, k + 1]), np.concatenate([cols, cols]))),
+                         shape=(grid.n_steps, len(k)))
 
 
 @dataclass(frozen=True)
@@ -202,7 +217,8 @@ def whitney_edge_eval(mesh: Mesh, edge_table: EdgeTable, element: int, x_bary) -
         raise ValueError("barycentric coordinates must be finite")
     if abs(lam.sum() - 1.0) > 1e-10:
         raise ValueError("barycentric coordinates must sum to 1")
-    if not 0 <= operator.index(element) < mesh.n_elements:
+    element = operator.index(element)
+    if not 0 <= element < mesh.n_elements:
         raise ValueError(f"element {element} is out of range; valid range is 0..{mesh.n_elements - 1}")
     verts = mesh.nodes[mesh.elements[element]]
     inv_edges = np.linalg.inv((verts[1:] - verts[0]).T)

@@ -4,8 +4,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .basis import TemporalGrid, _within_span, bracket, edge_circulation_rule, whitney_local
+from .basis import TemporalGrid, _within_span, edge_circulation_rule, hat_matrix, whitney_local
 from .mesh import (EdgeTable, Mesh, MeshFormatError, PointLocator, _format_row, _LineReader,
                    check_points)
 
@@ -123,8 +124,8 @@ class AnalyticField(SourceField):
     g = (cos(p theta) r_hat, sin(p theta) r_hat) and
     h = envelope * (cos(p omega t), sin(p omega t)).
 
-    Every parameter is checked when the field is built: a missing,
-    misshapen or non-finite one raises ValueError naming it.
+    dim must be 2 or 3, and every parameter is checked when the field is
+    built: a missing, misshapen or non-finite one raises ValueError naming it.
     """
 
     # Each kind's parameters in the order they are checked: (name, count,
@@ -143,6 +144,8 @@ class AnalyticField(SourceField):
     _PLANAR = ("sinusoid", "rotating-multipole")  # kinds defined in 2-D only
 
     def __init__(self, kind: str, dim: int = 2, **params):
+        if dim not in (2, 3):
+            raise ValueError(f"dim must be 2 or 3, got {dim}")
         self.kind = kind
         self.dim = dim
         self.params = dict(params)
@@ -223,7 +226,13 @@ class AnalyticField(SourceField):
 
 
 class DiscreteField(SourceField):
-    """Field carried by edge-element DOFs on a source mesh, linear in time between steps."""
+    """Field carried by edge-element DOFs on a source mesh, linear in time between steps.
+
+    It is separable like an AnalyticField, H(x, t) = sum_j W(x) D_s[:, j] phi_j(t):
+    `located_rows` gives the Whitney values W times the DOFs D_s at located
+    points, `time_factors` the grid's hats phi_j, and `eval_points` is their
+    product.
+    """
 
     def __init__(self, mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid, dofs: np.ndarray,
                  locator: PointLocator | None = None):
@@ -267,40 +276,31 @@ class DiscreteField(SourceField):
     def interior_time_nodes(self) -> np.ndarray:
         return self.grid.times
 
+    def time_factors(self, ts) -> sp.csr_matrix:
+        """The temporal factors, the grid's hats at times ts (T,): (N_s, T), sparse."""
+        return hat_matrix(self.grid, ts)
+
     def eval_points(self, points, ts, policy: str = "zero") -> tuple[np.ndarray, np.ndarray]:
         check_policy(policy)
         points = np.asarray(points, dtype=float)
         ts = np.asarray(ts, dtype=float)
         self._check_times(ts)
-        inside, elements, lam = locate_points(self.locator, points)
-        if policy == "strict" and not inside.all():
-            raise PointOutsideDomainError(points[np.argmin(inside)])
-        values = np.zeros((len(points), len(ts), self.dim))
-        hit = np.flatnonzero(inside)
-        edges, w = whitney_at(self.locator, self.edge_table, elements[hit], lam[hit])
-        k, theta = bracket(self.grid, ts)
-        k, theta = k[:, None], theta[:, None]
-        edges = edges[:, None, :]                                                         # (H, 1, nl)
-        # In place, so a block holds two (H, T, nl) series at most.
-        series = self.dofs[edges, k]
-        series *= 1.0 - theta
-        right = self.dofs[edges, k + 1]
-        right *= theta
-        series += right
-        values[hit] = series @ w
-        return values, inside
+        inside, elements, lam = locate_points(self.locator, points, policy)
+        rows = located_rows(self, inside, elements, lam, slice(None)) @ self.time_factors(ts)
+        return np.swapaxes(rows.reshape(len(points), self.dim, len(ts)), 1, 2), inside
 
 
 # Location plus Whitney sampling: DiscreteField.eval_points and the assembly's
-# producer of a discrete source's samples both sample a mesh's edge elements
-# through these two kernels.
+# sampling of a discrete source both go through these two kernels.
 
 
-def locate_points(locator: PointLocator, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def locate_points(locator: PointLocator, points,
+                  policy: str = "zero") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Locate each point once: (inside (P,) bool, element (P,), barycentric (P, dim+1)).
 
     inside is False where a point missed the mesh; its element is then 0 and
-    its barycentric row NaN.
+    its barycentric row NaN. Under the strict policy the first such point
+    raises PointOutsideDomainError.
     """
     points = np.asarray(points, dtype=float)
     check_points(points, locator.mesh.dim, 2)
@@ -313,15 +313,28 @@ def locate_points(locator: PointLocator, points) -> tuple[np.ndarray, np.ndarray
     for i, x in enumerate(points):
         loc = locator.locate(x)
         inside[i], elements[i], lam[i] = loc.status != "outside", loc.element, loc.barycentric
+    if policy == "strict" and not inside.all():
+        raise PointOutsideDomainError(points[np.argmin(inside)])
     return inside, elements, lam
 
 
-def whitney_at(locator: PointLocator, edge_table: EdgeTable, elements: np.ndarray,
-               lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Global edges (H, nl) and Whitney vectors (H, nl, dim) of elements (H,) at barycentric points (H, dim+1)."""
-    values = whitney_local(locator.mesh.dim, locator.element_gradients(elements),
-                           edge_table.element_signs[elements], lam[:, None, :])[:, 0]
-    return edge_table.element_edges[elements], values
+def located_rows(field: DiscreteField, inside: np.ndarray, elements: np.ndarray, lam: np.ndarray,
+                 points: slice) -> np.ndarray:
+    """A located DiscreteField's spatial rows at a slice of the points: Whitney values times D_s.
+
+    Point i lies in element elements[i] of the field's mesh at barycentric
+    lam[i], or outside it, with zero rows, where inside[i] is False. Returns
+    (rows x N_s), a row per point and component; only the located elements'
+    DOF rows are read.
+    """
+    inside = inside[points]
+    hit = np.flatnonzero(inside)
+    elements, lam = elements[points][hit], lam[points][hit]
+    values = whitney_local(field.dim, field.locator.element_gradients(elements),
+                           field.edge_table.element_signs[elements], lam[:, None, :])[:, 0]  # (H, nl, d)
+    rows = np.zeros((len(inside), field.dim, field.dofs.shape[1]))
+    rows[hit] = np.swapaxes(values, 1, 2) @ field.dofs[field.edge_table.element_edges[elements]]
+    return rows.reshape(-1, rows.shape[2])
 
 
 def _circulations(mesh: Mesh, edge_table: EdgeTable, values_at) -> np.ndarray:

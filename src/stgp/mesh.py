@@ -1,6 +1,7 @@
 """Simplicial meshes: edge enumeration, point location, structured generation, file I/O."""
 from __future__ import annotations
 
+import itertools
 import math
 import re
 import warnings
@@ -293,46 +294,33 @@ class PointLocator:
 
 
 def generate_structured_mesh(kind: str, n: int, mu: float) -> Mesh:
-    """Structured unit-domain meshes: 'unit-square-tri' or 'unit-cube-tet' with n subdivisions."""
+    """Structured unit-domain meshes: 'unit-square-tri' or 'unit-cube-tet' with n subdivisions.
+
+    Node (i, j[, k]) lies at (i, j[, k]) / n, numbered in row-major order of
+    its indices. Cells run in the same order, each split into two triangles
+    or six tetrahedra, listed as vertex offsets from the cell's first corner.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if kind == "unit-square-tri":
-        side = n + 1
-        grid = np.linspace(0.0, 1.0, side)
-        nodes = np.array([(x, y) for x in grid for y in grid])
-        nid = lambda i, j: i * side + j
-        tris = []
-        for i in range(n):
-            for j in range(n):
-                v00, v10 = nid(i, j), nid(i + 1, j)
-                v01, v11 = nid(i, j + 1), nid(i + 1, j + 1)
-                tris.append((v00, v10, v11))
-                tris.append((v00, v11, v01))
-        elements = np.array(tris, dtype=np.int64)
-        return Mesh(dim=2, nodes=nodes, elements=elements, mu=np.full(len(elements), float(mu)))
-    if kind == "unit-cube-tet":
-        side = n + 1
-        grid = np.linspace(0.0, 1.0, side)
-        nodes = np.array([(x, y, z) for x in grid for y in grid for z in grid])
-        nid = lambda i, j, k: (i * side + j) * side + k
+        # Two counter-clockwise triangles per cell, split along its diagonal.
+        corners = np.array([[(0, 0), (1, 0), (1, 1)], [(0, 0), (1, 1), (0, 1)]])
+    elif kind == "unit-cube-tet":
         # Kuhn split: six tetrahedra per cell along monotone vertex chains,
         # so neighbouring cells match on shared faces.
-        perms = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
-        tets = []
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    base = np.array([i, j, k])
-                    for perm in perms:
-                        corner = base.copy()
-                        chain = [nid(*corner)]
-                        for axis in perm:
-                            corner[axis] += 1
-                            chain.append(nid(*corner))
-                        tets.append(tuple(chain))
-        elements = np.array(tets, dtype=np.int64)
-        return Mesh(dim=3, nodes=nodes, elements=elements, mu=np.full(len(elements), float(mu)))
-    raise ValueError(f"unknown mesh kind {kind!r}")
+        steps = np.eye(3, dtype=int)[list(itertools.permutations(range(3)))]   # (6, 3, 3)
+        corners = np.concatenate([np.zeros((6, 1, 3), dtype=int), np.cumsum(steps, axis=1)],
+                                 axis=1)
+    else:
+        raise ValueError(f"unknown mesh kind {kind!r}")
+    dim = corners.shape[2]
+    side = n + 1
+    strides = side ** np.arange(dim - 1, -1, -1)
+    axes = np.meshgrid(*[np.linspace(0.0, 1.0, side)] * dim, indexing="ij")
+    nodes = np.stack([axis.ravel() for axis in axes], axis=1)
+    cells = np.stack(np.meshgrid(*[np.arange(n)] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+    elements = ((cells @ strides)[:, None, None] + corners @ strides).reshape(-1, dim + 1)
+    return Mesh(dim=dim, nodes=nodes, elements=elements, mu=np.full(len(elements), float(mu)))
 
 
 # ---------------------------------------------------------------------------

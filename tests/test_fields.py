@@ -8,7 +8,7 @@ from stgp import (AnalyticField, DiscreteField, MeshFormatError, PointLocator,
                   PointOutsideDomainError, SourceField, TemporalGrid, bind_field,
                   build_edge_table, generate_structured_mesh, read_field, sample_field,
                   write_field)
-from stgp.fields import edge_circulations, locate_points
+from stgp.fields import edge_circulations, locate_points, located_rows
 
 from conftest import jittered_mesh
 
@@ -79,6 +79,17 @@ class TestAnalyticParameters:
     ])
     def test_bad_parameter_named(self, kind, dim, params, name):
         with pytest.raises(ValueError, match=f"'{name}'"):
+            AnalyticField(kind, dim=dim, **params)
+
+    @pytest.mark.parametrize("dim", [0, 1, 4, -2])
+    @pytest.mark.parametrize("kind, params", [
+        ("constant", dict(vector=(1.0,))),
+        ("linear", dict(matrix=[1.0])),
+        ("sinusoid", dict(wavenumber=1.0)),
+        ("unknown", dict()),
+    ])
+    def test_dim_outside_two_three_rejected_first(self, kind, params, dim):
+        with pytest.raises(ValueError, match=f"^dim must be 2 or 3, got {dim}$"):
             AnalyticField(kind, dim=dim, **params)
 
     def test_flat_and_nested_matrix_agree(self):
@@ -158,6 +169,33 @@ class TestEvalPoints:
         assert np.all(values[~inside] == 0.0) and np.all(np.isfinite(values))
         assert np.array_equal(values[inside], field.eval_points(points[inside], ts)[0])
         assert np.array_equal(info.value.point, [np.nan, 0.5], equal_nan=True)
+
+    def test_discrete_is_located_rows_times_time_factors(self, jitter_rng):
+        field = self._field(jitter_rng)
+        snapped = [[1.0 + 1e-12, 0.4], [0.3, -1e-12]]
+        outside = [[3.0, 3.0], [-0.5, 0.5]]
+        points = np.concatenate([jitter_rng.uniform(0.0, 1.0, size=(6, 2)), snapped, outside])
+        ts = np.concatenate([field.grid.times, jitter_rng.uniform(*field.grid.span, size=7)])
+        inside, elements, lam = locate_points(field.locator, points)
+        assert inside.tolist() == [True] * 8 + [False] * 2
+        with pytest.raises(PointOutsideDomainError) as info:
+            locate_points(field.locator, points, policy="strict")
+        assert np.array_equal(info.value.point, outside[0])
+        rows = located_rows(field, inside, elements, lam, slice(None))             # (P*d, N_s)
+        assert rows.shape == (len(points) * 2, field.grid.n_steps)
+        assert np.all(rows[16:] == 0.0)
+        hats = field.time_factors(ts)
+        assert hats.shape == (field.grid.n_steps, len(ts))
+        product = np.swapaxes((rows @ hats).reshape(len(points), 2, len(ts)), 1, 2)
+        for policy, count in (("zero", len(points)), ("strict", 8)):
+            values, flags = field.eval_points(points[:count], ts, policy=policy)
+            assert np.array_equal(flags, inside[:count])
+            assert np.array_equal(values, product[:count])
+            stacked = [field.eval_time_batch(x, ts, policy=policy) for x in points[:count]]
+            assert np.array_equal(values, np.array([v for v, _ in stacked]))
+            assert [flag for _, flag in stacked] == flags.tolist()
+        # A slice of the points gives the same rows as slicing all of them.
+        assert np.array_equal(located_rows(field, inside, elements, lam, slice(3, 9)), rows[6:18])
 
     def test_base_class_without_an_implementation_raises(self):
         with pytest.raises(NotImplementedError):

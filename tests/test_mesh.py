@@ -13,6 +13,37 @@ from stgp.mesh import LOCAL_EDGE_VERTICES, SNAP_REL_TOL
 from conftest import jittered_mesh
 
 
+def structured_mesh_by_loops(kind, n):
+    """Oracle: structured nodes and elements built one cell at a time."""
+    side = n + 1
+    grid = np.linspace(0.0, 1.0, side)
+    if kind == "unit-square-tri":
+        nodes = np.array([(x, y) for x in grid for y in grid])
+        nid = lambda i, j: i * side + j
+        tris = []
+        for i in range(n):
+            for j in range(n):
+                v00, v10 = nid(i, j), nid(i + 1, j)
+                v01, v11 = nid(i, j + 1), nid(i + 1, j + 1)
+                tris.append((v00, v10, v11))
+                tris.append((v00, v11, v01))
+        return nodes, np.array(tris, dtype=np.int64)
+    nodes = np.array([(x, y, z) for x in grid for y in grid for z in grid])
+    nid = lambda i, j, k: (i * side + j) * side + k
+    tets = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for perm in itertools.permutations(range(3)):
+                    corner = [i, j, k]
+                    chain = [nid(*corner)]
+                    for axis in perm:
+                        corner[axis] += 1
+                        chain.append(nid(*corner))
+                    tets.append(tuple(chain))
+    return nodes, np.array(tets, dtype=np.int64)
+
+
 def brute_force_edges(mesh):
     """Oracle: distinct node pairs over all element edges, lexicographically sorted."""
     pairs = set()
@@ -377,6 +408,16 @@ class TestStructuredMeshes:
         for kind in ("unit-square-tri", "unit-cube-tet"):
             mesh = generate_structured_mesh(kind, 2, 1.0)
             assert abs(np.abs(signed_volumes(mesh)).sum() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["unit-square-tri", "unit-cube-tet"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_numbering_matches_the_cell_loop(self, kind, n):
+        nodes, elements = structured_mesh_by_loops(kind, n)
+        mesh = generate_structured_mesh(kind, n, 2.5)
+        assert mesh.nodes.tobytes() == nodes.tobytes() and mesh.nodes.shape == nodes.shape
+        assert mesh.elements.tobytes() == elements.tobytes()
+        assert mesh.elements.shape == elements.shape
+        assert np.all(mesh.mu == 2.5)
 
     def test_rejects_zero_subdivisions(self):
         with pytest.raises(ValueError):
