@@ -43,7 +43,7 @@ from .basis import (QuadratureRule, TemporalGrid, _within_span, bracket, gauss_u
                     hat_matrix, simplex_quadrature, whitney_local)
 from .fields import (AnalyticField, DiscreteField, SourceField, check_policy, eval_points_per_point,
                      locate_points, located_rows)
-from .mesh import (LOCAL_EDGE_VERTICES, EdgeTable, Mesh, MeshFormatError, _format_row,
+from .mesh import (LOCAL_EDGE_VERTICES, EdgeTable, Mesh, MeshFormatError, _format_row, _join_lines,
                    _LineReader, barycentric_transforms, signed_volumes)
 
 # Source samples (rows x columns) held at once by one block of the sweep.
@@ -381,8 +381,9 @@ def write_matrix(matrix) -> str:
     which then stands for the symmetric matrix; anything else raises ValueError.
     """
     if isinstance(matrix, TriDiagMatrix):
-        out = ["stgp-matrix 1", f"tridiag {matrix.n}",
-               "diag " + _format_row(matrix.diag), "off " + _format_row(matrix.off)]
+        head = ["stgp-matrix 1", f"tridiag {matrix.n}",
+                "diag " + _format_row(matrix.diag), "off " + _format_row(matrix.off)]
+        body = ()
     elif sp.issparse(matrix):
         if matrix.shape[0] != matrix.shape[1]:
             raise ValueError("a sparse dump (sparse-sym) needs a square matrix")
@@ -392,18 +393,18 @@ def write_matrix(matrix) -> str:
         if np.any(coo.data[~keep] != 0.0) and (matrix != matrix.T).nnz:
             raise ValueError("a sparse dump (sparse-sym) needs a symmetric matrix or its upper"
                              " triangle; dump any other matrix dense")
-        out = ["stgp-matrix 1", f"sparse-sym {coo.shape[0]} {int(np.sum(keep))}"]
+        head = ["stgp-matrix 1", f"sparse-sym {coo.shape[0]} {int(np.sum(keep))}"]
         order = np.lexsort((coo.col[keep], coo.row[keep]))
         rows, cols = coo.row[keep][order].tolist(), coo.col[keep][order].tolist()
         vals = coo.data[keep][order].astype(float).tolist()
-        out += [f"{r} {c} {v!r}" for r, c, v in zip(rows, cols, vals)]
+        body = (f"{r} {c} {v!r}" for r, c, v in zip(rows, cols, vals))
     else:
         dense = np.asarray(matrix, dtype=float)
         if dense.ndim != 2:
             raise ValueError("dense dump expects a 2-D array")
-        out = ["stgp-matrix 1", f"dense {dense.shape[0]} {dense.shape[1]}"]
-        out += [_format_row(row) for row in dense] if dense.shape[1] else []
-    return "\n".join(out) + "\n"
+        head = ["stgp-matrix 1", f"dense {dense.shape[0]} {dense.shape[1]}"]
+        body = (_format_row(row) for row in dense) if dense.shape[1] else ()
+    return _join_lines(head, body)
 
 
 def read_matrix(text: str):

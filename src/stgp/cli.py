@@ -16,8 +16,8 @@ from . import __version__
 from .assembly import assemble_spatial_mass, assemble_temporal_gram, check_span
 from .basis import TemporalGrid
 from .fields import (AnalyticField, DiscreteField, PointOutsideDomainError, bind_field, read_field,
-                     sample_field, write_field)
-from .mesh import (Mesh, MeshFormatError, PointLocator, _format_row, build_edge_table,
+                     check_mesh_name, sample_field, write_field)
+from .mesh import (Mesh, MeshFormatError, PointLocator, _format_row, _join_lines, build_edge_table,
                    generate_structured_mesh, read_mesh, write_mesh)
 from .projection import (ProjectionProblem, ProjectionResult, error_norm, eval_projected,
                          probe_timeseries, project)
@@ -156,6 +156,8 @@ def cmd_project(config_path: str) -> int:
             raise ConfigError("a discrete source needs both source_mesh and source_field")
         if "target_mesh" not in config:
             raise ConfigError("missing key target_mesh")
+        if "out_field" in config:
+            check_mesh_name(Path(config["target_mesh"]).name)  # the field file names its mesh
 
         target_mesh = read_mesh(_read_text(config["target_mesh"]))
         grid = _build_grid(config)
@@ -232,8 +234,8 @@ def cmd_project(config_path: str) -> int:
                 ts, values = probe_timeseries(result.dofs, target_mesh, problem.edge_table,
                                               locator, grid, p, probe_samples)
                 header = "t," + ",".join("hx hy hz".split()[: target_mesh.dim])
-                lines = [header] + [_format_row(row, ",") for row in np.column_stack([ts, values])]
-                Path(f"{prefix}_{idx:03d}.csv").write_text("\n".join(lines) + "\n",
+                rows = (_format_row(row, ",") for row in np.column_stack([ts, values]))
+                Path(f"{prefix}_{idx:03d}.csv").write_text(_join_lines([header], rows),
                                                            encoding="utf-8")
         lap("outputs")
         if "out_report" in config:
@@ -289,7 +291,7 @@ def _render_report(config_path: str, config: dict, problem: ProjectionProblem,
     ]
     for name, seconds in timings:
         out.append(f"t_{name} = {seconds:.6f}")
-    return "\n".join(out) + "\n"
+    return _join_lines(out)
 
 
 def cmd_meshgen(kind: str, n: int, mu: float, out_path: str) -> int:

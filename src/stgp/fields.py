@@ -7,8 +7,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .basis import TemporalGrid, _within_span, edge_circulation_rule, hat_matrix, whitney_local
-from .mesh import (EdgeTable, Mesh, MeshFormatError, PointLocator, _format_row, _LineReader,
-                   check_points)
+from .mesh import (EdgeTable, Mesh, MeshFormatError, PointLocator, _format_row, _join_lines,
+                   _LineReader, check_points)
 
 OUTSIDE_POLICIES = ("zero", "strict")
 
@@ -414,14 +414,18 @@ def write_field(mesh_name: str, times: np.ndarray, dofs: np.ndarray) -> str:
     dofs = np.asarray(dofs, dtype=float)
     if dofs.ndim != 2 or dofs.shape[1] != len(times):
         raise ValueError("dofs must be an M x N matrix matching the time line")
-    out = [
-        "stgp-field 1",
-        f"mesh {mesh_name}",
-        f"edges {dofs.shape[0]} steps {dofs.shape[1]}",
-        "times " + _format_row(times),
-    ]
-    out += [_format_row(row) for row in dofs]
-    return "\n".join(out) + "\n"
+    check_mesh_name(mesh_name)
+    return _join_lines(
+        ["stgp-field 1", f"mesh {mesh_name}", f"edges {dofs.shape[0]} steps {dofs.shape[1]}",
+         "times " + _format_row(times)],
+        (_format_row(row) for row in dofs))
+
+
+def check_mesh_name(mesh_name: str) -> None:
+    """Raise ValueError unless a field file's 'mesh <name>' line reads back as `mesh_name`."""
+    if mesh_name.split() != [mesh_name] or "#" in mesh_name:
+        raise ValueError(f"mesh name {mesh_name!r} would not read back from a field file:"
+                         " it must be non-empty, without whitespace or '#'")
 
 
 def bind_field(file: FieldFile, mesh: Mesh, edge_table: EdgeTable) -> DiscreteField:

@@ -332,6 +332,27 @@ def _format_row(row: np.ndarray, sep: str = " ") -> str:
     return sep.join(map(repr, row.tolist()))
 
 
+# Lines joined per chunk by _join_lines: few enough that a chunk of short
+# lines is small beside the text, many enough that the chunks are few.
+_JOIN_CHUNK_LINES = 256
+
+
+def _join_lines(*blocks) -> str:
+    """The lines of `blocks` (iterables of lines, in order) as text, each line ending in a newline.
+
+    Each chunk of lines is joined with an empty line appended, so the final
+    newline copies nothing, and only one chunk's line objects are alive at a
+    time. A writer that passes its long blocks as generators so holds about
+    twice its text at the peak: the chunks and their join.
+    """
+    lines = itertools.chain(*blocks)
+    chunks = []
+    while chunk := list(itertools.islice(lines, _JOIN_CHUNK_LINES)):
+        chunk.append("")
+        chunks.append("\n".join(chunk))
+    return "".join(chunks)
+
+
 # An int64 column's token: an optional sign and ASCII digits. A token of this
 # form that np.loadtxt rejects lies beyond the 64-bit range.
 _INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -515,10 +536,10 @@ def read_mesh(text: str) -> Mesh:
 
 def write_mesh(mesh: Mesh) -> str:
     """Serialize a mesh to the canonical stgp-mesh text format."""
-    out = ["stgp-mesh 1", f"dim {mesh.dim}", f"nodes {mesh.n_nodes}"]
-    out += [f"{i} {_format_row(node)}" for i, node in enumerate(mesh.nodes)]
-    out.append(f"elements {mesh.n_elements}")
-    out += [f"{i} {_format_row(elem)}" for i, elem in enumerate(mesh.elements)]
-    out.append(f"mu {mesh.n_elements}")
-    out += [f"{i} {value!r}" for i, value in enumerate(mesh.mu.tolist())]
-    return "\n".join(out) + "\n"
+    return _join_lines(
+        ["stgp-mesh 1", f"dim {mesh.dim}", f"nodes {mesh.n_nodes}"],
+        (f"{i} {_format_row(node)}" for i, node in enumerate(mesh.nodes)),
+        [f"elements {mesh.n_elements}"],
+        (f"{i} {_format_row(elem)}" for i, elem in enumerate(mesh.elements)),
+        [f"mu {mesh.n_elements}"],
+        (f"{i} {value!r}" for i, value in enumerate(mesh.mu.tolist())))

@@ -492,6 +492,17 @@ class TestProjectFaultsAreConfigErrors:
             stderr = self._run(tmp_path, BASE_CONFIG + f"allow_nonconverged = {value}\n")
             assert f"allow_nonconverged must be true or false, got '{value}'" in stderr
 
+    def test_target_mesh_name_the_field_file_cannot_hold(self, tmp_path):
+        name = "a b.stgp"
+        write_demo_inputs(tmp_path)
+        (tmp_path / "tgt.stgp").rename(tmp_path / name)
+        config = BASE_CONFIG.replace("target_mesh = tgt.stgp", f"target_mesh = {name}")
+        stderr = self._run(tmp_path, config)
+        assert stderr.count("\n") == 1 and f"mesh name {name!r}" in stderr
+        # Without an out_field nothing names the mesh, and the run goes ahead.
+        (tmp_path / "p.cfg").write_text(config.replace("out_field = out.stgpf\n", ""))
+        assert run_cli("project", "p.cfg", cwd=tmp_path).returncode == 0
+
     def test_strict_policy_with_target_outside_source(self, tmp_path):
         write_demo_inputs(tmp_path)
         target = read_mesh((tmp_path / "tgt.stgp").read_text())

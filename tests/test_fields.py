@@ -420,6 +420,18 @@ class TestFieldIO:
         ff = read_field(CANONICAL_FIELD)
         assert write_field(ff.mesh_name, ff.times, ff.dofs) == CANONICAL_FIELD
 
+    @pytest.mark.parametrize("name", ["", "a b.stgp", "a\tb", "m.stgp\n", "a\u2028b", "a#b.stgp"],
+                             ids=["empty", "space", "tab", "newline", "line-separator", "hash"])
+    def test_mesh_name_that_would_not_read_back_rejected(self, name):
+        ff = read_field(CANONICAL_FIELD)
+        with pytest.raises(ValueError, match="would not read back"):
+            write_field(name, ff.times, ff.dofs)
+
+    @pytest.mark.parametrize("name", ["m.stgp", "dir/m.stgp", "mesh", "\u00e9t\u00e9.stgp"])
+    def test_mesh_name_reads_back_as_itself(self, name):
+        ff = read_field(CANONICAL_FIELD)
+        assert read_field(write_field(name, ff.times, ff.dofs)).mesh_name == name
+
     def test_non_monotone_times_rejected(self):
         text = CANONICAL_FIELD.replace("times 0.0 1.0", "times 0 0")
         with pytest.raises(MeshFormatError, match="strictly increasing"):

@@ -152,6 +152,24 @@ class TestWriterBytes:
     def test_probe_rows(self):
         assert _format_row(AWKWARD, ",") == _reference_row(AWKWARD, ",")
 
+    @pytest.mark.parametrize("case", ["field", "mesh", "dense-matrix"])
+    def test_peak_memory_is_about_twice_the_text(self, case):
+        """The text and the chunks it was joined from, not a third copy for the final newline."""
+        rng = np.random.default_rng(7)
+        write, args = {
+            "field": (write_field, ("m.stgp", np.linspace(0.0, 1.0, 256), rng.standard_normal((800, 256)))),
+            "mesh": (write_mesh, (generate_structured_mesh("unit-square-tri", 64, 1.0),)),
+            "dense-matrix": (write_matrix, (rng.standard_normal((300, 300)),)),
+        }[case]
+        tracemalloc.start()
+        try:
+            text = write(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(text) > 2**18
+        assert peak < 2.5 * len(text), f"peak {peak / len(text):.2f}x the text"
+
 
 def _doubles(seed: int, n: int) -> np.ndarray:
     """n finite doubles: uniformly random bit patterns (every exponent, subnormals too),
