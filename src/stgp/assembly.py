@@ -43,8 +43,8 @@ from .basis import (QuadratureRule, TemporalGrid, _within_span, bracket, gauss_u
                     hat_matrix, simplex_quadrature, whitney_local)
 from .fields import (AnalyticField, DiscreteField, SourceField, check_policy, eval_points_per_point,
                      locate_points, located_rows)
-from .mesh import (LOCAL_EDGE_VERTICES, EdgeTable, Mesh, MeshFormatError, _format_row, _join_lines,
-                   _LineReader, barycentric_transforms, signed_volumes)
+from .mesh import (EdgeTable, Mesh, MeshFormatError, _format_row, _join_lines, _LineReader,
+                   barycentric_transforms, check_edge_table, signed_volumes)
 
 # Source samples (rows x columns) held at once by one block of the sweep.
 # Larger blocks ran no faster and raised the peak RSS (2**18: +7 % on the
@@ -98,10 +98,7 @@ def assemble_temporal_gram(grid: TemporalGrid) -> TriDiagMatrix:
 
 def _fitted_rule(mesh: Mesh, edge_table: EdgeTable, quad: QuadratureRule | None) -> QuadratureRule:
     """The spatial rule, order 4 by default, once it and the edge table are checked to fit the mesh."""
-    ends = np.sort(mesh.elements[:, LOCAL_EDGE_VERTICES[mesh.dim]], axis=2)   # (E, nl, 2) node ids
-    if (edge_table.element_edges.shape != ends.shape[:2]
-            or not np.array_equal(edge_table.edges[edge_table.element_edges], ends)):
-        raise ValueError("the edge table was built for another mesh")
+    check_edge_table(mesh, edge_table)
     if quad is None:
         return simplex_quadrature(mesh.dim, 4)
     if quad.dim != mesh.dim:

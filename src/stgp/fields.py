@@ -8,7 +8,7 @@ import scipy.sparse as sp
 
 from .basis import TemporalGrid, _within_span, edge_circulation_rule, hat_matrix, whitney_local
 from .mesh import (EdgeTable, Mesh, MeshFormatError, PointLocator, _format_row, _join_lines,
-                   _LineReader, check_points)
+                   _LineReader, check_edge_table, check_points)
 
 OUTSIDE_POLICIES = ("zero", "strict")
 
@@ -243,16 +243,20 @@ class DiscreteField(SourceField):
     @classmethod
     def _over_view(cls, mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid, dofs: np.ndarray,
                    locator: PointLocator) -> DiscreteField:
-        """The field over a read-only view of dofs, built in O(1): no copy, no finiteness scan.
+        """The field over a read-only view of dofs, built in O(1): no copy, no finiteness scan
+        and no `check_edge_table`, which rebuilds the table.
 
         For evaluation at a few points, which reads only the located
-        elements' rows; a non-finite DOF read there gives a non-finite value.
+        elements' rows; a non-finite DOF read there gives a non-finite value,
+        and an edge table that is not the mesh's own gives wrong values.
         """
         field = cls.__new__(cls)
         field._bind(mesh, edge_table, grid, np.asarray(dofs, dtype=np.float64).view(), locator, scan=False)
         return field
 
     def _bind(self, mesh, edge_table, grid, dofs, locator, scan: bool) -> None:
+        if scan:
+            check_edge_table(mesh, edge_table)
         if dofs.shape != (edge_table.edge_count, grid.n_steps):
             raise ValueError(
                 f"dofs shape {dofs.shape} does not match {edge_table.edge_count} edges"
@@ -429,7 +433,8 @@ def check_mesh_name(mesh_name: str) -> None:
 
 
 def bind_field(file: FieldFile, mesh: Mesh, edge_table: EdgeTable) -> DiscreteField:
-    """Attach a parsed field file to its mesh, checking dimensions."""
+    """Attach a parsed field file to its mesh, checking dimensions and that the edge table
+    is the mesh's own."""
     if file.dofs.shape[0] != edge_table.edge_count:
         raise ValueError(
             f"field file has {file.dofs.shape[0]} edge rows but the mesh has"

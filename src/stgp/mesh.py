@@ -134,7 +134,8 @@ class EdgeTable:
     """Globally oriented edge enumeration of a mesh.
 
     Edges are stored as (node_a, node_b) with node_a < node_b, sorted
-    lexicographically, so two builds of the same mesh are identical.
+    lexicographically, so two builds of the same mesh are identical;
+    `check_edge_table` holds a table to that build.
     element_signs[e, k] is +1 iff the k-th local edge of element e runs from the
     lower to the higher global node index.
     """
@@ -157,19 +158,26 @@ class EdgeTable:
 def build_edge_table(mesh: Mesh) -> EdgeTable:
     """Enumerate mesh edges with the ascending-node-index orientation convention."""
     pairs = LOCAL_EDGE_VERTICES[mesh.dim]
-    elems = mesh.elements
-    n_local = len(pairs)
-
-    a = np.stack([elems[:, p] for p, q in pairs], axis=1)  # (ne, n_local)
-    b = np.stack([elems[:, q] for p, q in pairs], axis=1)
+    a = mesh.elements[:, [p for p, _ in pairs]]  # (ne, n_local)
+    b = mesh.elements[:, [q for _, q in pairs]]
     lo = np.minimum(a, b)
     hi = np.maximum(a, b)
     signs = np.where(a < b, 1, -1).astype(np.int8)
 
-    all_pairs = np.stack([lo.ravel(), hi.ravel()], axis=1)
-    edges, inverse = np.unique(all_pairs, axis=0, return_inverse=True)
+    # lo * n + hi sorts as the (lo, hi) pairs do; exact in int64 for n_nodes below about 3e9.
+    n = mesh.n_nodes
+    keys, inverse = np.unique((lo * n + hi).ravel(), return_inverse=True)
+    edges = np.stack(np.divmod(keys, n), axis=1)
     element_edges = inverse.reshape(lo.shape).astype(np.int64)
     return EdgeTable(edges=edges, element_edges=element_edges, element_signs=signs)
+
+
+def check_edge_table(mesh: Mesh, table: EdgeTable) -> None:
+    """Raise ValueError unless `table` holds exactly the arrays of build_edge_table(mesh)."""
+    own = build_edge_table(mesh)
+    if not all(np.array_equal(getattr(table, name), getattr(own, name))
+               for name in ("edges", "element_edges", "element_signs")):
+        raise ValueError("the edge table was built for another mesh")
 
 
 def check_points(points: np.ndarray, dim: int, ndim: int, what: str = "mesh") -> None:

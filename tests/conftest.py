@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import stgp
-from stgp import Mesh, TemporalGrid, build_edge_table, generate_structured_mesh
+from stgp import EdgeTable, Mesh, TemporalGrid, build_edge_table, generate_structured_mesh
 
 
 def cli_env(**extra: str) -> dict[str, str]:
@@ -55,6 +55,33 @@ def jittered_mesh(kind: str, n: int, rng: np.random.Generator, mu_range=(0.5, 2.
     nodes[interior] += rng.uniform(-0.15 / n, 0.15 / n, size=nodes[interior].shape)
     mu = rng.uniform(*mu_range, size=mesh.n_elements)
     return Mesh(dim=mesh.dim, nodes=nodes, elements=mesh.elements, mu=mu)
+
+
+def malformed_tables(mesh, rng):
+    """Edge tables that are not the mesh's own, by name."""
+    own = build_edge_table(mesh)
+    m = own.edge_count
+
+    def changed(edges=own.edges, element_edges=own.element_edges, element_signs=own.element_signs):
+        return EdgeTable(edges=edges, element_edges=element_edges, element_signs=element_signs)
+
+    signs = own.element_signs.copy()
+    signs[1, 2] *= -1
+    spare = np.array([[0, mesh.n_nodes - 1]])  # a node pair that no element uses
+    shifted = {}
+    for name, shift in (("edge index out of range", m), ("negative edge index", -m)):
+        # edges[j - m] is edges[j]: a wrapped negative index names the right node pair.
+        element_edges = own.element_edges.copy()
+        element_edges[1, 2] += shift
+        shifted[name] = changed(element_edges=element_edges)
+    order = rng.permutation(mesh.n_elements)
+    return {
+        "flipped sign": changed(element_signs=signs),
+        "extra unused edge": changed(edges=np.concatenate([own.edges, spare])),
+        **shifted,
+        "elements permuted": build_edge_table(Mesh(dim=mesh.dim, nodes=mesh.nodes,
+                                                   elements=mesh.elements[order], mu=mesh.mu[order])),
+    }
 
 
 def random_grid(rng: np.random.Generator, n: int, start: float = 0.0) -> TemporalGrid:

@@ -10,8 +10,8 @@ from numpy.polynomial.legendre import leggauss
 from stgp import (AnalyticField, DiscreteField, Mesh, MeshFormatError, PointLocator,
                   PointOutsideDomainError, ProjectionProblem, SourceField, TemporalGrid,
                   assemble_source_matrix, assemble_spatial_mass, assemble_temporal_gram,
-                  build_edge_table, energy_error, generate_structured_mesh, project, read_matrix,
-                  simplex_quadrature, write_matrix)
+                  bind_field, build_edge_table, energy_error, generate_structured_mesh, project,
+                  read_field, read_matrix, simplex_quadrature, write_field, write_matrix)
 import stgp.assembly
 from stgp.assembly import (SWEEP_SAMPLES, SourceSamples, TriDiagMatrix, build_time_table,
                            sample_source)
@@ -19,7 +19,7 @@ from stgp.basis import whitney_local
 from stgp.fields import edge_circulations
 from stgp.mesh import barycentric_transforms, signed_volumes
 
-from conftest import jittered_mesh, random_grid
+from conftest import jittered_mesh, malformed_tables, random_grid
 
 
 def dense_mass_oracle(mesh, table, order=6):
@@ -910,3 +910,48 @@ class TestSamplingEntry:
         mesh = jittered_mesh("unit-cube-tet", 1, jitter_rng)
         with pytest.raises(ValueError, match="a 2-D source does not fit a 3-D target mesh"):
             assemble_source_matrix(mesh, build_edge_table(mesh), grid, source)
+
+
+class TestMalformedEdgeTables:
+    """Every entry point that takes an edge table rejects one that is not the mesh's own."""
+
+    # TestSamplingEntry tries a table with the elements permuted on the assembly entry points.
+    ASSEMBLY_CASES = ("flipped sign", "extra unused edge", "edge index out of range",
+                      "negative edge index")
+
+    @pytest.fixture
+    def case(self, jitter_rng):
+        mesh = jittered_mesh("unit-square-tri", 4, jitter_rng)
+        source = AnalyticField("rotating-multipole", pole_pairs=2, amplitude=1.0, omega=2 * np.pi,
+                               center=(0.4, 0.6), modulation=0.2)
+        grid = TemporalGrid(np.array([0.0, 0.15, 0.55, 0.9]))
+        return mesh, source, grid, malformed_tables(mesh, jitter_rng)
+
+    ENTRY_POINTS = {
+        "assemble_spatial_mass": lambda mesh, table, grid, source: assemble_spatial_mass(mesh, table),
+        "assemble_source_matrix": assemble_source_matrix,
+        "energy_error": lambda mesh, table, grid, source: energy_error(
+            mesh, table, grid, source, np.zeros((table.edge_count, grid.n_steps))),
+        "project": lambda mesh, table, grid, source: project(
+            ProjectionProblem(mesh=mesh, edge_table=table, grid=grid, source=source)),
+    }
+    SOURCE_ENTRY_POINTS = {
+        "DiscreteField": lambda mesh, table, grid, dofs: DiscreteField(mesh, table, grid, dofs),
+        "bind_field": lambda mesh, table, grid, dofs: bind_field(
+            read_field(write_field("m.stgp", grid.times, dofs)), mesh, table),
+    }
+
+    @pytest.mark.parametrize("name", ASSEMBLY_CASES)
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_assembly_entry_points(self, entry, name, case):
+        mesh, source, grid, tables = case
+        with pytest.raises(ValueError, match="the edge table was built for another mesh"):
+            self.ENTRY_POINTS[entry](mesh, tables[name], grid, source)
+
+    @pytest.mark.parametrize("name", ASSEMBLY_CASES + ("elements permuted",))
+    @pytest.mark.parametrize("entry", sorted(SOURCE_ENTRY_POINTS))
+    def test_source_side(self, entry, name, case, jitter_rng):
+        mesh, _, grid, tables = case
+        dofs = jitter_rng.standard_normal((tables[name].edge_count, grid.n_steps))
+        with pytest.raises(ValueError, match="the edge table was built for another mesh"):
+            self.SOURCE_ENTRY_POINTS[entry](mesh, tables[name], grid, dofs)

@@ -8,9 +8,9 @@ import pytest
 
 from stgp import (Mesh, MeshFormatError, PointLocator, build_edge_table,
                   generate_structured_mesh, read_mesh, write_mesh)
-from stgp.mesh import LOCAL_EDGE_VERTICES, SNAP_REL_TOL
+from stgp.mesh import LOCAL_EDGE_VERTICES, SNAP_REL_TOL, check_edge_table
 
-from conftest import jittered_mesh
+from conftest import jittered_mesh, malformed_tables
 
 
 def structured_mesh_by_loops(kind, n):
@@ -51,6 +51,53 @@ def brute_force_edges(mesh):
         for a, b in itertools.combinations(elem.tolist(), 2):
             pairs.add((min(a, b), max(a, b)))
     return sorted(pairs)
+
+
+def row_sorted_edge_table(mesh):
+    """Reference: the (lo, hi) rows sorted by np.unique(axis=0), the build the int64 key replaced."""
+    pairs = LOCAL_EDGE_VERTICES[mesh.dim]
+    elems = mesh.elements
+    a = np.stack([elems[:, p] for p, q in pairs], axis=1)
+    b = np.stack([elems[:, q] for p, q in pairs], axis=1)
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
+    signs = np.where(a < b, 1, -1).astype(np.int8)
+    all_pairs = np.stack([lo.ravel(), hi.ravel()], axis=1)
+    edges, inverse = np.unique(all_pairs, axis=0, return_inverse=True)
+    return edges, inverse.reshape(lo.shape).astype(np.int64), signs
+
+
+def relabelled(mesh, rng, extra_nodes=0):
+    """The mesh with its nodes and elements renumbered at random, plus `extra_nodes` unused nodes."""
+    nodes = np.concatenate([mesh.nodes, rng.uniform(2.0, 3.0, size=(extra_nodes, mesh.dim))])
+    new_id = rng.permutation(len(nodes))
+    moved = np.empty_like(nodes)
+    moved[new_id] = nodes
+    order = rng.permutation(mesh.n_elements)
+    return Mesh(dim=mesh.dim, nodes=moved, elements=new_id[mesh.elements][order], mu=mesh.mu[order])
+
+
+def keyed_build_cases():
+    rng = np.random.default_rng(2024)
+    square = jittered_mesh("unit-square-tri", 5, rng)
+    cube = jittered_mesh("unit-cube-tet", 2, rng)
+    triangle = Mesh(dim=2, nodes=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], elements=[[2, 0, 1]], mu=[1.0])
+    tet = Mesh(dim=3, nodes=np.vstack([np.zeros(3), np.eye(3)]), elements=[[3, 1, 0, 2]], mu=[1.0])
+    return {
+        "jittered 2D": square,
+        "jittered 3D": cube,
+        "renumbered 2D": relabelled(square, rng),
+        "renumbered 3D": relabelled(cube, rng),
+        "unused nodes 2D": relabelled(square, rng, extra_nodes=7),
+        "unused nodes 3D": relabelled(cube, rng, extra_nodes=4),
+        "one triangle": triangle,
+        "one tetrahedron": tet,
+        "no triangles": Mesh(dim=2, nodes=triangle.nodes, elements=np.zeros((0, 3)), mu=[]),
+        "no tetrahedra": Mesh(dim=3, nodes=tet.nodes, elements=np.zeros((0, 4)), mu=[]),
+    }
+
+
+KEYED_BUILD_CASES = keyed_build_cases()
 
 
 class TestMeshValidation:
@@ -136,6 +183,53 @@ class TestEdgeTable:
                 key = tuple(sorted((int(elem[p]), int(elem[q]))))
                 idx = int(table.element_edges[e, k])
                 assert seen.setdefault(key, idx) == idx
+
+
+class TestKeyedEdgeTable:
+    """The int64-key build against the np.unique(axis=0) row sort it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(KEYED_BUILD_CASES))
+    def test_bitwise_equal_to_row_sort(self, case):
+        mesh = KEYED_BUILD_CASES[case]
+        table = build_edge_table(mesh)
+        for got, want in zip((table.edges, table.element_edges, table.element_signs),
+                             row_sorted_edge_table(mesh)):
+            assert got.dtype == want.dtype
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("case", sorted(KEYED_BUILD_CASES))
+    def test_shapes_dtypes_and_read_only(self, case):
+        mesh = KEYED_BUILD_CASES[case]
+        table = build_edge_table(mesh)
+        n_local = len(LOCAL_EDGE_VERTICES[mesh.dim])
+        assert table.edges.shape == (table.edge_count, 2) and table.edges.dtype == np.int64
+        assert table.element_edges.shape == (mesh.n_elements, n_local)
+        assert table.element_edges.dtype == np.int64
+        assert table.element_signs.shape == (mesh.n_elements, n_local)
+        assert table.element_signs.dtype == np.int8
+        for arr in (table.edges, table.element_edges, table.element_signs):
+            assert not arr.flags.writeable
+
+    def test_unused_nodes_hold_no_edge(self):
+        mesh = KEYED_BUILD_CASES["unused nodes 2D"]
+        used = np.unique(mesh.elements)
+        assert np.array_equal(np.unique(build_edge_table(mesh).edges), used)
+        assert len(used) < mesh.n_nodes
+
+
+class TestCheckEdgeTable:
+    @pytest.mark.parametrize("case", sorted(KEYED_BUILD_CASES))
+    def test_accepts_the_mesh_own_table(self, case):
+        mesh = KEYED_BUILD_CASES[case]
+        check_edge_table(mesh, build_edge_table(mesh))
+
+    @pytest.mark.parametrize("kind", ["unit-square-tri", "unit-cube-tet"])
+    def test_rejects_every_malformed_table(self, kind, jitter_rng):
+        mesh = jittered_mesh(kind, 2, jitter_rng)
+        for table in malformed_tables(mesh, jitter_rng).values():
+            with pytest.raises(ValueError, match="the edge table was built for another mesh"):
+                check_edge_table(mesh, table)
 
 
 class TestPointLocation:
