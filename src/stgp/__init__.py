@@ -10,16 +10,16 @@ from .mesh import (EdgeTable, LocationResult, Mesh, MeshFormatError, PointLocato
                    build_edge_table, generate_structured_mesh, read_mesh, write_mesh)
 from .projection import (ProjectionProblem, ProjectionResult, error_norm, eval_projected,
                          probe_timeseries, project)
-from .solver import (KroneckerOperator, SolveReport, SolverConfig, SolverNonConvergence,
-                     apply_operator, cg_solve, dense_oracle_solve, factored_solve)
+from .solver import (SolveReport, SolverConfig, SolverNonConvergence, apply_operator, cg_solve,
+                     dense_oracle_solve, factored_solve)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticField", "DiscreteField", "EdgeTable", "FieldFile", "KroneckerOperator",
-    "LocationResult", "Mesh", "MeshFormatError", "PointLocator", "PointOutsideDomainError",
-    "ProjectionProblem", "ProjectionResult", "QuadratureRule", "SolveReport", "SolverConfig",
-    "SolverNonConvergence", "SourceField", "TemporalGrid", "TriDiagMatrix",
+    "AnalyticField", "DiscreteField", "EdgeTable", "FieldFile", "LocationResult", "Mesh",
+    "MeshFormatError", "PointLocator", "PointOutsideDomainError", "ProjectionProblem",
+    "ProjectionResult", "QuadratureRule", "SolveReport", "SolverConfig", "SolverNonConvergence",
+    "SourceField", "TemporalGrid", "TriDiagMatrix",
     "apply_operator", "assemble_source_matrix", "assemble_spatial_mass",
     "assemble_temporal_gram", "bind_field", "build_edge_table", "cg_solve",
     "dense_oracle_solve", "edge_circulations", "energy_error", "error_norm",

@@ -96,9 +96,8 @@ def assemble_temporal_gram(grid: TemporalGrid) -> TriDiagMatrix:
     return TriDiagMatrix(diag=diag, off=h / 6.0)
 
 
-def _fitted_rule(mesh: Mesh, edge_table: EdgeTable, quad: QuadratureRule | None) -> QuadratureRule:
-    """The spatial rule, order 4 by default, once it and the edge table are checked to fit the mesh."""
-    check_edge_table(mesh, edge_table)
+def _fitted_rule(mesh: Mesh, quad: QuadratureRule | None) -> QuadratureRule:
+    """The spatial rule, order 4 by default, once it is checked to fit the mesh."""
     if quad is None:
         return simplex_quadrature(mesh.dim, 4)
     if quad.dim != mesh.dim:
@@ -113,7 +112,8 @@ def assemble_spatial_mass(mesh: Mesh, edge_table: EdgeTable,
     The integrand is quadratic in the barycentric coordinates, so the default
     order-4 rule makes every entry quadrature-exact.
     """
-    quad = _fitted_rule(mesh, edge_table, quad)
+    check_edge_table(mesh, edge_table)
+    quad = _fitted_rule(mesh, quad)
     if quad.order < 2:
         raise ValueError("spatial mass assembly needs a simplex rule of order >= 2")
 
@@ -222,7 +222,8 @@ def sample_source(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid, source:
     mesh, and an AnalyticField's space factors evaluated there. Any other
     source is left to the generic sweep.
     """
-    space_quad = _fitted_rule(mesh, edge_table, space_quad)
+    check_edge_table(mesh, edge_table)
+    space_quad = _fitted_rule(mesh, space_quad)
     dim = getattr(source, "dim", mesh.dim)
     if dim != mesh.dim:
         raise ValueError(f"a {dim}-D source does not fit a {mesh.dim}-D target mesh")
@@ -247,14 +248,15 @@ def sample_source(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid, source:
 def _samples_for(samples: SourceSamples | None, *args) -> SourceSamples:
     """The given samples, checked against the arguments, or fresh ones taken for them.
 
-    Mesh, edge table, grid and source must be the objects sampled; the rule
-    (None: the default), the point count and the policy must be equal.
+    Mesh, edge table, grid and source must be the objects sampled, so the
+    table was checked against the mesh then; the rule (None: the default), the
+    point count and the policy must be equal.
     """
     if samples is None:
         return sample_source(*args)
-    mesh, edge_table, _, _, space_quad, *settings = args
+    mesh, _, _, _, space_quad, *settings = args
     if not (all(map(operator.is_, samples.args[:4], args[:4]))
-            and samples.args[4:] == (_fitted_rule(mesh, edge_table, space_quad), *settings)):
+            and samples.args[4:] == (_fitted_rule(mesh, space_quad), *settings)):
         raise ValueError("samples were taken for other arguments")
     return samples
 

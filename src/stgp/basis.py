@@ -8,7 +8,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import roots_jacobi, roots_legendre
 
-from .mesh import LOCAL_EDGE_VERTICES, EdgeTable, Mesh
+from .mesh import LOCAL_EDGE_VERTICES, EdgeTable, Mesh, check_edge_table
 
 REFERENCE_MEASURE = {1: 1.0, 2: 0.5, 3: 1.0 / 6.0}
 MAX_QUAD_ORDER = 6
@@ -208,8 +208,10 @@ def whitney_edge_eval(mesh: Mesh, edge_table: EdgeTable, element: int, x_bary) -
 
     Returns an (n_local_edges, dim) array of the globally oriented basis
     vectors lambda_a grad(lambda_b) - lambda_b grad(lambda_a), local edges in
-    the canonical lexicographic order.
+    the canonical lexicographic order. An edge table that is not the mesh's
+    own raises ValueError.
     """
+    check_edge_table(mesh, edge_table)
     lam = np.asarray(x_bary, dtype=float)
     if lam.shape != (mesh.dim + 1,):
         raise ValueError(f"barycentric point must have {mesh.dim + 1} entries")

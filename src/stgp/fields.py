@@ -281,17 +281,21 @@ class DiscreteField(SourceField):
         return self.grid.times
 
     def time_factors(self, ts) -> sp.csr_matrix:
-        """The temporal factors, the grid's hats at times ts (T,): (N_s, T), sparse."""
+        """The temporal factors, the grid's hats at times ts (T,): (N_s, T), sparse.
+
+        A time outside the grid's span (beyond a 1e-12 relative slack) raises ValueError.
+        """
+        ts = np.asarray(ts, dtype=float)
+        self._check_times(ts)
         return hat_matrix(self.grid, ts)
 
     def eval_points(self, points, ts, policy: str = "zero") -> tuple[np.ndarray, np.ndarray]:
         check_policy(policy)
         points = np.asarray(points, dtype=float)
-        ts = np.asarray(ts, dtype=float)
-        self._check_times(ts)
+        hats = self.time_factors(ts)  # before location: a bad time is reported first
         inside, elements, lam = locate_points(self.locator, points, policy)
-        rows = located_rows(self, inside, elements, lam, slice(None)) @ self.time_factors(ts)
-        return np.swapaxes(rows.reshape(len(points), self.dim, len(ts)), 1, 2), inside
+        rows = located_rows(self, inside, elements, lam, slice(None)) @ hats
+        return np.swapaxes(rows.reshape(len(points), self.dim, hats.shape[1]), 1, 2), inside
 
 
 # Location plus Whitney sampling: DiscreteField.eval_points and the assembly's

@@ -6,16 +6,16 @@ tensor-product method of Lynch, Rice & Thomas, 1964). `project` calls
 `factored_solve` on every mesh: it factors A once with a sparse LU and solves
 all columns with that factor, confirmed by the true residual ||A X B - C||_F.
 `cg_solve` runs conjugate gradients on A, each column with its own scalar
-recurrence; it continues from a factored answer that misses the tolerance and
-serves as the iterative reference. The Kronecker form vec(A X B) =
-(B^T kron A) vec(X) (column-major vec) is kept as the verification oracle:
-KroneckerOperator applies it matrix-free, and dense_oracle_solve
-materializes it for small systems.
+recurrence, and serves as the iterative reference; `factored_solve` continues
+with the same loop from a factored answer that misses the tolerance. The
+Kronecker form vec(A X B) = (B^T kron A) vec(X) (column-major vec) is kept as
+the verification oracle: apply_operator applies it matrix-free, and
+dense_oracle_solve materializes it for small systems.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,7 +32,6 @@ class SolverConfig:
     tol: float = 1e-10                 # relative Frobenius residual
     max_iterations: int | None = None  # default 10 * M * N; one covers all N columns
     preconditioner: str = "jacobi"     # 'jacobi' | 'none'
-    initial_guess: np.ndarray | None = None  # warm start; zero when None
 
     def __post_init__(self):
         if not 0.0 < self.tol < 1.0:
@@ -41,9 +40,6 @@ class SolverConfig:
         if cap is not None and (isinstance(cap, bool) or not isinstance(cap, (int, np.integer))
                                 or cap < 1):
             raise ValueError(f"max_iterations must be a whole number >= 1, got {cap!r}")
-        if self.initial_guess is not None and not np.all(
-                np.isfinite(np.asarray(self.initial_guess, dtype=float))):
-            raise ValueError("initial_guess must be finite")
         if self.preconditioner not in ("jacobi", "none"):
             raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
 
@@ -68,30 +64,12 @@ class SolverNonConvergence(RuntimeError):
         self.report = report
 
 
-def _as_operator(a):
-    if sp.issparse(a):
-        return a
-    return np.asarray(a, dtype=float)
-
-
-class KroneckerOperator:
-    """Applies the SPD operator X -> A X B without forming the Kronecker product."""
-
-    def __init__(self, a, b: TriDiagMatrix):
-        self.a = _as_operator(a)
-        self.b = b
-        self.shape = (self.a.shape[0], b.n)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.b.right_multiply(self.a @ x)
-
-
 def apply_operator(a, b: TriDiagMatrix, x: np.ndarray) -> np.ndarray:
     """Y = A X B, identical to the Kronecker matrix acting on the column-major vec(X)."""
     x = np.asarray(x, dtype=float)
     if x.shape != (a.shape[0], b.n):
         raise ValueError(f"X must have shape {(a.shape[0], b.n)}, got {x.shape}")
-    return KroneckerOperator(a, b).apply(x)
+    return b.right_multiply(a @ x)
 
 
 def _time_solve(b: TriDiagMatrix, c: np.ndarray) -> np.ndarray:
@@ -115,58 +93,29 @@ def _column_inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", x, y)
 
 
-def _checked_system(a, b: TriDiagMatrix, c) -> tuple[KroneckerOperator, np.ndarray]:
-    op = KroneckerOperator(a, b)
+def _checked_system(a, b: TriDiagMatrix, c) -> tuple:
+    """A as a sparse or float array, and C once it is checked to be finite and M x N."""
+    a = a if sp.issparse(a) else np.asarray(a, dtype=float)
     c = np.asarray(c, dtype=float)
-    if c.shape != op.shape:
-        raise ValueError(f"C must have shape {op.shape}, got {c.shape}")
+    if c.shape != (a.shape[0], b.n):
+        raise ValueError(f"C must have shape {(a.shape[0], b.n)}, got {c.shape}")
     if not np.all(np.isfinite(c)):
         raise ValueError("C must be finite")
-    return op, c
+    return a, c
 
 
-def cg_solve(a, b: TriDiagMatrix, c: np.ndarray,
-             config: SolverConfig | None = None) -> tuple[np.ndarray, SolveReport]:
-    """Solve A X B = C as A X = C B^-1: one banded time solve, then CG on A per column.
-
-    Every column runs its own preconditioned CG recurrence (its own rho, alpha and
-    beta); one iteration advances all N columns with one sparse product A @ D.
-    Since A X B - C = -R B for the recurrence residual R of A X = C B^-1, the
-    loop stops once ||R||_F * g <= tol * ||C||_F, with g the Gershgorin bound of
-    ||B||_2. The true residual ||A X B - C||_F then confirms convergence; if it is
-    above tolerance the recurrence restarts from C B^-1 - A X.
-
-    Deterministic: fixed zero initial guess (unless a warm start is supplied),
-    sequential recurrence, and a recomputed true residual backing the converged
-    flag. Non-convergence returns the best iterate with converged=False.
-    """
-    if config is None:
-        config = SolverConfig()
-    op, c = _checked_system(a, b, c)
-    a = op.a
-
-    start = time.perf_counter()
-    norm_c = float(np.linalg.norm(c))
-    if norm_c == 0.0:
-        return np.zeros_like(c), SolveReport(0, 0.0, True, time.perf_counter() - start,
-                                             config.preconditioner)
-
+def _cg(a, b: TriDiagMatrix, c: np.ndarray, norm_c: float, y: np.ndarray, x: np.ndarray,
+        config: SolverConfig, start: float) -> tuple[np.ndarray, SolveReport]:
+    """cg_solve's loop on A X = Y (Y = C B^-1) from X = x, updated in place; wall time from start."""
     max_iters = config.max_iterations
     if max_iters is None:
-        max_iters = 10 * op.shape[0] * op.shape[1]
-    if config.initial_guess is None:
-        x = np.zeros_like(c)
-    else:
-        x = np.array(config.initial_guess, dtype=float)
-        if x.shape != op.shape:
-            raise ValueError("initial guess shape mismatch")
+        max_iters = 10 * c.size
     if config.preconditioner == "jacobi":
         inv_diag = 1.0 / (a.diagonal() if sp.issparse(a) else np.diag(a))[:, None]
         precondition = lambda r: r * inv_diag
     else:
         precondition = lambda r: r
 
-    y = _time_solve(b, c)
     threshold = config.tol * norm_c
     bound_sq = (threshold / _norm_bound(b)) ** 2  # stop once ||R||_F^2 <= bound_sq
     iterations = restarts = 0
@@ -194,7 +143,7 @@ def cg_solve(a, b: TriDiagMatrix, c: np.ndarray,
             iterations += 1
             proceed = np.vdot(r, r) > bound_sq  # False for a NaN residual too
         # Confirm with the true residual; restart if drift left it above tolerance.
-        true_norm = float(np.linalg.norm(op.apply(x) - c))
+        true_norm = float(np.linalg.norm(apply_operator(a, b, x) - c))
         if true_norm <= threshold or iterations >= max_iters or not np.isfinite(true_norm):
             break
         restarts += 1
@@ -207,42 +156,68 @@ def cg_solve(a, b: TriDiagMatrix, c: np.ndarray,
     return x, report
 
 
+def cg_solve(a, b: TriDiagMatrix, c: np.ndarray,
+             config: SolverConfig | None = None) -> tuple[np.ndarray, SolveReport]:
+    """Solve A X B = C as A X = C B^-1: one banded time solve, then CG on A per column.
+
+    Every column runs its own preconditioned CG recurrence (its own rho, alpha and
+    beta); one iteration advances all N columns with one sparse product A @ D.
+    Since A X B - C = -R B for the recurrence residual R of A X = C B^-1, the
+    loop stops once ||R||_F * g <= tol * ||C||_F, with g the Gershgorin bound of
+    ||B||_2. The true residual ||A X B - C||_F then confirms convergence; if it is
+    above tolerance the recurrence restarts from C B^-1 - A X.
+
+    Deterministic: fixed zero initial guess, sequential recurrence, and a
+    recomputed true residual backing the converged flag. Non-convergence returns
+    the best iterate with converged=False.
+    """
+    if config is None:
+        config = SolverConfig()
+    a, c = _checked_system(a, b, c)
+    start = time.perf_counter()
+    norm_c = float(np.linalg.norm(c))
+    if norm_c == 0.0:
+        return np.zeros_like(c), SolveReport(0, 0.0, True, time.perf_counter() - start,
+                                             config.preconditioner)
+    return _cg(a, b, c, norm_c, _time_solve(b, c), np.zeros_like(c), config, start)
+
+
 def factored_solve(a, b: TriDiagMatrix, c: np.ndarray,
                    config: SolverConfig | None = None) -> tuple[np.ndarray, SolveReport]:
     """Solve A X B = C as A X = C B^-1: one banded time solve, then one sparse LU of A.
 
     A is factored once by SuperLU (minimum-degree ordering of A^T + A, symmetric
     mode) and all N columns are solved in one call. The true residual
-    ||A X B - C||_F confirms the answer; if it is above tolerance, or not finite,
-    cg_solve continues from the factored answer (from zero if that is not
-    finite), so converged, max_iterations and SolverNonConvergence keep their
-    meaning. A confirmed factored solve reports method 'factored', 0 iterations
-    and preconditioner 'none'; a continued one reports cg_solve's count, method
-    'cg' and config.preconditioner. If SuperLU finds A exactly singular, as it
-    does for an A holding a NaN, cg_solve runs instead; only then is
-    config.initial_guess used.
+    ||A X B - C||_F, through apply_operator, confirms the answer; if it is above
+    tolerance, or not finite, cg_solve's loop continues from the factored answer
+    (from zero if that is not finite), so converged, max_iterations and
+    SolverNonConvergence keep their meaning. A confirmed factored solve reports
+    method 'factored', 0 iterations and preconditioner 'none'; a continued one
+    reports the CG count, method 'cg' and config.preconditioner. If SuperLU
+    finds A exactly singular, as it does for an A holding a NaN, the loop runs
+    from zero instead.
     """
     if config is None:
         config = SolverConfig()
-    op, c = _checked_system(a, b, c)
+    a, c = _checked_system(a, b, c)
     start = time.perf_counter()
     norm_c = float(np.linalg.norm(c))
     if norm_c == 0.0:
         return np.zeros_like(c), SolveReport(0, 0.0, True, time.perf_counter() - start,
                                              "none", method="factored")
+    y = _time_solve(b, c)
     try:
-        lu = splu(sp.csc_matrix(op.a), permc_spec="MMD_AT_PLUS_A",
+        lu = splu(sp.csc_matrix(a), permc_spec="MMD_AT_PLUS_A",
                   options={"SymmetricMode": True})
     except RuntimeError:
-        return cg_solve(a, b, c, config)
-    x = lu.solve(_time_solve(b, c))
-    true_norm = float(np.linalg.norm(op.apply(x) - c))
+        return _cg(a, b, c, norm_c, y, np.zeros_like(c), config, start)
+    x = lu.solve(y)
+    true_norm = float(np.linalg.norm(apply_operator(a, b, x) - c))
     if true_norm <= config.tol * norm_c:  # False for a NaN residual too
         return x, SolveReport(0, true_norm / norm_c, True, time.perf_counter() - start,
                               "none", method="factored")
-    guess = x if np.all(np.isfinite(x)) else None
-    x, report = cg_solve(a, b, c, replace(config, initial_guess=guess))
-    return x, replace(report, wall_time=time.perf_counter() - start)
+    return _cg(a, b, c, norm_c, y, x if np.all(np.isfinite(x)) else np.zeros_like(c),
+               config, start)
 
 
 def dense_oracle_solve(a, b: TriDiagMatrix, c: np.ndarray) -> np.ndarray:

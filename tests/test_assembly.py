@@ -856,6 +856,21 @@ class TestSamplingEntry:
         project(ProjectionProblem(mesh=mesh, edge_table=table, grid=grid, source=source))
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("kind", ["discrete", "analytic", "generic"])
+    def test_project_checks_the_edge_table_twice(self, kind, jitter_rng, monkeypatch):
+        # For A and for the samples; C and the energy error take the samples of the same objects.
+        source, mesh, table, grid = self._case(kind, jitter_rng)
+        calls = []
+        original = stgp.assembly.check_edge_table
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(stgp.assembly, "check_edge_table", counting)
+        project(ProjectionProblem(mesh=mesh, edge_table=table, grid=grid, source=source))
+        assert len(calls) == 2
+
     def test_discrete_samples_hold_no_dense_rows(self, jitter_rng):
         # The spatial rows times D_s (P d x N_s) are formed per block: the samples hold each
         # point's element, barycentric row and inside flag, the two hat matrices and the table.

@@ -12,7 +12,7 @@ from stgp.basis import hat_matrix, whitney_local
 from stgp.fields import edge_circulations
 from stgp.mesh import LOCAL_EDGE_VERTICES, barycentric_transforms
 
-from conftest import jittered_mesh
+from conftest import jittered_mesh, malformed_tables
 
 
 def monomial_integral(dim: int, exponents) -> float:
@@ -215,6 +215,14 @@ class TestWhitneyBasis:
             expected = whitney_local(mesh.dim, grads[int(element)], table.element_signs[int(element)],
                                      lam[None, :])[0]
             assert np.array_equal(whitney_edge_eval(mesh, table, element, lam), expected)
+
+    def test_rejects_an_edge_table_of_another_mesh(self, jitter_rng):
+        mesh = jittered_mesh("unit-square-tri", 4, jitter_rng)
+        lam = np.full(3, 1.0 / 3.0)
+        coarser = build_edge_table(generate_structured_mesh("unit-square-tri", 3, 1.0))
+        for table in (coarser, *malformed_tables(mesh, jitter_rng).values()):
+            with pytest.raises(ValueError, match="the edge table was built for another mesh"):
+                whitney_edge_eval(mesh, table, 1, lam)
 
     @pytest.mark.parametrize("kind,n", [("unit-square-tri", 2), ("unit-cube-tet", 1)])
     def test_circulation_duality(self, kind, n, jitter_rng):

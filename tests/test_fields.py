@@ -479,3 +479,16 @@ class TestSourceTimeSpan:
                               np.ones((table.edge_count, 2)))
         with pytest.raises(ValueError, match="outside the source span"):
             field.eval_points(np.array([[0.5, 0.5]]), np.array([0.5, np.nan]))
+
+    def test_time_factors_reject_a_time_outside_the_grid(self, square_mesh_2):
+        table = build_edge_table(square_mesh_2)
+        field = DiscreteField(square_mesh_2, table, TemporalGrid(np.linspace(0.0, 1.0, 5)),
+                              np.ones((table.edge_count, 5)))
+        for bad in (2.0, -0.5, 1.0 + 1e-9, np.nan):
+            with pytest.raises(ValueError, match="outside the source span"):
+                field.time_factors([0.5, bad])
+        # Round-off beyond either end is inside the span.
+        assert field.time_factors([-1e-13, 1.0 + 1e-13]).shape == (5, 2)
+        # A bad time is reported before an outside point.
+        with pytest.raises(ValueError, match="outside the source span"):
+            field.eval_points(np.array([[3.0, 3.0]]), np.array([2.0]), policy="strict")

@@ -33,6 +33,14 @@ def general_spd_tridiag(rng, n: int) -> TriDiagMatrix:
     return TriDiagMatrix(diag=diag, off=off)
 
 
+def with_nan_off_diagonal(a):
+    """A copy of sparse A with its first off-diagonal entry NaN."""
+    a = a.tocoo()
+    data = a.data.copy()
+    data[np.flatnonzero(a.row != a.col)[0]] = np.nan
+    return type(a)((data, (a.row, a.col)), shape=a.shape).tocsr()
+
+
 def assembled_pair(rng, n_time=4):
     mesh = jittered_mesh("unit-square-tri", 2, rng)
     table = build_edge_table(mesh)
@@ -201,15 +209,6 @@ class TestConjugateGradient:
             assert rep_jacobi.converged and rep_none.converged
             assert rep_jacobi.iterations <= rep_none.iterations
 
-    def test_warm_start_accepted(self):
-        rng = np.random.default_rng(14)
-        a, b = assembled_pair(rng)
-        x_true = rng.standard_normal((a.shape[0], b.n))
-        c = apply_operator(a, b, x_true)
-        x, report = cg_solve(a, b, c, SolverConfig(initial_guess=x_true))
-        assert report.iterations == 0
-        assert report.converged
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(tol=0.0)
@@ -312,26 +311,10 @@ class TestSeparableSolve:
         _, again = cg_solve(a, b, c)
         assert again.restarts == forced.restarts and again.iterations == forced.iterations
 
-    def test_non_finite_initial_guess_rejected(self):
-        # With a NaN warm start the old restart loop never ended.
-        mesh = jittered_mesh("unit-square-tri", 2, np.random.default_rng(36))
-        table = build_edge_table(mesh)
-        a = assemble_spatial_mass(mesh, table)
-        b = assemble_temporal_gram(TemporalGrid(np.linspace(0.0, 1.0, 4)))
-        c = np.ones((table.edge_count, 4))
-        for bad in (np.nan, np.inf):
-            guess = np.zeros_like(c)
-            guess[1, 2] = bad
-            with pytest.raises(ValueError, match="finite"):
-                cg_solve(a, b, c, SolverConfig(initial_guess=guess))
-
     def test_non_finite_true_residual_ends_the_loop(self):
         rng = np.random.default_rng(37)
         a, b = assembled_pair(rng)
-        a = a.tocoo()
-        data = a.data.copy()
-        data[np.flatnonzero(a.row != a.col)[0]] = np.nan
-        a = type(a)((data, (a.row, a.col)), shape=a.shape).tocsr()
+        a = with_nan_off_diagonal(a)
         c = rng.standard_normal((a.shape[0], b.n))
         x, report = cg_solve(a, b, c, SolverConfig(max_iterations=50))
         assert not report.converged
@@ -394,14 +377,34 @@ class TestFactoredSolve:
         # SuperLU calls an A holding a NaN exactly singular; CG then reports it.
         rng = np.random.default_rng(45)
         a, b = assembled_pair(rng)
-        a = a.tocoo()
-        data = a.data.copy()
-        data[np.flatnonzero(a.row != a.col)[0]] = np.nan
-        a = type(a)((data, (a.row, a.col)), shape=a.shape).tocsr()
+        a = with_nan_off_diagonal(a)
         c = rng.standard_normal((a.shape[0], b.n))
         _, report = factored_solve(a, b, c, SolverConfig(max_iterations=50))
         assert report.method == "cg" and not report.converged
         assert not np.isfinite(report.relative_residual)
+
+    @pytest.mark.parametrize("case", ["continued", "singular"])
+    def test_fallback_checks_and_time_solves_once(self, case, monkeypatch):
+        # The CG fallback reuses the factored path's checked C and its C B^-1.
+        rng = np.random.default_rng(48)
+        a, b = assembled_pair(rng)
+        c = rng.standard_normal((a.shape[0], b.n))
+        if case == "singular":
+            a, config = with_nan_off_diagonal(a), SolverConfig(max_iterations=5)
+        else:
+            config = SolverConfig(tol=1e-20, max_iterations=3)
+        counts = dict.fromkeys(("_checked_system", "_time_solve"), 0)
+        for name in counts:
+            original = getattr(solver_module, name)
+
+            def counting(*args, original=original, name=name):
+                counts[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(solver_module, name, counting)
+        _, report = factored_solve(a, b, c, config)
+        assert report.method == "cg" and not report.converged
+        assert counts == {"_checked_system": 1, "_time_solve": 1}
 
     def test_non_finite_factored_answer_restarts_cg_from_zero(self):
         # A subnormal pivot is not exactly singular, but its solve overflows to inf.
