@@ -4,10 +4,10 @@ C (and the error integrals that reuse the same quadrature) is stored dense,
 column = time step; vectorization is column-major throughout. Work runs as
 whole-array kernels in index order, so results are bitwise repeatable.
 
-`sample_source` prepares every source once. A source of either stgp type is
-separable, H(x, t) = sum_r s_r(x) f_r(t): spatial rows, one per target
-quadrature point and component, times its `time_factors` at the time-table
-points (R x T). Only the spatial rows depend on the type:
+`sample_source` prepares every source once, as a separable one,
+H(x, t) = sum_r s_r(x) f_r(t): spatial rows, one per target quadrature point
+and component, times its time factors at the time-table points,
+source_time (R x T). Only the spatial rows depend on the type:
 
 - DiscreteField: each target quadrature point is located in the source mesh
   once; the rows are `fields.located_rows`, the source's Whitney values there
@@ -15,19 +15,19 @@ points (R x T). Only the spatial rows depend on the type:
   its grid's hats.
 - AnalyticField: the rows are G, its R <= 2 spatial factors g_r at the
   quadrature points; its time factors are H_f, the h_r.
-
-Any other source is evaluated by `eval_points` (or by `eval_time_batch` one
-point at a time, through `fields.eval_points_per_point`).
+- Any other source: the rows are its values at the time-table points, from
+  `eval_points` (or from `eval_time_batch` one point at a time, through
+  `fields.eval_points_per_point`), and its time factors are the identity
+  (R = T).
 
 One block loop, `_sweep`, serves every source: it runs over the target
 elements in index order and yields their Whitney values and weights with the
-source's samples there. C of a separable source is the mixed spatial mass
-(the target's weighted Whitney values times the spatial rows, scattered over
-element edges; K D_s for a DiscreteField) times the mixed temporal Gram,
-source_time diag(w) H_t^T. C of any other source scatters the moments of its
-samples, and that generic form is the oracle the separable one is tested
-against. The energy error has one loop for every source; a separable source
-gives its samples there as spatial rows times source_time.
+source's samples there. C is one formula for every source: the mixed spatial
+mass (the target's weighted Whitney values times the spatial rows, scattered
+over element edges; K D_s for a DiscreteField) times the mixed temporal Gram,
+source_time diag(w) H_t^T. The energy error has one loop for every source; a
+separable source of either stgp type gives its samples there as spatial rows
+times source_time.
 """
 from __future__ import annotations
 
@@ -39,8 +39,8 @@ from functools import partial
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import (QuadratureRule, TemporalGrid, _within_span, bracket, gauss_unit_interval,
-                    hat_matrix, simplex_quadrature, whitney_local)
+from .basis import (QuadratureRule, TemporalGrid, _whole, _within_span, bracket,
+                    gauss_unit_interval, hat_matrix, simplex_quadrature, whitney_local)
 from .fields import (AnalyticField, DiscreteField, SourceField, check_policy, eval_points_per_point,
                      locate_points, located_rows)
 from .mesh import (EdgeTable, Mesh, MeshFormatError, _format_row, _join_lines, _LineReader,
@@ -148,6 +148,7 @@ class _TimeTable:
 
 
 def build_time_table(grid: TemporalGrid, source: SourceField, n_points: int) -> _TimeTable:
+    n_points = _whole(n_points, "time_quad_points")
     if not 1 <= n_points <= MAX_TIME_QUAD_POINTS:
         raise ValueError(f"temporal quadrature uses 1..{MAX_TIME_QUAD_POINTS} Gauss points"
                          " per subinterval")
@@ -189,18 +190,19 @@ class SourceSamples:
 
     Spatial quadrature points run in element order, Q per element; a row
     (point, component) is point * d + component. The target hats are the
-    target grid's (N x T) at the time-table points. A separable source,
-    H(x, t) = sum_r s_r(x) f_r(t), also has its `time_factors` there,
-    source_time (R x T), and `space(points)`, its spatial rows at a slice
-    of the points (rows x R); both are None for a source that `_sweep`
-    evaluates through `eval_points`. outside counts the points that missed
-    the source mesh (the sweep counts those of any other source).
+    target grid's (N x T) at the time-table points. The source,
+    H(x, t) = sum_r s_r(x) f_r(t), has its time factors there, source_time
+    (R x T), and `space(points)`, its spatial rows at a slice of the points
+    (rows x R). A source of neither stgp type has the T x T identity as its
+    time factors and space None: `_sweep` evaluates its rows through
+    `eval_points`. outside counts the points that missed a DiscreteField's
+    mesh (the sweep counts those of any other source).
     """
 
     args: tuple  # (mesh, edge_table, grid, source, space_quad, time_quad_points, policy)
     table: _TimeTable
     target_hats: sp.csr_matrix
-    source_time: sp.csr_matrix | np.ndarray | None = None
+    source_time: sp.csr_matrix | np.ndarray
     space: Callable[[slice], np.ndarray] | None = None
     outside: int = 0
 
@@ -220,7 +222,7 @@ def sample_source(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid, source:
     table. Either stgp field's time factors are then taken at the time-table
     points; a DiscreteField's target quadrature points are located in its
     mesh, and an AnalyticField's space factors evaluated there. Any other
-    source is left to the generic sweep.
+    source gets identity time factors, and the sweep evaluates it.
     """
     check_edge_table(mesh, edge_table)
     space_quad = _fitted_rule(mesh, space_quad)
@@ -233,7 +235,7 @@ def sample_source(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid, source:
     common = dict(args=(mesh, edge_table, grid, source, space_quad, time_quad_points, policy),
                   table=table, target_hats=hat_matrix(grid, table.points))
     if not isinstance(source, (AnalyticField, DiscreteField)):
-        return SourceSamples(**common)
+        return SourceSamples(**common, source_time=sp.identity(len(table.points), format="csr"))
     xq = _quadrature_points(mesh, space_quad, slice(None))
     if isinstance(source, AnalyticField):
         space, outside = partial(_factor_rows, source.space_factors(xq)), 0
@@ -268,19 +270,17 @@ def _sweep(samples: SourceSamples, spatial: bool = False):
     points. Yields (elements (B,), Whitney values (B, nl, P), weights (B, P)
     with mu and Jacobian, samples (B, P, width), outside-point count). The
     samples are the source's values at the T time-table points or, with
-    `spatial`, a separable source's spatial rows (width R). A block holds
+    `spatial`, its spatial rows (width R); a source that `eval_points`
+    evaluates has R = T, and its rows are its values. A block holds
     SWEEP_SAMPLES // width rows (point, component), at least one element's;
-    the values of a separable source take width max(T, R), as its rows are
-    held too.
+    the values take width max(T, R), as the rows are held too.
     """
     mesh, edge_table, _, source, space_quad, _, policy = samples.args
     n_q, n_t, dim = len(space_quad.points), len(samples.table.points), mesh.dim
+    n_r = samples.source_time.shape[0]
     if samples.space is None:
         evaluate = getattr(source, "eval_points", None) or partial(eval_points_per_point, source)
-        width = n_t
-    else:
-        n_r = samples.source_time.shape[0]
-        width = n_r if spatial else max(n_t, n_r)
+    width = n_r if spatial else max(n_t, n_r)
     block = max(1, SWEEP_SAMPLES // width // (n_q * dim))
     _, _, grads = barycentric_transforms(mesh)
     jac = np.abs(signed_volumes(mesh)) / space_quad.weights.sum()
@@ -310,34 +310,26 @@ def assemble_source_matrix(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid
 
     Each target interval is additionally split at interior source time nodes,
     so piecewise-linear-in-time sources integrate exactly and spatial
-    quadrature is the only residual integration error. A separable source
-    gives C = (mixed spatial mass) (source_time diag(w) H_t^T), the mass
-    scattered from the sweep's weighted Whitney values times the spatial
-    rows; for a DiscreteField this is K D_s G. `samples`, taken by
-    `sample_source` with the same arguments, spares preparing the source
-    again.
+    quadrature is the only residual integration error. Every source gives
+    C = (mixed spatial mass) (source_time diag(w) H_t^T), the mass scattered
+    from the sweep's weighted Whitney values times the spatial rows; for a
+    DiscreteField this is K D_s G, and for a source of neither stgp type,
+    whose time factors are the identity, the mass holds the moments of its
+    samples. `samples`, taken by `sample_source` with the same arguments,
+    spares preparing the source again.
 
     Returns (C, outside_point_count).
     """
     samples = _samples_for(samples, mesh, edge_table, grid, source, space_quad, time_quad_points, policy)
-    table = samples.table
-    if samples.space is not None:
-        # The mixed spatial mass times the source's spatial coefficients (M x R).
-        mass = np.zeros((edge_table.edge_count, samples.source_time.shape[0]))
-        for el, w, scale, rows, _ in _sweep(samples, spatial=True):
-            np.add.at(mass, edge_table.element_edges[el], (w * scale[:, None, :]) @ rows)
-        # The mixed time Gram (R x N): H_s diag(w) H_t^T (sparse) or H_f diag(w) H_t^T.
-        gram = samples.source_time @ sp.diags(table.weights) @ samples.target_hats.T
-        return mass @ gram, samples.outside
-    c = np.zeros((edge_table.edge_count, grid.n_steps))
-    outside = 0
-    for el, w, scale, hs, out in _sweep(samples):
-        moments = (w * scale[:, None, :]) @ hs * table.weights                  # (B, nl, T)
-        rows = edge_table.element_edges[el][:, :, None]
-        np.add.at(c, (rows, table.k), moments * table.left)
-        np.add.at(c, (rows, table.k + 1), moments * table.right)
+    # The mixed spatial mass times the source's spatial coefficients (M x R).
+    mass = np.zeros((edge_table.edge_count, samples.source_time.shape[0]))
+    outside = samples.outside
+    for el, w, scale, rows, out in _sweep(samples, spatial=True):
+        np.add.at(mass, edge_table.element_edges[el], (w * scale[:, None, :]) @ rows)
         outside += out
-    return c, outside
+    # The mixed time Gram (R x N): source_time diag(w) H_t^T.
+    gram = samples.source_time @ sp.diags(samples.table.weights) @ samples.target_hats.T
+    return mass @ gram, outside
 
 
 def energy_error(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid, source: SourceField,

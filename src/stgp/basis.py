@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,6 +49,16 @@ def _within_span(lo: float, hi: float, span: tuple[float, float]) -> bool:
     t0, t1 = span
     slack = 1e-12 * max(abs(t0), abs(t1), t1 - t0)
     return bool(t0 - slack <= lo and hi <= t1 + slack)
+
+
+def _whole(value, name: str) -> int:
+    """value as an int if it is a whole number, not a bool; else a ValueError naming it."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
 def hat_eval(grid: TemporalGrid, j: int, t: float) -> float:
@@ -133,74 +144,47 @@ def gauss_unit_interval(n: int) -> tuple[np.ndarray, np.ndarray]:
     return (x + 1.0) / 2.0, w / 2.0
 
 
-def _collapsed_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # Duffy-collapsed rule: Gauss-Jacobi (alpha=1) absorbs the (1-u) Jacobian,
-    # keeping all weights positive at any order.
-    xu, wu = roots_jacobi(n, 1, 0)
-    u = (xu + 1.0) / 2.0
-    wu = wu / 4.0
-    v, wv = gauss_unit_interval(n)
-    uu, vv = np.meshgrid(u, v, indexing="ij")
-    l1 = uu.ravel()
-    l2 = (vv * (1.0 - uu)).ravel()
-    points = np.stack([l1, l2, 1.0 - l1 - l2], axis=1)
-    weights = np.outer(wu, wv).ravel()
-    return points, weights
-
-
-def _collapsed_tetrahedron(n: int) -> tuple[np.ndarray, np.ndarray]:
-    xu, wu = roots_jacobi(n, 2, 0)
-    u = (xu + 1.0) / 2.0
-    wu = wu / 8.0
-    xv, wv = roots_jacobi(n, 1, 0)
-    v = (xv + 1.0) / 2.0
-    wv = wv / 4.0
-    w, ww = gauss_unit_interval(n)
-    uu, vv, www = np.meshgrid(u, v, w, indexing="ij")
-    l1 = uu.ravel()
-    l2 = (vv * (1.0 - uu)).ravel()
-    l3 = (www * (1.0 - uu) * (1.0 - vv)).ravel()
-    points = np.stack([l1, l2, l3, 1.0 - l1 - l2 - l3], axis=1)
-    weights = np.einsum("i,j,k->ijk", wu, wv, ww).ravel()
-    return points, weights
+def _collapsed_simplex(dim: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    # Duffy-collapsed rule: Gauss-Jacobi (alpha = dim-1 .. 1) absorbs the
+    # Jacobian of each collapsed axis, keeping all weights positive at any order.
+    axes = []
+    for alpha in range(dim - 1, 0, -1):
+        x, w = roots_jacobi(n, alpha, 0)
+        axes.append(((x + 1.0) / 2.0, w / 2.0 ** (alpha + 1)))
+    axes.append(gauss_unit_interval(n))
+    grids = np.meshgrid(*(x for x, _ in axes), indexing="ij")
+    lam = []
+    for k, x in enumerate(grids):  # lambda_k = x_k (1 - x_0) ... (1 - x_{k-1})
+        for prev in grids[:k]:
+            x = x * (1.0 - prev)
+        lam.append(x.ravel())
+    last = 1.0
+    for value in lam:
+        last = last - value
+    weights = reduce(np.multiply.outer, (w for _, w in axes)).ravel()
+    return np.stack([*lam, last], axis=1), weights
 
 
 def simplex_quadrature(dim: int, order: int) -> QuadratureRule:
     """Rule exact for polynomials up to `order` on the reference simplex/interval."""
+    dim, order = _whole(dim, "dim"), _whole(order, "order")
     if dim not in (1, 2, 3):
         raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
     if not 1 <= order <= MAX_QUAD_ORDER:
         raise ValueError(f"order must be in [1, {MAX_QUAD_ORDER}], got {order}")
     n = (order + 2) // 2  # Gauss point count per axis for degree >= order
-
+    exact = 2 * n - 1
     if dim == 1:
         points, weights = gauss_unit_interval(n)
-        return QuadratureRule(dim=1, points=points, weights=weights, order=2 * n - 1)
-    if dim == 2:
-        if order == 1:
-            return QuadratureRule(dim=2, points=np.full((1, 3), 1.0 / 3.0), weights=np.array([0.5]), order=1)
-        if order == 2:
-            points = np.array([
-                [2 / 3, 1 / 6, 1 / 6],
-                [1 / 6, 2 / 3, 1 / 6],
-                [1 / 6, 1 / 6, 2 / 3],
-            ])
-            return QuadratureRule(dim=2, points=points, weights=np.full(3, 1.0 / 6.0), order=2)
-        points, weights = _collapsed_triangle(n)
-        return QuadratureRule(dim=2, points=points, weights=weights, order=2 * n - 1)
-    if order == 1:
-        return QuadratureRule(dim=3, points=np.full((1, 4), 0.25), weights=np.array([1.0 / 6.0]), order=1)
-    if order == 2:
-        a, b = 0.5854101966249685, 0.1381966011250105
-        points = np.array([
-            [a, b, b, b],
-            [b, a, b, b],
-            [b, b, a, b],
-            [b, b, b, a],
-        ])
-        return QuadratureRule(dim=3, points=points, weights=np.full(4, 1.0 / 24.0), order=2)
-    points, weights = _collapsed_tetrahedron(n)
-    return QuadratureRule(dim=3, points=points, weights=weights, order=2 * n - 1)
+    elif order == 1:  # the centroid
+        points, weights = np.full((1, dim + 1), 1.0 / (dim + 1)), np.array([REFERENCE_MEASURE[dim]])
+    elif order == 2:  # symmetric: a at one vertex, b at the others
+        a, b = {2: (2 / 3, 1 / 6), 3: (0.5854101966249685, 0.1381966011250105)}[dim]
+        points = np.where(np.eye(dim + 1, dtype=bool), a, b)
+        weights, exact = np.full(dim + 1, REFERENCE_MEASURE[dim] / (dim + 1)), 2
+    else:
+        points, weights = _collapsed_simplex(dim, n)
+    return QuadratureRule(dim=dim, points=points, weights=weights, order=exact)
 
 
 def whitney_edge_eval(mesh: Mesh, edge_table: EdgeTable, element: int, x_bary) -> np.ndarray:

@@ -347,6 +347,7 @@ def located_rows(field: DiscreteField, inside: np.ndarray, elements: np.ndarray,
 
 def _circulations(mesh: Mesh, edge_table: EdgeTable, values_at) -> np.ndarray:
     """The circulation rule on every global edge; values_at(points (M, dim)) -> (M, ..., dim)."""
+    check_edge_table(mesh, edge_table)
     s, w = edge_circulation_rule()
     a = mesh.nodes[edge_table.edges[:, 0]]
     b = mesh.nodes[edge_table.edges[:, 1]]
@@ -361,7 +362,8 @@ def edge_circulations(mesh: Mesh, edge_table: EdgeTable, func) -> np.ndarray:
     """Line integrals of func along every global edge (low to high node).
 
     func(x) returns a vector (dim,), giving circulations (M,), or a series of
-    vectors (T, dim), giving (M, T).
+    vectors (T, dim), giving (M, T). An edge table that is not the mesh's own
+    raises ValueError before func is called.
     """
     return _circulations(mesh, edge_table, lambda points: np.asarray([func(p) for p in points]))
 

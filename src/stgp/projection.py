@@ -8,7 +8,7 @@ import numpy as np
 
 from .assembly import (MAX_TIME_QUAD_POINTS, assemble_source_matrix, assemble_spatial_mass,
                        assemble_temporal_gram, energy_error, sample_source)
-from .basis import MAX_QUAD_ORDER, TemporalGrid, _within_span, simplex_quadrature
+from .basis import MAX_QUAD_ORDER, TemporalGrid, _whole, _within_span, simplex_quadrature
 from .fields import DiscreteField, PointOutsideDomainError, SourceField, check_policy
 from .mesh import EdgeTable, Mesh, PointLocator
 from .solver import SolveReport, SolverConfig, SolverNonConvergence, factored_solve
@@ -29,6 +29,8 @@ class ProjectionProblem:
 
     def __post_init__(self):
         check_policy(self.outside_policy)
+        _whole(self.space_quad_order, "space_quad_order")
+        _whole(self.time_quad_points, "time_quad_points")
         # Order 2 is the least that integrates the mass matrix.
         if not 2 <= self.space_quad_order <= MAX_QUAD_ORDER:
             raise ValueError(f"space_quad_order must be in 2..{MAX_QUAD_ORDER},"

@@ -14,6 +14,7 @@ dense_oracle_solve materializes it for small systems.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -23,6 +24,7 @@ from scipy.linalg import solveh_banded
 from scipy.sparse.linalg import splu
 
 from .assembly import TriDiagMatrix
+from .basis import _whole
 
 DENSE_ORACLE_LIMIT = 2000
 
@@ -37,8 +39,7 @@ class SolverConfig:
         if not 0.0 < self.tol < 1.0:
             raise ValueError("tol must lie in (0, 1)")
         cap = self.max_iterations
-        if cap is not None and (isinstance(cap, bool) or not isinstance(cap, (int, np.integer))
-                                or cap < 1):
+        if cap is not None and _whole(cap, "max_iterations") < 1:
             raise ValueError(f"max_iterations must be a whole number >= 1, got {cap!r}")
         if self.preconditioner not in ("jacobi", "none"):
             raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
@@ -93,6 +94,11 @@ def _column_inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", x, y)
 
 
+def _square_sum(x: np.ndarray) -> float:
+    """||X||_F^2 by numpy's own loop: a threaded BLAS dot would sum by thread count."""
+    return float(np.einsum("ij,ij->", x, x))
+
+
 def _checked_system(a, b: TriDiagMatrix, c) -> tuple:
     """A as a sparse or float array, and C once it is checked to be finite and M x N."""
     a = a if sp.issparse(a) else np.asarray(a, dtype=float)
@@ -126,7 +132,7 @@ def _cg(a, b: TriDiagMatrix, c: np.ndarray, norm_c: float, y: np.ndarray, x: np.
         rho = _column_inner(r, z)
         # After a restart the loop takes at least one step, so a cheap bound that
         # already holds cannot send it back without progress.
-        proceed = restarts > 0 or np.vdot(r, r) > bound_sq
+        proceed = restarts > 0 or _square_sum(r) > bound_sq
         while proceed and iterations < max_iters:
             q = a @ d
             # A column whose residual is exactly zero keeps alpha = beta = 0.
@@ -141,9 +147,9 @@ def _cg(a, b: TriDiagMatrix, c: np.ndarray, norm_c: float, y: np.ndarray, x: np.
             d += z
             rho = rho_new
             iterations += 1
-            proceed = np.vdot(r, r) > bound_sq  # False for a NaN residual too
+            proceed = _square_sum(r) > bound_sq  # False for a NaN residual too
         # Confirm with the true residual; restart if drift left it above tolerance.
-        true_norm = float(np.linalg.norm(apply_operator(a, b, x) - c))
+        true_norm = math.sqrt(_square_sum(apply_operator(a, b, x) - c))
         if true_norm <= threshold or iterations >= max_iters or not np.isfinite(true_norm):
             break
         restarts += 1
@@ -175,7 +181,7 @@ def cg_solve(a, b: TriDiagMatrix, c: np.ndarray,
         config = SolverConfig()
     a, c = _checked_system(a, b, c)
     start = time.perf_counter()
-    norm_c = float(np.linalg.norm(c))
+    norm_c = math.sqrt(_square_sum(c))
     if norm_c == 0.0:
         return np.zeros_like(c), SolveReport(0, 0.0, True, time.perf_counter() - start,
                                              config.preconditioner)
@@ -201,7 +207,7 @@ def factored_solve(a, b: TriDiagMatrix, c: np.ndarray,
         config = SolverConfig()
     a, c = _checked_system(a, b, c)
     start = time.perf_counter()
-    norm_c = float(np.linalg.norm(c))
+    norm_c = math.sqrt(_square_sum(c))
     if norm_c == 0.0:
         return np.zeros_like(c), SolveReport(0, 0.0, True, time.perf_counter() - start,
                                              "none", method="factored")
@@ -212,7 +218,7 @@ def factored_solve(a, b: TriDiagMatrix, c: np.ndarray,
     except RuntimeError:
         return _cg(a, b, c, norm_c, y, np.zeros_like(c), config, start)
     x = lu.solve(y)
-    true_norm = float(np.linalg.norm(apply_operator(a, b, x) - c))
+    true_norm = math.sqrt(_square_sum(apply_operator(a, b, x) - c))
     if true_norm <= config.tol * norm_c:  # False for a NaN residual too
         return x, SolveReport(0, true_norm / norm_c, True, time.perf_counter() - start,
                               "none", method="factored")

@@ -469,6 +469,13 @@ class TestTimeTable:
         assert np.max(np.abs(table.left - np.concatenate(left))) < 1e-14
         assert np.max(np.abs(table.left + table.right - 1.0)) < 1e-15
 
+    @pytest.mark.parametrize("n_points", [2.5, 2.0, True, "2"])
+    def test_point_count_must_be_a_whole_number(self, n_points):
+        grid = TemporalGrid(np.linspace(0.0, 1.0, 3))
+        source = AnalyticField("constant", vector=(1.0, 0.0))
+        with pytest.raises(ValueError, match=f"time_quad_points must be a whole number, got {n_points!r}"):
+            build_time_table(grid, source, n_points)
+
     def test_holds_linear_memory(self):
         grid = TemporalGrid(np.linspace(0.0, 1.0, 2048))
         source = AnalyticField("constant", vector=(1.0, 0.0))
@@ -668,9 +675,11 @@ class TestLinearPath:
         field, mesh, table, grid = self._case("unit-square-tri", 5, 4, "overhang", jitter_rng)
         quad = simplex_quadrature(2, 4)
         samples = sample_source(mesh, table, grid, field, quad)
-        # A source with neither structure is left to the generic sweep.
+        # A source of neither stgp type is evaluated by the sweep, with identity time factors.
         generic = sample_source(mesh, table, grid, PerPointSource(field))
-        assert generic.space is None and generic.source_time is None
+        n_t = len(generic.table.points)
+        assert generic.space is None and generic.source_time.shape == (n_t, n_t)
+        assert np.array_equal(generic.source_time.toarray(), np.eye(n_t))
         c, outside = assemble_source_matrix(mesh, table, grid, field)
         monkeypatch.setattr(PointLocator, "locate", None)  # the samples need no location
         shared, shared_outside = assemble_source_matrix(mesh, table, grid, field, space_quad=quad,

@@ -174,6 +174,17 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             simplex_quadrature(2, 0)
 
+    @pytest.mark.parametrize("dim,order,name", [(2, 4.5, "order"), (3, 2.0, "order"),
+                                                (2, True, "order"), (2.0, 4, "dim"),
+                                                (True, 1, "dim")])
+    def test_rejects_settings_that_are_not_whole_numbers(self, dim, order, name):
+        value = order if name == "order" else dim
+        with pytest.raises(ValueError, match=f"{name} must be a whole number, got {value!r}"):
+            simplex_quadrature(dim, order)
+
+    def test_accepts_numpy_integers(self):
+        assert simplex_quadrature(np.int64(2), np.int32(4)) == simplex_quadrature(2, 4)
+
     def test_rule_validation(self):
         from stgp.basis import QuadratureRule
         with pytest.raises(ValueError, match="positive"):

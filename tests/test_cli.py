@@ -1,5 +1,6 @@
 """CLI commands: meshgen, project, verify, info; exit codes and determinism."""
 import dataclasses
+import os
 import re
 import subprocess
 import sys
@@ -13,12 +14,12 @@ from stgp import (AnalyticField, Mesh, TemporalGrid, build_edge_table, read_fiel
 import stgp.cli
 from stgp.cli import main, parse_config
 
-from conftest import cli_env
+from conftest import cli_env, jittered_mesh
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, **env):
     return subprocess.run([sys.executable, "-m", "stgp", *args],
-                          capture_output=True, text=True, cwd=cwd, env=cli_env())
+                          capture_output=True, text=True, cwd=cwd, env=cli_env(**env))
 
 
 def write_demo_inputs(tmp_path: Path, n_source=2, n_target=3, steps=4, stop=1.0):
@@ -258,6 +259,33 @@ out_report = report.txt
                 "probe": (tmp_path / "probe_000.csv").read_bytes(),
             })
         assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS runs one thread on one CPU")
+    def test_outputs_bitwise_identical_across_blas_threads(self, tmp_path):
+        # A transfer of the benchmark's size (M = 456, N = 64), large enough for
+        # OpenBLAS to split a level-1 reduction over two threads.
+        source = jittered_mesh("unit-square-tri", 16, np.random.default_rng(101))
+        table = build_edge_table(source)
+        grid = TemporalGrid(np.linspace(0.0, 1.0, 32))
+        analytic = AnalyticField("rotating-multipole", pole_pairs=3, omega=2 * np.pi,
+                                 center=(0.5, -1.0), modulation=0.3)
+        field = sample_field(analytic, source, table, grid)
+        (tmp_path / "src.stgp").write_text(write_mesh(source))
+        (tmp_path / "src.stgpf").write_text(write_field("src.stgp", grid.times, field.dofs))
+        run_cli("meshgen", "unit-square-tri", "12", "1.0", "tgt.stgp", cwd=tmp_path)
+        config = (BASE_CONFIG.replace("target_time_count = 5", "target_time_count = 64")
+                  .replace("probe_samples = 8", "probe_samples = 200"))
+        (tmp_path / "p.cfg").write_text(config + "probe = 0.3 0.7\n")
+        outputs = []
+        for threads in ("1", "2"):
+            result = run_cli("project", "p.cfg", cwd=tmp_path, OPENBLAS_NUM_THREADS=threads)
+            assert result.returncode == 0, result.stderr
+            outputs.append({
+                "field": (tmp_path / "out.stgpf").read_bytes(),
+                "report": _strip_timings((tmp_path / "report.txt").read_text()),
+                "probes": [(tmp_path / f"probe_{i:03d}.csv").read_bytes() for i in range(2)],
+            })
+        assert outputs[0] == outputs[1]
 
 
 def _strip_timings(report: str) -> str:

@@ -10,7 +10,7 @@ from stgp import (AnalyticField, DiscreteField, MeshFormatError, PointLocator,
                   write_field)
 from stgp.fields import edge_circulations, locate_points, located_rows
 
-from conftest import jittered_mesh
+from conftest import jittered_mesh, malformed_tables
 
 
 def count_circular_maxima(series: np.ndarray) -> int:
@@ -388,6 +388,27 @@ class TestDiscreteField:
         for j, t in enumerate(grid.times):
             circ = edge_circulations(mesh, table, lambda p: analytic.eval(p, float(t)))
             assert np.max(np.abs(field.dofs[:, j] - circ)) < 1e-14 * np.max(np.abs(circ))
+
+    def test_circulations_reject_an_edge_table_of_another_mesh(self, jitter_rng):
+        mesh = jittered_mesh("unit-square-tri", 4, jitter_rng)
+        grid = TemporalGrid(np.array([0.0, 1.0]))
+        analytic = AnalyticField("constant", vector=(1.0, 0.5))
+        calls = []
+
+        def func(p):
+            calls.append(p)
+            return analytic.eval(p, 0.0)
+
+        coarser = generate_structured_mesh("unit-square-tri", 3, 1.0)
+        # Each mesh with the other's table: too few edges one way, too many the other.
+        cases = [(mesh, build_edge_table(coarser)), (coarser, build_edge_table(mesh))]
+        cases += [(mesh, table) for table in malformed_tables(mesh, jitter_rng).values()]
+        for target, table in cases:
+            with pytest.raises(ValueError, match="the edge table was built for another mesh"):
+                edge_circulations(target, table, func)
+            with pytest.raises(ValueError, match="the edge table was built for another mesh"):
+                sample_field(analytic, target, table, grid)
+        assert not calls  # checked before any circulation is evaluated
 
     def test_sample_field_reproduces_analytic_at_nodes(self, square_mesh_2):
         table = build_edge_table(square_mesh_2)

@@ -1,4 +1,5 @@
-"""Package hygiene: no unused module-level import in stgp, and no dangling export."""
+"""Package hygiene: no unused module-level import in stgp, no dangling export, and no
+orphaned private helper."""
 import ast
 from pathlib import Path
 
@@ -42,3 +43,32 @@ def test_every_name_the_package_imports_is_exported():
     tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     imported = set(module_imports(tree))
     assert imported <= set(stgp.__all__), f"imported, not exported: {imported - set(stgp.__all__)}"
+
+
+def referenced_names(tree: ast.AST) -> list[str]:
+    """Every name a tree uses: loaded or stored names, attributes, and names imported from a module."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.append(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.extend(alias.name for alias in node.names)
+    return names
+
+
+def test_every_private_helper_is_referenced():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    used = [name for tree in trees.values() for name in referenced_names(tree)]
+    orphans = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")):
+                # A helper that only calls itself is still unreferenced.
+                own = referenced_names(node).count(node.name)
+                if used.count(node.name) <= own:
+                    orphans.append(f"{module}: {node.name} (line {node.lineno})")
+    assert not orphans, f"private helpers nothing in stgp refers to: {orphans}"

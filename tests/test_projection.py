@@ -411,6 +411,21 @@ class TestProblemSettings:
             make_problem(square_mesh_2, grid, AnalyticField("constant", vector=(1.0, 0.0)),
                          **settings)
 
+    @pytest.mark.parametrize("name", ["space_quad_order", "time_quad_points"])
+    @pytest.mark.parametrize("value", [4.5, 2.5, 4.0, True, "4"])
+    def test_quadrature_settings_must_be_whole_numbers(self, name, value, square_mesh_2):
+        grid = TemporalGrid(np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match=f"{name} must be a whole number, got {value!r}"):
+            make_problem(square_mesh_2, grid, AnalyticField("constant", vector=(1.0, 0.0)),
+                         **{name: value})
+
+    def test_numpy_integer_settings_accepted(self, square_mesh_2):
+        grid = TemporalGrid(np.array([0.0, 1.0]))
+        source = AnalyticField("constant", vector=(1.0, 0.0))
+        result = project(make_problem(square_mesh_2, grid, source, space_quad_order=np.int64(4),
+                                      time_quad_points=np.int32(2)))
+        assert result.relative_error <= 1e-8
+
     def test_quadrature_range_ends_accepted(self, square_mesh_2):
         grid = TemporalGrid(np.array([0.0, 1.0]))
         source = AnalyticField("constant", vector=(1.0, 0.0))
