@@ -22,12 +22,13 @@ source_time (R x T). Only the spatial rows depend on the type:
 
 One block loop, `_sweep`, serves every source: it runs over the target
 elements in index order and yields their Whitney values and weights with the
-source's samples there. C is one formula for every source: the mixed spatial
-mass (the target's weighted Whitney values times the spatial rows, scattered
-over element edges; K D_s for a DiscreteField) times the mixed temporal Gram,
-source_time diag(w) H_t^T. The energy error has one loop for every source; a
-separable source of either stgp type gives its samples there as spatial rows
-times source_time.
+source's spatial rows there. C is one formula for every source: the mixed
+spatial mass (the target's weighted Whitney values times the spatial rows,
+scattered over element edges; K D_s for a DiscreteField) times the mixed
+temporal Gram, source_time diag(w) H_t^T. So is the energy error: with the
+square roots of the weights folded into the factors, a block's weighted local
+difference is W^T S - R F (target series S on the element edges, rows R, time
+factors F), squared and summed, and the source energy is R F F^T R^T.
 """
 from __future__ import annotations
 
@@ -47,8 +48,11 @@ from .mesh import (EdgeTable, Mesh, MeshFormatError, _format_row, _join_lines, _
                    barycentric_transforms, check_edge_table, signed_volumes)
 
 # Source samples (rows x columns) held at once by one block of the sweep.
-# Larger blocks ran no faster and raised the peak RSS (2**18: +7 % on the
-# benchmark's transfer-2d workload).
+# Larger blocks raised the peak RSS (2**18: +7 % on the benchmark's
+# transfer-2d workload) and are slower past 2**16: one multipole-windows-2d
+# window's energy error took 15.1 / 14.1 / 15.3 / 17.1 / 21.8 ms at blocks of
+# 2**15 / 2**16 / 2**17 / 2**18 / 2**20 (24.7 / 21.9 / 24.2 / 29.7 / 44.6 ms
+# before the weights were folded into the factors); pinned BLAS, 2-vCPU host.
 SWEEP_SAMPLES = 2**15
 # Most Gauss points per temporal subinterval.
 MAX_TIME_QUAD_POINTS = 6
@@ -263,43 +267,37 @@ def _samples_for(samples: SourceSamples | None, *args) -> SourceSamples:
     return samples
 
 
-def _sweep(samples: SourceSamples, spatial: bool = False):
-    """The source's samples at the target's quadrature, in blocks of elements in index order.
+def _sweep(samples: SourceSamples, width: int):
+    """The source's spatial rows at the target's quadrature, in blocks of elements in index order.
 
     Axis P runs over the d components at each of the Q spatial quadrature
-    points. Yields (elements (B,), Whitney values (B, nl, P), weights (B, P)
-    with mu and Jacobian, samples (B, P, width), outside-point count). The
-    samples are the source's values at the T time-table points or, with
-    `spatial`, its spatial rows (width R); a source that `eval_points`
-    evaluates has R = T, and its rows are its values. A block holds
-    SWEEP_SAMPLES // width rows (point, component), at least one element's;
-    the values take width max(T, R), as the rows are held too.
+    points. Yields (elements (a slice of B), Whitney values (B, nl, P),
+    weights (B, P) with mu and Jacobian, spatial rows (B, P, R),
+    outside-point count); a source that `eval_points` evaluates has R = T,
+    and its rows are its values. A block holds SWEEP_SAMPLES // width rows
+    (point, component), at least one element's: width R for C, max(T, R) for
+    the energy error, whose blocks hold the T samples too.
     """
     mesh, edge_table, _, source, space_quad, _, policy = samples.args
     n_q, n_t, dim = len(space_quad.points), len(samples.table.points), mesh.dim
-    n_r = samples.source_time.shape[0]
     if samples.space is None:
         evaluate = getattr(source, "eval_points", None) or partial(eval_points_per_point, source)
-    width = n_r if spatial else max(n_t, n_r)
     block = max(1, SWEEP_SAMPLES // width // (n_q * dim))
     _, _, grads = barycentric_transforms(mesh)
     jac = np.abs(signed_volumes(mesh)) / space_quad.weights.sum()
+    scale = np.repeat((mesh.mu * jac)[:, None] * space_quad.weights, dim, axis=1)  # (E, P)
     whitney = whitney_local(dim, grads, edge_table.element_signs, space_quad.points)
     whitney = np.swapaxes(whitney, 1, 2).reshape(mesh.n_elements, -1, n_q * dim)  # (E, nl, P)
     for start in range(0, mesh.n_elements, block):
-        el = np.arange(start, min(start + block, mesh.n_elements))
-        w = whitney[start:start + len(el)]                                          # a view
-        scale = np.repeat((mesh.mu[el] * jac[el])[:, None] * space_quad.weights, dim, axis=1)
+        el = slice(start, min(start + block, mesh.n_elements))
+        n_el = el.stop - start
         if samples.space is None:
             values, inside = evaluate(_quadrature_points(mesh, space_quad, el), samples.table.points,
                                       policy=policy)                              # (B*Q, T, d)
-            hs = np.swapaxes(values, 1, 2).reshape(len(el), n_q * dim, n_t)
-            yield el, w, scale, hs, int(np.count_nonzero(~inside))
+            rows, out = np.swapaxes(values, 1, 2), int(np.count_nonzero(~inside))
         else:
-            rows = samples.space(slice(start * n_q, (start + len(el)) * n_q))     # (B*P, R)
-            if not spatial:
-                rows = rows @ samples.source_time                                  # (B*P, T)
-            yield el, w, scale, rows.reshape(len(el), n_q * dim, -1), 0
+            rows, out = samples.space(slice(start * n_q, el.stop * n_q)), 0         # (B*P, R)
+        yield el, whitney[el], scale[el], rows.reshape(n_el, n_q * dim, -1), out
 
 
 def assemble_source_matrix(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid,
@@ -324,7 +322,7 @@ def assemble_source_matrix(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid
     # The mixed spatial mass times the source's spatial coefficients (M x R).
     mass = np.zeros((edge_table.edge_count, samples.source_time.shape[0]))
     outside = samples.outside
-    for el, w, scale, rows, out in _sweep(samples, spatial=True):
+    for el, w, scale, rows, out in _sweep(samples, samples.source_time.shape[0]):
         np.add.at(mass, edge_table.element_edges[el], (w * scale[:, None, :]) @ rows)
         outside += out
     # The mixed time Gram (R x N): source_time diag(w) H_t^T.
@@ -341,24 +339,44 @@ def energy_error(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid, source: 
     Uses the same space-time quadrature as assemble_source_matrix, so the
     consistency identities hold to machine precision. It squares the local
     difference of the two fields at each sample, never the expanded form,
-    whose cancellation would floor the error near 1e-16 relative.
-    `samples` is as for assemble_source_matrix.
+    whose cancellation would floor the error near 1e-16 relative. The
+    weights are folded into the separable factors as square roots: sqrt(w_t)
+    into the target hats and source_time, once; sqrt(mu |J| w_q) into each
+    block's Whitney values and spatial rows. A block's weighted difference is
+    then D = W^T S - R F, the target's series S on its element edges, and
+    the error is half the sum of D*D, by numpy's own loop; the source energy
+    comes from the rows and the time Gram F F^T. `samples` is as for
+    assemble_source_matrix.
     """
     dofs = np.asarray(dofs, dtype=float)
     if dofs.shape != (edge_table.edge_count, grid.n_steps):
         raise ValueError("dofs shape must be (edge count, time steps)")
     samples = _samples_for(samples, mesh, edge_table, grid, source, space_quad, time_quad_points, policy)
-    table = samples.table
+    table, n_r = samples.table, samples.source_time.shape[0]
+    root_w = np.sqrt(table.weights)
+    left, right, k, n_t = table.left * root_w, table.right * root_w, table.k, len(table.k)
+    k1 = k + 1
+    # diag(sqrt(w_t)) built from its CSR arrays: sp.diags took twice as long.
+    root_diag = sp.csr_matrix((root_w, np.arange(n_t), np.arange(n_t + 1)), shape=(n_t, n_t))
+    source_time = samples.source_time @ root_diag                           # (R, T), its own type
+    gram = source_time @ source_time.T                                     # (R, R), symmetric
     err = src = 0.0
     outside = samples.outside
-    for el, w, scale, hs, out in _sweep(samples):
-        coeff = dofs[edge_table.element_edges[el]]                                # (B, nl, N)
-        series = coeff[:, :, table.k] * table.left + coeff[:, :, table.k + 1] * table.right
-        diff = np.swapaxes(w, 1, 2) @ series - hs                                # (B, P, T)
-        err += 0.5 * float(np.sum(scale * ((diff * diff) @ table.weights)))
-        src += 0.5 * float(np.sum(scale * ((hs * hs) @ table.weights)))
+    for el, w, scale, rows, out in _sweep(samples, max(n_t, n_r)):
+        root = np.sqrt(scale)                                                # (B, P)
+        coeff = dofs[edge_table.element_edges[el].ravel()]                   # (B*nl, N)
+        series = np.take(coeff, k, axis=1)
+        series *= left
+        series += np.take(coeff, k1, axis=1) * right                         # (B*nl, T)
+        rows = (rows * root[:, :, None]).reshape(-1, n_r)                    # (B*P, R)
+        diff = np.swapaxes(w * root[:, None, :], 1, 2) @ series.reshape(len(root), -1, n_t)
+        diff = diff.reshape(len(rows), n_t)
+        diff -= rows @ source_time                                           # (B*P, T)
+        err += float(np.einsum("ij,ij->", diff, diff))
+        # gram @ rows.T: a sparse Gram multiplies without building its transpose.
+        src += float(np.einsum("ij,ij->", gram @ rows.T, rows.T))
         outside += out
-    return err, src, outside
+    return 0.5 * err, 0.5 * src, outside
 
 
 # ---------------------------------------------------------------------------

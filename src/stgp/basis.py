@@ -121,6 +121,11 @@ class QuadratureRule:
         weights = np.ascontiguousarray(np.asarray(self.weights, dtype=np.float64))
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "weights", weights)
+        # NaN fails both tests below, so finiteness is checked first.
+        if not np.all(np.isfinite(points)):
+            raise ValueError("quadrature points must be finite")
+        if not np.all(np.isfinite(weights)):
+            raise ValueError("quadrature weights must be finite")
         if np.any(weights <= 0.0):
             raise ValueError("quadrature weights must be positive")
         measure = REFERENCE_MEASURE[self.dim]

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -384,9 +385,9 @@ def _check_oracle_equivalence(instances: int) -> tuple[bool, str]:
             "max relative difference " + ", ".join(f"{k} {v:.3e}" for k, v in worst.items()))
 
 
-def _check_self_projection() -> tuple[bool, str]:
+def _check_self_projection(kind: str, n: int) -> tuple[bool, str]:
     rng = np.random.default_rng(7)
-    mesh = generate_structured_mesh("unit-square-tri", 3, 1.0)
+    mesh = generate_structured_mesh(kind, n, 1.0)
     table = build_edge_table(mesh)
     grid = TemporalGrid(np.linspace(0.0, 1.0, 4))
     dofs = rng.standard_normal((table.edge_count, grid.n_steps))
@@ -395,16 +396,14 @@ def _check_self_projection() -> tuple[bool, str]:
     return rel <= 1e-8, f"dof recovery error {rel:.3e}"
 
 
-def _check_mu_scaling() -> tuple[bool, str]:
+def _check_mu_scaling(kind: str, source: AnalyticField) -> tuple[bool, str]:
     rng = np.random.default_rng(11)
-    base = generate_structured_mesh("unit-square-tri", 2, 1.0)
+    base = generate_structured_mesh(kind, 2, 1.0)
     mu = rng.uniform(0.5, 2.0, size=base.n_elements)
-    mesh1 = Mesh(dim=2, nodes=base.nodes, elements=base.elements, mu=mu)
-    mesh2 = Mesh(dim=2, nodes=base.nodes, elements=base.elements, mu=7.5 * mu)
     grid = TemporalGrid(np.linspace(0.0, 1.0, 3))
-    source = AnalyticField("sinusoid", wavenumber=np.pi)
     xs = []
-    for mesh in (mesh1, mesh2):
+    for scale in (1.0, 7.5):
+        mesh = Mesh(dim=base.dim, nodes=base.nodes, elements=base.elements, mu=scale * mu)
         xs.append(_verify_project(mesh, build_edge_table(mesh), grid, source))
     rel = np.linalg.norm(xs[0] - xs[1]) / np.linalg.norm(xs[0])
     return rel <= 1e-8, f"dof drift under mu scaling {rel:.3e}"
@@ -457,13 +456,11 @@ def _slope(errors: list[float], steps: list[float]) -> float:
     return float(np.polyfit(logs_h, logs_e, 1)[0])
 
 
-def _check_spatial_slope() -> tuple[bool, str]:
-    source = AnalyticField("sinusoid", wavenumber=np.pi)
+def _check_spatial_slope(kind: str, source: AnalyticField, ns: tuple[int, ...]) -> tuple[bool, str]:
     errors, steps = [], []
     grid = TemporalGrid(np.array([0.0, 1.0]))
-    # n = 4 lies before the asymptotic range, where the slope reads low.
-    for n in (8, 16, 32):
-        mesh = generate_structured_mesh("unit-square-tri", n, 1.0)
+    for n in ns:
+        mesh = generate_structured_mesh(kind, n, 1.0)
         table = build_edge_table(mesh)
         x = _verify_project(mesh, table, grid, source)
         err, _ = error_norm(mesh, table, grid, source, x)
@@ -474,9 +471,9 @@ def _check_spatial_slope() -> tuple[bool, str]:
     return 0.8 <= slope <= 1.2, f"observed spatial slope {slope:.3f} (pair slopes {pairs})"
 
 
-def _check_temporal_slope() -> tuple[bool, str]:
-    source = AnalyticField("poly-time", vector=(1.0, 0.5), coeffs=(0.0, 0.0, 1.0))
-    mesh = generate_structured_mesh("unit-square-tri", 2, 1.0)
+def _check_temporal_slope(kind: str, n_mesh: int, vector: tuple[float, ...]) -> tuple[bool, str]:
+    source = AnalyticField("poly-time", dim=len(vector), vector=vector, coeffs=(0.0, 0.0, 1.0))
+    mesh = generate_structured_mesh(kind, n_mesh, 1.0)
     table = build_edge_table(mesh)
     errors, steps = [], []
     for n in (5, 9, 17):
@@ -495,17 +492,30 @@ def cmd_verify(level: str) -> int:
     if level not in ("quick", "full"):
         print("error: level must be 'quick' or 'full'", file=sys.stderr)
         return EXIT_CONFIG
+    sinusoid = AnalyticField("sinusoid", wavenumber=np.pi)
+    # Symmetric, so the field lies outside the Whitney space and its best
+    # approximation converges at first order.
+    linear_3d = AnalyticField("linear", dim=3, matrix=[[1.0, 0.5, 0.2], [0.5, -1.0, 0.3], [0.2, 0.3, 0.7]])
     checks = [
         ("oracle-equivalence", lambda: _check_oracle_equivalence(5 if level == "quick" else 20)),
-        ("self-projection", _check_self_projection),
+        ("self-projection", partial(_check_self_projection, "unit-square-tri", 3)),
+        ("self-projection-3d", partial(_check_self_projection, "unit-cube-tet", 2)),
         ("constant-reproduction", _check_constant_reproduction),
-        ("mu-scaling-invariance", _check_mu_scaling),
+        ("mu-scaling-invariance", partial(_check_mu_scaling, "unit-square-tri", sinusoid)),
+        ("mu-scaling-invariance-3d", partial(_check_mu_scaling, "unit-cube-tet", linear_3d)),
         ("operator-symmetry", _check_operator_symmetry),
     ]
     if level == "full":
         checks += [
-            ("spatial-convergence-slope", _check_spatial_slope),
-            ("temporal-convergence-slope", _check_temporal_slope),
+            # n = 4 lies before the 2D asymptotic range, where the slope reads low.
+            ("spatial-convergence-slope",
+             partial(_check_spatial_slope, "unit-square-tri", sinusoid, (8, 16, 32))),
+            ("spatial-convergence-slope-3d",
+             partial(_check_spatial_slope, "unit-cube-tet", linear_3d, (4, 6, 8))),
+            ("temporal-convergence-slope",
+             partial(_check_temporal_slope, "unit-square-tri", 2, (1.0, 0.5))),
+            ("temporal-convergence-slope-3d",
+             partial(_check_temporal_slope, "unit-cube-tet", 1, (1.0, 0.5, -0.25))),
         ]
     failures = 0
     for name, fn in checks:
@@ -516,7 +526,7 @@ def cmd_verify(level: str) -> int:
             ok, detail = False, f"raised {exc!r}"
         seconds = time.perf_counter() - start
         status = "PASS" if ok else "FAIL"
-        print(f"{status:4s}  {name:28s} {detail} ({seconds:.2f} s)")
+        print(f"{status:4s}  {name:30s} {detail} ({seconds:.2f} s)")
         failures += 0 if ok else 1
     if failures:
         print(f"{failures} check(s) failed", file=sys.stderr)

@@ -236,6 +236,7 @@ class DiscreteField(SourceField):
 
     def __init__(self, mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid, dofs: np.ndarray,
                  locator: PointLocator | None = None):
+        check_edge_table(mesh, edge_table)
         # A view, so locking it leaves the caller's own array writeable.
         self._bind(mesh, edge_table, grid,
                    np.ascontiguousarray(np.asarray(dofs, dtype=np.float64)).view(), locator, scan=True)
@@ -255,8 +256,7 @@ class DiscreteField(SourceField):
         return field
 
     def _bind(self, mesh, edge_table, grid, dofs, locator, scan: bool) -> None:
-        if scan:
-            check_edge_table(mesh, edge_table)
+        """Hold the field; `scan` checks that the DOFs are finite. The caller checks the table."""
         if dofs.shape != (edge_table.edge_count, grid.n_steps):
             raise ValueError(
                 f"dofs shape {dofs.shape} does not match {edge_table.edge_count} edges"
@@ -371,7 +371,9 @@ def edge_circulations(mesh: Mesh, edge_table: EdgeTable, func) -> np.ndarray:
 def sample_field(field: SourceField, mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid) -> DiscreteField:
     """Interpolate a field onto edge-element DOFs: circulation samples at every time node."""
     dofs = _circulations(mesh, edge_table, lambda points: field.eval_points(points, grid.times)[0])
-    return DiscreteField(mesh, edge_table, grid, dofs)
+    sampled = DiscreteField.__new__(DiscreteField)
+    sampled._bind(mesh, edge_table, grid, dofs, None, scan=True)  # _circulations checked the table
+    return sampled
 
 
 # ---------------------------------------------------------------------------

@@ -439,6 +439,85 @@ class TestErrorAgainstMassAndGram:
         assert abs(src - 0.5 * np.sum(y * (a @ y @ b))) <= 1e-12 * src
 
 
+def per_sample_energy_error(samples, dofs):
+    """The energy error by per-sample arithmetic: each field's samples at every space-time
+    point, their difference, squared, then weighted by mu |J| w_q and w_t, block by block."""
+    _, table, *_ = samples.args
+    times, source_time = samples.table, samples.source_time
+    n_t, n_r = len(times.points), source_time.shape[0]
+    err = src = 0.0
+    outside = samples.outside
+    for el, w, scale, rows, out in stgp.assembly._sweep(samples, max(n_t, n_r)):
+        hs = (rows.reshape(-1, n_r) @ source_time).reshape(*rows.shape[:2], n_t)      # (B, P, T)
+        coeff = dofs[table.element_edges[el]]
+        series = coeff[:, :, times.k] * times.left + coeff[:, :, times.k + 1] * times.right
+        diff = np.swapaxes(w, 1, 2) @ series - hs
+        err += 0.5 * float(np.sum(scale * ((diff * diff) @ times.weights)))
+        src += 0.5 * float(np.sum(scale * ((hs * hs) @ times.weights)))
+        outside += out
+    return err, src, outside
+
+
+def sweep_blocks(samples) -> int:
+    """The number of blocks the energy error's sweep takes over the samples' target mesh."""
+    mesh, _, _, _, quad, *_ = samples.args
+    width = max(len(samples.table.points), samples.source_time.shape[0])
+    block = max(1, SWEEP_SAMPLES // width // (len(quad.points) * mesh.dim))
+    return -(-mesh.n_elements // block)
+
+
+class TestErrorKernel:
+    """The energy error folds the square roots of the weights into the separable factors; it must
+    give the numbers of the per-sample arithmetic, and still square the local difference."""
+
+    def _case(self, name, rng):
+        mesh = jittered_mesh("unit-square-tri", 9, rng)
+        if name == "multipole":
+            return (AnalyticField("rotating-multipole", pole_pairs=3, amplitude=1.2, omega=2 * np.pi,
+                                  center=(0.4, -1.0), modulation=0.3),
+                    mesh, TemporalGrid(np.linspace(0.05, 0.9, 33)))
+        grid = TemporalGrid(np.linspace(0.05, 0.9, 9))
+        # non-nested, with source time nodes inside the target intervals
+        src_mesh = jittered_mesh("unit-square-tri", 5, rng)
+        src_table = build_edge_table(src_mesh)
+        field = DiscreteField(src_mesh, src_table, TemporalGrid(np.linspace(0.0, 1.0, 7)),
+                              rng.standard_normal((src_table.edge_count, 7)))
+        return (field if name == "discrete" else PerPointSource(field)), mesh, grid
+
+    @pytest.mark.parametrize("name", ["multipole", "discrete", "per-point"])
+    def test_matches_per_sample_arithmetic(self, name, jitter_rng):
+        source, mesh, grid = self._case(name, jitter_rng)
+        table = build_edge_table(mesh)
+        samples = sample_source(mesh, table, grid, source)
+        assert sweep_blocks(samples) >= 3
+        dofs = jitter_rng.standard_normal((table.edge_count, grid.n_steps))
+        err, src, outside = energy_error(mesh, table, grid, source, dofs, samples=samples)
+        err_ref, src_ref, outside_ref = per_sample_energy_error(samples, dofs)
+        assert outside == outside_ref
+        assert abs(err - err_ref) <= 1e-13 * err_ref
+        assert abs(src - src_ref) <= 1e-13 * src_ref
+
+    def test_peak_memory_no_higher_than_per_sample_arithmetic(self, jitter_rng):
+        # The size of one multipole-windows-2d window: 512 triangles, 256 time steps.
+        mesh = jittered_mesh("unit-square-tri", 16, jitter_rng)
+        table = build_edge_table(mesh)
+        grid = TemporalGrid(np.linspace(0.2, 0.5, 256))
+        source = AnalyticField("rotating-multipole", pole_pairs=3, amplitude=1.0, omega=2 * np.pi,
+                               center=(0.5, -1.0), modulation=0.3)
+        samples = sample_source(mesh, table, grid, source)
+        dofs = jitter_rng.standard_normal((table.edge_count, grid.n_steps))
+        peaks = []
+        for run in (lambda: energy_error(mesh, table, grid, source, dofs, samples=samples),
+                    lambda: per_sample_energy_error(samples, dofs)):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1]
+
+
 class TestTimeTable:
     def test_matches_interval_loop(self, jitter_rng):
         # reference: split every target interval at the source nodes inside it

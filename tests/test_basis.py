@@ -195,6 +195,18 @@ class TestQuadrature:
                            weights=np.array([0.75]), order=1)
 
 
+    @pytest.mark.parametrize("points,weights,message", [
+        ([[1 / 3] * 3, [np.nan, 0.5, 0.5]], [0.5, np.nan], "points must be finite"),
+        ([[1 / 3] * 3, [0.0, 0.5, 0.5]], [0.5, np.nan], "weights must be finite"),
+        ([[1 / 3] * 3, [0.0, 0.5, 0.5]], [np.inf, 0.25], "weights must be finite"),
+        ([[np.inf, 0.0, 0.0]], [0.5], "points must be finite"),
+    ])
+    def test_rejects_non_finite_rules(self, points, weights, message):
+        # NaN passes both the positivity and the sum test.
+        from stgp.basis import QuadratureRule
+        with pytest.raises(ValueError, match=message):
+            QuadratureRule(dim=2, points=points, weights=weights, order=1)
+
 class TestWhitneyBasis:
     def test_hand_value_at_barycenter(self, reference_triangle):
         table = build_edge_table(reference_triangle)

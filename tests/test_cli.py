@@ -312,6 +312,13 @@ class TestVerify:
         assert "temporal-convergence-slope" in result.stdout
         assert "FAIL" not in result.stdout
 
+    def test_full_runs_the_3d_identities(self):
+        result = run_cli("verify", "full")
+        assert result.returncode == 0, result.stdout + result.stderr
+        for name in ("self-projection-3d", "mu-scaling-invariance-3d",
+                     "spatial-convergence-slope-3d", "temporal-convergence-slope-3d"):
+            assert f"PASS  {name} " in result.stdout
+
     def test_tampered_solver_detected(self, monkeypatch, capsys):
         # Every solve verify runs ships DOFs offset by 1e-3; the battery must notice.
         def offset(solve):

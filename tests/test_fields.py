@@ -8,6 +8,7 @@ from stgp import (AnalyticField, DiscreteField, MeshFormatError, PointLocator,
                   PointOutsideDomainError, SourceField, TemporalGrid, bind_field,
                   build_edge_table, generate_structured_mesh, read_field, sample_field,
                   write_field)
+import stgp.fields
 from stgp.fields import edge_circulations, locate_points, located_rows
 
 from conftest import jittered_mesh, malformed_tables
@@ -409,6 +410,31 @@ class TestDiscreteField:
             with pytest.raises(ValueError, match="the edge table was built for another mesh"):
                 sample_field(analytic, target, table, grid)
         assert not calls  # checked before any circulation is evaluated
+
+    def test_sample_field_checks_the_edge_table_once(self, jitter_rng, monkeypatch):
+        mesh = jittered_mesh("unit-square-tri", 3, jitter_rng)
+        table = build_edge_table(mesh)
+        grid = TemporalGrid(np.linspace(0.0, 0.4, 3))
+        calls = []
+        original = stgp.fields.check_edge_table
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(stgp.fields, "check_edge_table", counting)
+        field = sample_field(AnalyticField("constant", vector=(1.0, 0.5)), mesh, table, grid)
+        assert len(calls) == 1
+        assert field.dofs.shape == (table.edge_count, 3) and not field.dofs.flags.writeable
+
+        class NotFinite(SourceField):
+            dim = 2
+
+            def eval_points(self, points, ts, policy="zero"):
+                return np.full((len(points), len(ts), 2), np.nan), np.ones(len(points), dtype=bool)
+
+        with pytest.raises(ValueError, match="dofs must be finite"):
+            sample_field(NotFinite(), mesh, table, grid)
 
     def test_sample_field_reproduces_analytic_at_nodes(self, square_mesh_2):
         table = build_edge_table(square_mesh_2)

@@ -31,6 +31,21 @@ class TestProjectIdentities:
         assert np.linalg.norm(result.dofs - dofs) / np.linalg.norm(dofs) <= 1e-8
         assert result.relative_error <= 1e-8
 
+    @pytest.mark.parametrize("jitter", [False, True], ids=["plain", "jittered"])
+    @pytest.mark.parametrize("kind,n", [("unit-square-tri", 3), ("unit-cube-tet", 2)])
+    def test_self_projection_error_at_round_off(self, kind, n, jitter, jitter_rng):
+        # The error squares the local difference at each sample. The expanded
+        # form, |X|^2 - 2 <X, Y> + |Y|^2, would cancel and floor the relative
+        # error near 1e-8, which the 1e-8 bounds above cannot tell apart.
+        mesh = (jittered_mesh(kind, n, jitter_rng) if jitter
+                else generate_structured_mesh(kind, n, 1.0))
+        table = build_edge_table(mesh)
+        grid = TemporalGrid(np.linspace(0.0, 1.0, 4))
+        dofs = jitter_rng.standard_normal((table.edge_count, grid.n_steps))
+        result = project(ProjectionProblem(mesh=mesh, edge_table=table, grid=grid,
+                                           source=DiscreteField(mesh, table, grid, dofs)))
+        assert result.relative_error <= 1e-13
+
     def test_constant_source_reproduced_on_any_target(self, jitter_rng):
         source = AnalyticField("constant", vector=(1.0, 0.0))
         mesh = jittered_mesh("unit-square-tri", 3, jitter_rng)
