@@ -5,22 +5,23 @@ column = time step; vectorization is column-major throughout. Work runs as
 whole-array kernels in index order, so results are bitwise repeatable.
 
 `sample_source` prepares every source once, as a separable one,
-H(x, t) = sum_r s_r(x) f_r(t): spatial rows, one per target quadrature point
-and component, times its time factors at the time-table points,
-source_time (R x T). Only the spatial rows depend on the type:
+H(x, t) = sum_r s_r(x) f_r(t), and is the one place that decides how a
+source is read: `space` gives its spatial rows (one per target quadrature
+point and component) at a slice of the points with that slice's outside
+count, and source_time (R x T) its time factors at the time-table points.
+Only `space` depends on the type:
 
 - DiscreteField: each target quadrature point is located in the source mesh
   once; the rows are `fields.located_rows`, the source's Whitney values there
-  times its DOFs D_s (R = N_s), formed block by block. Its time factors are
-  its grid's hats.
+  times its DOFs D_s (R = N_s). Its time factors are its grid's hats.
 - AnalyticField: the rows are G, its R <= 2 spatial factors g_r at the
-  quadrature points; its time factors are H_f, the h_r.
+  quadrature points, and no point is outside; its time factors are H_f, the h_r.
 - Any other source: the rows are its values at the time-table points, from
   `eval_points` (or from `eval_time_batch` one point at a time, through
   `fields.eval_points_per_point`), and its time factors are the identity
   (R = T).
 
-One block loop, `_sweep`, serves every source: it runs over the target
+One block loop, `_sweep`, serves every source alike: it runs over the target
 elements in index order and yields their Whitney values and weights with the
 source's spatial rows there. C is one formula for every source: the mixed
 spatial mass (the target's weighted Whitney values times the spatial rows,
@@ -40,8 +41,8 @@ from functools import partial
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import (QuadratureRule, TemporalGrid, _whole, _within_span, bracket,
-                    gauss_unit_interval, hat_matrix, simplex_quadrature, whitney_local)
+from .basis import (QuadratureRule, TemporalGrid, _whole, _within_span, gauss_unit_interval,
+                    hat_matrix, simplex_quadrature, whitney_local)
 from .fields import (AnalyticField, DiscreteField, SourceField, check_policy, eval_points_per_point,
                      locate_points, located_rows)
 from .mesh import (EdgeTable, Mesh, MeshFormatError, _format_row, _join_lines, _LineReader,
@@ -138,17 +139,10 @@ def assemble_spatial_mass(mesh: Mesh, edge_table: EdgeTable,
 
 @dataclass(frozen=True)
 class _TimeTable:
-    """Temporal quadrature for all target intervals, split at interior source nodes.
-
-    Quadrature time i lies in target interval k[i], where the only nonzero hats
-    are k[i] (value left[i]) and k[i] + 1 (value right[i]).
-    """
+    """Temporal quadrature points and weights of the target intervals, split at interior source nodes."""
 
     points: np.ndarray   # (T,) quadrature times
     weights: np.ndarray  # (T,)
-    k: np.ndarray        # (T,) target interval
-    left: np.ndarray     # (T,) 1 - theta
-    right: np.ndarray    # (T,) theta
 
 
 def build_time_table(grid: TemporalGrid, source: SourceField, n_points: int) -> _TimeTable:
@@ -161,10 +155,7 @@ def build_time_table(grid: TemporalGrid, source: SourceField, n_points: int) -> 
     times = grid.times
     knots = np.union1d(times, breakers[(breakers > times[0]) & (breakers < times[-1])])
     lo, h = knots[:-1, None], np.diff(knots)[:, None]
-    points = (lo + gauss_points * h).ravel()
-    weights = (gauss_weights * h).ravel()
-    k, theta = bracket(grid, points)
-    return _TimeTable(points=points, weights=weights, k=k, left=1.0 - theta, right=theta)
+    return _TimeTable(points=(lo + gauss_points * h).ravel(), weights=(gauss_weights * h).ravel())
 
 
 def check_span(grid: TemporalGrid, source: SourceField) -> None:
@@ -182,10 +173,16 @@ def check_span(grid: TemporalGrid, source: SourceField) -> None:
         )
 
 
-def _quadrature_points(mesh: Mesh, space_quad: QuadratureRule, elements) -> np.ndarray:
-    """Physical spatial quadrature points of the elements, (B*Q, d), Q per element in order."""
+def _quadrature_points(mesh: Mesh, space_quad: QuadratureRule) -> np.ndarray:
+    """Physical spatial quadrature points of the mesh, (E*Q, d), Q per element in order."""
     return np.einsum("qk,ekd->eqd", space_quad.points,
-                     mesh.nodes[mesh.elements[elements]]).reshape(-1, mesh.dim)
+                     mesh.nodes[mesh.elements]).reshape(-1, mesh.dim)
+
+
+def _diagonal(values: np.ndarray) -> sp.csr_matrix:
+    """diag(values) as CSR, built from its arrays: sp.diags took about twice as long."""
+    n = len(values)
+    return sp.csr_matrix((values, np.arange(n), np.arange(n + 1)), shape=(n, n))
 
 
 @dataclass(frozen=True)
@@ -194,26 +191,40 @@ class SourceSamples:
 
     Spatial quadrature points run in element order, Q per element; a row
     (point, component) is point * d + component. The target hats are the
-    target grid's (N x T) at the time-table points. The source,
-    H(x, t) = sum_r s_r(x) f_r(t), has its time factors there, source_time
-    (R x T), and `space(points)`, its spatial rows at a slice of the points
-    (rows x R). A source of neither stgp type has the T x T identity as its
-    time factors and space None: `_sweep` evaluates its rows through
-    `eval_points`. outside counts the points that missed a DiscreteField's
-    mesh (the sweep counts those of any other source).
+    target grid's (N x T) at the time-table points, held once for C and the
+    energy error. The source, H(x, t) = sum_r s_r(x) f_r(t), has its time
+    factors there, source_time (R x T), and `space(points)` gives its spatial
+    rows at a slice of the points (rows x R) with the count of that slice's
+    points outside the source. A source of neither stgp type has the T x T
+    identity as its time factors, and its values as its rows.
     """
 
     args: tuple  # (mesh, edge_table, grid, source, space_quad, time_quad_points, policy)
     table: _TimeTable
     target_hats: sp.csr_matrix
     source_time: sp.csr_matrix | np.ndarray
-    space: Callable[[slice], np.ndarray] | None = None
-    outside: int = 0
+    space: Callable[[slice], tuple[np.ndarray, int]]
 
 
-def _factor_rows(space: np.ndarray, points: slice) -> np.ndarray:
+def _factor_rows(space: np.ndarray, points: slice) -> tuple[np.ndarray, int]:
     """An AnalyticField's spatial factors G (P, d, R) at a slice of the points, as rows (rows x R)."""
-    return space[points].reshape(-1, space.shape[2])
+    return space[points].reshape(-1, space.shape[2]), 0
+
+
+def _evaluated_rows(evaluate: Callable, xq: np.ndarray, times: np.ndarray, policy: str,
+                    points: slice) -> tuple[np.ndarray, int]:
+    """A source of neither stgp type at a slice of the points: its values as rows (rows x T).
+
+    evaluate has the `eval_points` contract, checked here, where the rows
+    and the outside count are read from what it returns.
+    """
+    xq = xq[points]
+    values, inside = map(np.asarray, evaluate(xq, times, policy=policy))
+    want = (len(xq), len(times), xq.shape[1])
+    if values.shape != want or inside.shape != want[:1] or inside.dtype != bool:
+        raise ValueError(f"a source's evaluation must give values of shape {want} and inside of"
+                         f" shape {want[:1]}, bool; got {values.shape} and {inside.shape}, {inside.dtype}")
+    return np.swapaxes(values, 1, 2).reshape(-1, len(times)), int(np.count_nonzero(~inside))
 
 
 def sample_source(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid, source: SourceField,
@@ -223,10 +234,10 @@ def sample_source(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid, source:
 
     Fills in the default spatial rule, checks the policy, the time span and
     that the edge table, rule and source fit the mesh, and builds the time
-    table. Either stgp field's time factors are then taken at the time-table
-    points; a DiscreteField's target quadrature points are located in its
-    mesh, and an AnalyticField's space factors evaluated there. Any other
-    source gets identity time factors, and the sweep evaluates it.
+    table. A DiscreteField's target quadrature points are then located in
+    its mesh, and an AnalyticField's space factors evaluated there; either
+    field's time factors are taken at the time-table points. Any other source
+    gets identity time factors, and its `space` evaluates it.
     """
     check_edge_table(mesh, edge_table)
     space_quad = _fitted_rule(mesh, space_quad)
@@ -236,19 +247,19 @@ def sample_source(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid, source:
     check_policy(policy)
     check_span(grid, source)
     table = build_time_table(grid, source, time_quad_points)
-    common = dict(args=(mesh, edge_table, grid, source, space_quad, time_quad_points, policy),
-                  table=table, target_hats=hat_matrix(grid, table.points))
-    if not isinstance(source, (AnalyticField, DiscreteField)):
-        return SourceSamples(**common, source_time=sp.identity(len(table.points), format="csr"))
-    xq = _quadrature_points(mesh, space_quad, slice(None))
+    xq = _quadrature_points(mesh, space_quad)
     if isinstance(source, AnalyticField):
-        space, outside = partial(_factor_rows, source.space_factors(xq)), 0
+        space = partial(_factor_rows, source.space_factors(xq))
+    elif isinstance(source, DiscreteField):
+        space = partial(located_rows, source, *locate_points(source.locator, xq, policy))
     else:
-        inside, elements, lam = locate_points(source.locator, xq, policy)
-        space = partial(located_rows, source, inside, elements, lam)
-        outside = int(np.count_nonzero(~inside))
-    return SourceSamples(**common, source_time=source.time_factors(table.points), space=space,
-                         outside=outside)
+        evaluate = getattr(source, "eval_points", None) or partial(eval_points_per_point, source)
+        space = partial(_evaluated_rows, evaluate, xq, table.points, policy)
+    source_time = (sp.identity(len(table.points), format="csr") if space.func is _evaluated_rows
+                   else source.time_factors(table.points))
+    return SourceSamples(args=(mesh, edge_table, grid, source, space_quad, time_quad_points, policy),
+                         table=table, target_hats=hat_matrix(grid, table.points),
+                         source_time=source_time, space=space)
 
 
 def _samples_for(samples: SourceSamples | None, *args) -> SourceSamples:
@@ -272,16 +283,14 @@ def _sweep(samples: SourceSamples, width: int):
 
     Axis P runs over the d components at each of the Q spatial quadrature
     points. Yields (elements (a slice of B), Whitney values (B, nl, P),
-    weights (B, P) with mu and Jacobian, spatial rows (B, P, R),
-    outside-point count); a source that `eval_points` evaluates has R = T,
-    and its rows are its values. A block holds SWEEP_SAMPLES // width rows
+    weights (B, P) with mu and Jacobian, spatial rows (B, P, R), the count of
+    the block's points outside the source), rows and count from the samples'
+    `space` for every source alike. A block holds SWEEP_SAMPLES // width rows
     (point, component), at least one element's: width R for C, max(T, R) for
     the energy error, whose blocks hold the T samples too.
     """
-    mesh, edge_table, _, source, space_quad, _, policy = samples.args
-    n_q, n_t, dim = len(space_quad.points), len(samples.table.points), mesh.dim
-    if samples.space is None:
-        evaluate = getattr(source, "eval_points", None) or partial(eval_points_per_point, source)
+    mesh, edge_table, _, _, space_quad, _, _ = samples.args
+    n_q, dim = len(space_quad.points), mesh.dim
     block = max(1, SWEEP_SAMPLES // width // (n_q * dim))
     _, _, grads = barycentric_transforms(mesh)
     jac = np.abs(signed_volumes(mesh)) / space_quad.weights.sum()
@@ -290,14 +299,8 @@ def _sweep(samples: SourceSamples, width: int):
     whitney = np.swapaxes(whitney, 1, 2).reshape(mesh.n_elements, -1, n_q * dim)  # (E, nl, P)
     for start in range(0, mesh.n_elements, block):
         el = slice(start, min(start + block, mesh.n_elements))
-        n_el = el.stop - start
-        if samples.space is None:
-            values, inside = evaluate(_quadrature_points(mesh, space_quad, el), samples.table.points,
-                                      policy=policy)                              # (B*Q, T, d)
-            rows, out = np.swapaxes(values, 1, 2), int(np.count_nonzero(~inside))
-        else:
-            rows, out = samples.space(slice(start * n_q, el.stop * n_q)), 0         # (B*P, R)
-        yield el, whitney[el], scale[el], rows.reshape(n_el, n_q * dim, -1), out
+        rows, out = samples.space(slice(start * n_q, el.stop * n_q))                # (B*P, R)
+        yield el, whitney[el], scale[el], rows.reshape(el.stop - start, n_q * dim, -1), out
 
 
 def assemble_source_matrix(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid,
@@ -321,12 +324,12 @@ def assemble_source_matrix(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid
     samples = _samples_for(samples, mesh, edge_table, grid, source, space_quad, time_quad_points, policy)
     # The mixed spatial mass times the source's spatial coefficients (M x R).
     mass = np.zeros((edge_table.edge_count, samples.source_time.shape[0]))
-    outside = samples.outside
+    outside = 0
     for el, w, scale, rows, out in _sweep(samples, samples.source_time.shape[0]):
         np.add.at(mass, edge_table.element_edges[el], (w * scale[:, None, :]) @ rows)
         outside += out
     # The mixed time Gram (R x N): source_time diag(w) H_t^T.
-    gram = samples.source_time @ sp.diags(samples.table.weights) @ samples.target_hats.T
+    gram = samples.source_time @ _diagonal(samples.table.weights) @ samples.target_hats.T
     return mass @ gram, outside
 
 
@@ -343,31 +346,27 @@ def energy_error(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid, source: 
     weights are folded into the separable factors as square roots: sqrt(w_t)
     into the target hats and source_time, once; sqrt(mu |J| w_q) into each
     block's Whitney values and spatial rows. A block's weighted difference is
-    then D = W^T S - R F, the target's series S on its element edges, and
-    the error is half the sum of D*D, by numpy's own loop; the source energy
-    comes from the rows and the time Gram F F^T. `samples` is as for
-    assemble_source_matrix.
+    then D = W^T S - R F, S the target's DOFs on its element edges times
+    the hats, and the error is half the sum of D*D, by numpy's own loop; the
+    source energy comes from the rows and the time Gram F F^T. `samples` is
+    as for assemble_source_matrix.
     """
     dofs = np.asarray(dofs, dtype=float)
     if dofs.shape != (edge_table.edge_count, grid.n_steps):
         raise ValueError("dofs shape must be (edge count, time steps)")
     samples = _samples_for(samples, mesh, edge_table, grid, source, space_quad, time_quad_points, policy)
-    table, n_r = samples.table, samples.source_time.shape[0]
-    root_w = np.sqrt(table.weights)
-    left, right, k, n_t = table.left * root_w, table.right * root_w, table.k, len(table.k)
-    k1 = k + 1
-    # diag(sqrt(w_t)) built from its CSR arrays: sp.diags took twice as long.
-    root_diag = sp.csr_matrix((root_w, np.arange(n_t), np.arange(n_t + 1)), shape=(n_t, n_t))
+    n_t, n_r = len(samples.table.points), samples.source_time.shape[0]
+    root_diag = _diagonal(np.sqrt(samples.table.weights))
+    hats = (samples.target_hats @ root_diag).T                             # (T, N), CSC
     source_time = samples.source_time @ root_diag                           # (R, T), its own type
     gram = source_time @ source_time.T                                     # (R, R), symmetric
     err = src = 0.0
-    outside = samples.outside
+    outside = 0
     for el, w, scale, rows, out in _sweep(samples, max(n_t, n_r)):
         root = np.sqrt(scale)                                                # (B, P)
         coeff = dofs[edge_table.element_edges[el].ravel()]                   # (B*nl, N)
-        series = np.take(coeff, k, axis=1)
-        series *= left
-        series += np.take(coeff, k1, axis=1) * right                         # (B*nl, T)
+        # (B*nl, T), copied to C order: the product below is slower on the transposed view.
+        series = np.ascontiguousarray((hats @ coeff.T).T)
         rows = (rows * root[:, :, None]).reshape(-1, n_r)                    # (B*P, R)
         diff = np.swapaxes(w * root[:, None, :], 1, 2) @ series.reshape(len(root), -1, n_t)
         diff = diff.reshape(len(rows), n_t)

@@ -76,26 +76,18 @@ def hat_eval(grid: TemporalGrid, j: int, t: float) -> float:
     return 0.0
 
 
-def bracket(grid: TemporalGrid, t) -> tuple[np.ndarray, np.ndarray]:
-    """Interval index k with t in [t_k, t_{k+1}] and the local coordinate theta in [0, 1].
+def hat_matrix(grid: TemporalGrid, t) -> sp.csr_matrix:
+    """The grid's hats at times t (T,), as CSR (n_steps x T).
 
-    Vectorized over t; values at nodes use theta 0 of the right-hand interval so a
-    node evaluation touches only that node's coefficients.
+    Column i holds 1 - theta on hat k and theta on hat k + 1, where t[i] lies
+    in [t_k, t_{k+1}] at local coordinate theta. A time at a node takes theta 0
+    of the right-hand interval (theta 1 at the last node), so only that node's
+    hat is nonzero there.
     """
     times = grid.times
     t = np.asarray(t, dtype=float)
     k = np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 2)
     theta = (t - times[k]) / (times[k + 1] - times[k])
-    return k, theta
-
-
-def hat_matrix(grid: TemporalGrid, t) -> sp.csr_matrix:
-    """The grid's hats at times t (T,), as CSR (n_steps x T).
-
-    Column i holds 1 - theta on hat k and theta on hat k + 1, with k and
-    theta from `bracket` at t[i].
-    """
-    k, theta = bracket(grid, t)
     cols = np.arange(len(k))
     return sp.csr_matrix((np.concatenate([1.0 - theta, theta]),
                           (np.concatenate([k, k + 1]), np.concatenate([cols, cols]))),

@@ -294,7 +294,7 @@ class DiscreteField(SourceField):
         points = np.asarray(points, dtype=float)
         hats = self.time_factors(ts)  # before location: a bad time is reported first
         inside, elements, lam = locate_points(self.locator, points, policy)
-        rows = located_rows(self, inside, elements, lam, slice(None)) @ hats
+        rows = located_rows(self, inside, elements, lam, slice(None))[0] @ hats
         return np.swapaxes(rows.reshape(len(points), self.dim, hats.shape[1]), 1, 2), inside
 
 
@@ -327,13 +327,13 @@ def locate_points(locator: PointLocator, points,
 
 
 def located_rows(field: DiscreteField, inside: np.ndarray, elements: np.ndarray, lam: np.ndarray,
-                 points: slice) -> np.ndarray:
+                 points: slice) -> tuple[np.ndarray, int]:
     """A located DiscreteField's spatial rows at a slice of the points: Whitney values times D_s.
 
     Point i lies in element elements[i] of the field's mesh at barycentric
     lam[i], or outside it, with zero rows, where inside[i] is False. Returns
-    (rows x N_s), a row per point and component; only the located elements'
-    DOF rows are read.
+    (rows x N_s), a row per point and component, and the count of the slice's
+    points outside; only the located elements' DOF rows are read.
     """
     inside = inside[points]
     hit = np.flatnonzero(inside)
@@ -342,7 +342,7 @@ def located_rows(field: DiscreteField, inside: np.ndarray, elements: np.ndarray,
                            field.edge_table.element_signs[elements], lam[:, None, :])[:, 0]  # (H, nl, d)
     rows = np.zeros((len(inside), field.dim, field.dofs.shape[1]))
     rows[hit] = np.swapaxes(values, 1, 2) @ field.dofs[field.edge_table.element_edges[elements]]
-    return rows.reshape(-1, rows.shape[2])
+    return rows.reshape(-1, rows.shape[2]), len(inside) - len(hit)
 
 
 def _circulations(mesh: Mesh, edge_table: EdgeTable, values_at) -> np.ndarray:

@@ -125,7 +125,7 @@ def probe_timeseries(dofs: np.ndarray, mesh: Mesh, edge_table: EdgeTable,
 
     Returns (times (S,), values (S, dim)), CSV-ready.
     """
-    if samples < 2:
+    if _whole(samples, "samples") < 2:
         raise ValueError("samples must be >= 2")
     times = np.linspace(*grid.span, samples)
     return times, _eval_at(dofs, mesh, edge_table, locator, grid, x, times, "probe point")

@@ -15,8 +15,8 @@ from stgp import (AnalyticField, DiscreteField, Mesh, MeshFormatError, PointLoca
 import stgp.assembly
 from stgp.assembly import (SWEEP_SAMPLES, SourceSamples, TriDiagMatrix, build_time_table,
                            sample_source)
-from stgp.basis import whitney_local
-from stgp.fields import edge_circulations
+from stgp.basis import hat_matrix, whitney_local
+from stgp.fields import edge_circulations, locate_points
 from stgp.mesh import barycentric_transforms, signed_volumes
 
 from conftest import jittered_mesh, malformed_tables, random_grid
@@ -416,6 +416,69 @@ class TestPerPointSources:
                          policy="stirct")
 
 
+class ReshapedSource:
+    """A discrete field behind an eval_points whose result `bend` reshapes or retypes."""
+
+    def __init__(self, field, bend):
+        self._field, self._bend = field, bend
+
+    def time_span(self):
+        return self._field.time_span()
+
+    def interior_time_nodes(self):
+        return self._field.interior_time_nodes()
+
+    def eval_points(self, points, ts, policy="zero"):
+        return self._bend(*self._field.eval_points(points, ts, policy=policy))
+
+
+MALFORMED_EVALUATIONS = {
+    "inside-too-long": lambda values, inside: (values, np.concatenate([inside, [True, False, True]])),
+    "inside-float": lambda values, inside: (values, inside.astype(float)),
+    "inside-column": lambda values, inside: (values, inside[:, None]),
+    "values-one-time": lambda values, inside: (values[:, 0], inside),
+    "values-extra-component": lambda values, inside: (np.concatenate([values, values[..., :1]], axis=2),
+                                                      inside),
+    "values-point-short": lambda values, inside: (values[1:], inside),
+}
+
+
+class TestForeignEvaluation:
+    """What a source of neither stgp type returns is checked where it is read: values (P, T, d) and
+    inside (P,) bool, else a ValueError naming both shapes."""
+
+    def _case(self, rng):
+        src_mesh = jittered_mesh("unit-square-tri", 3, rng)
+        src_table = build_edge_table(src_mesh)
+        field = DiscreteField(src_mesh, src_table, TemporalGrid(np.linspace(0.0, 1.0, 4)),
+                              rng.standard_normal((src_table.edge_count, 4)))
+        mesh = target_past_source("unit-square-tri", 3, rng, "overhang")
+        return field, mesh, build_edge_table(mesh), TemporalGrid(np.array([0.0, 0.4, 0.9]))
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_EVALUATIONS))
+    def test_malformed_result_is_named(self, name, jitter_rng):
+        field, mesh, table, grid = self._case(jitter_rng)
+        source = ReshapedSource(field, MALFORMED_EVALUATIONS[name])
+        named = (r"a source's evaluation must give values of shape \(\d+, \d+, 2\) and inside of"
+                 r" shape \(\d+,\), bool; got \(.*\) and \(.*\), \w+")
+        with pytest.raises(ValueError, match=named):
+            assemble_source_matrix(mesh, table, grid, source)
+        with pytest.raises(ValueError, match=named):
+            energy_error(mesh, table, grid, source, np.zeros((table.edge_count, grid.n_steps)))
+
+    # eval_points_per_point's output passes too: TestPerPointSources runs it.
+    @pytest.mark.parametrize("wrapper", ["as-given", "lists"])
+    def test_well_formed_results_pass(self, wrapper, jitter_rng):
+        field, mesh, table, grid = self._case(jitter_rng)
+        source = ReshapedSource(field, {"as-given": lambda values, inside: (values, inside),
+                                        "lists": lambda values, inside: (values.tolist(),
+                                                                         inside.tolist())}[wrapper])
+        c, outside = assemble_source_matrix(mesh, table, grid, field)
+        c_ref, outside_ref = assemble_source_matrix(mesh, table, grid, source)
+        assert outside == outside_ref > 0
+        assert np.max(np.abs(c - c_ref)) <= 1e-13 * np.max(np.abs(c))
+
+
 class TestErrorAgainstMassAndGram:
     """The error's target side against an independent reference: for a source Y on the target's
     own mesh and grid, the energy error of X is 1/2 <E, A E B> with E = X - Y, where A and B
@@ -443,14 +506,14 @@ def per_sample_energy_error(samples, dofs):
     """The energy error by per-sample arithmetic: each field's samples at every space-time
     point, their difference, squared, then weighted by mu |J| w_q and w_t, block by block."""
     _, table, *_ = samples.args
-    times, source_time = samples.table, samples.source_time
+    times, source_time, hats = samples.table, samples.source_time, samples.target_hats
     n_t, n_r = len(times.points), source_time.shape[0]
     err = src = 0.0
-    outside = samples.outside
+    outside = 0
     for el, w, scale, rows, out in stgp.assembly._sweep(samples, max(n_t, n_r)):
         hs = (rows.reshape(-1, n_r) @ source_time).reshape(*rows.shape[:2], n_t)      # (B, P, T)
-        coeff = dofs[table.element_edges[el]]
-        series = coeff[:, :, times.k] * times.left + coeff[:, :, times.k + 1] * times.right
+        coeff = dofs[table.element_edges[el]]                                          # (B, nl, N)
+        series = (coeff.reshape(-1, dofs.shape[1]) @ hats).reshape(*coeff.shape[:2], n_t)
         diff = np.swapaxes(w, 1, 2) @ series - hs
         err += 0.5 * float(np.sum(scale * ((diff * diff) @ times.weights)))
         src += 0.5 * float(np.sum(scale * ((hs * hs) @ times.weights)))
@@ -530,7 +593,7 @@ class TestTimeTable:
                                np.zeros((table.edge_count, len(src_times))))
         gp, gw = leggauss(3)
         gp, gw = (gp + 1) / 2, gw / 2
-        pts, wts, cols, left = [], [], [], []
+        pts, wts, cols, left = [], [], [], []  # each time's target interval, and 1 - theta
         for j in range(grid.n_steps - 1):
             a, b = grid.times[j], grid.times[j + 1]
             inner = src_times[(src_times > a) & (src_times < b)]
@@ -544,9 +607,14 @@ class TestTimeTable:
         table = build_time_table(grid, source, 3)
         assert np.array_equal(table.points, np.concatenate(pts))
         assert np.max(np.abs(table.weights - np.concatenate(wts))) < 1e-15
-        assert np.array_equal(table.k, np.concatenate(cols))
-        assert np.max(np.abs(table.left - np.concatenate(left))) < 1e-14
-        assert np.max(np.abs(table.left + table.right - 1.0)) < 1e-15
+        # The target hats at the points: 1 - theta on the interval's left hat, theta on its right.
+        hats = hat_matrix(grid, table.points).toarray()
+        cols, left, i = np.concatenate(cols), np.concatenate(left), np.arange(len(table.points))
+        expected = np.zeros_like(hats)
+        expected[cols, i] = left
+        expected[cols + 1, i] = 1.0 - left
+        assert np.max(np.abs(hats - expected)) < 1e-14
+        assert np.max(np.abs(hats.sum(axis=0) - 1.0)) < 1e-15
 
     @pytest.mark.parametrize("n_points", [2.5, 2.0, True, "2"])
     def test_point_count_must_be_a_whole_number(self, n_points):
@@ -750,15 +818,55 @@ class TestLinearPath:
         energy_error(mesh, table, grid, field, np.zeros((table.edge_count, grid.n_steps)))
         assert len(calls) == expected
 
+    @pytest.mark.parametrize("wrapper", [None, PerPointSource], ids=["discrete", "per-point"])
+    @pytest.mark.parametrize("kind,n_source,n_target", [("unit-square-tri", 5, 8),
+                                                        ("unit-cube-tet", 2, 2)])
+    def test_outside_counted_across_blocks(self, kind, n_source, n_target, wrapper, jitter_rng,
+                                           monkeypatch):
+        # Each block counts its own points outside the source; both sweeps must count every
+        # point that location finds outside.
+        field, mesh, table, grid = self._case(kind, n_source, n_target, "overhang", jitter_rng)
+        source = wrapper(field) if wrapper else field
+        inside, _, _ = locate_points(field.locator, stgp.assembly._quadrature_points(
+            mesh, simplex_quadrature(mesh.dim, 4)))
+        expected = int(np.count_nonzero(~inside))
+        assert expected > 0
+        # Blocks of one element, the least a block holds, whatever the sweep's width.
+        monkeypatch.setattr(stgp.assembly, "SWEEP_SAMPLES", 1)
+        counts = []
+        original = stgp.assembly._sweep
+
+        def recording(samples, width):
+            counts.append([])
+            for block in original(samples, width):
+                counts[-1].append(block[-1])
+                yield block
+
+        monkeypatch.setattr(stgp.assembly, "_sweep", recording)
+        _, c_outside = assemble_source_matrix(mesh, table, grid, source)
+        *_, e_outside = energy_error(mesh, table, grid, source,
+                                     np.zeros((table.edge_count, grid.n_steps)))
+        assert c_outside == e_outside == expected
+        assert len(counts) == 2
+        for blocks in counts:
+            assert len(blocks) >= 3 and sum(blocks) == expected
+            assert sum(1 for count in blocks if count) >= 2  # the outside points span blocks
+
     def test_samples_are_shared_and_checked(self, jitter_rng, monkeypatch):
         field, mesh, table, grid = self._case("unit-square-tri", 5, 4, "overhang", jitter_rng)
         quad = simplex_quadrature(2, 4)
         samples = sample_source(mesh, table, grid, field, quad)
-        # A source of neither stgp type is evaluated by the sweep, with identity time factors.
+        # A source of neither stgp type is evaluated by its `space`, with identity time factors:
+        # its rows are its values, and it counts the points outside as the located rows do.
         generic = sample_source(mesh, table, grid, PerPointSource(field))
         n_t = len(generic.table.points)
-        assert generic.space is None and generic.source_time.shape == (n_t, n_t)
+        assert generic.source_time.shape == (n_t, n_t)
         assert np.array_equal(generic.source_time.toarray(), np.eye(n_t))
+        rows, located_outside = samples.space(slice(None))
+        generic_rows, generic_outside = generic.space(slice(None))
+        assert generic_outside == located_outside > 0
+        np.testing.assert_allclose(generic_rows, rows @ samples.source_time, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(generic_rows)))
         c, outside = assemble_source_matrix(mesh, table, grid, field)
         monkeypatch.setattr(PointLocator, "locate", None)  # the samples need no location
         shared, shared_outside = assemble_source_matrix(mesh, table, grid, field, space_quad=quad,
@@ -850,7 +958,8 @@ class TestAnalyticFactors:
         dofs = jitter_rng.standard_normal((table.edge_count, grid.n_steps))
         samples = sample_source(mesh, table, grid, field, quad)
         assert type(samples) is SourceSamples
-        assert samples.space(slice(None)).shape == (mesh.n_elements * len(quad.points) * 2, 2)
+        rows, no_outside = samples.space(slice(None))
+        assert rows.shape == (mesh.n_elements * len(quad.points) * 2, 2) and no_outside == 0
         assert samples.source_time.shape == (2, len(samples.table.points))
         c, _ = assemble_source_matrix(mesh, table, grid, field)
         error = energy_error(mesh, table, grid, field, dofs)

@@ -182,8 +182,8 @@ class TestEvalPoints:
         with pytest.raises(PointOutsideDomainError) as info:
             locate_points(field.locator, points, policy="strict")
         assert np.array_equal(info.value.point, outside[0])
-        rows = located_rows(field, inside, elements, lam, slice(None))             # (P*d, N_s)
-        assert rows.shape == (len(points) * 2, field.grid.n_steps)
+        rows, outside_count = located_rows(field, inside, elements, lam, slice(None))  # (P*d, N_s)
+        assert rows.shape == (len(points) * 2, field.grid.n_steps) and outside_count == 2
         assert np.all(rows[16:] == 0.0)
         hats = field.time_factors(ts)
         assert hats.shape == (field.grid.n_steps, len(ts))
@@ -195,8 +195,12 @@ class TestEvalPoints:
             stacked = [field.eval_time_batch(x, ts, policy=policy) for x in points[:count]]
             assert np.array_equal(values, np.array([v for v, _ in stacked]))
             assert [flag for _, flag in stacked] == flags.tolist()
-        # A slice of the points gives the same rows as slicing all of them.
-        assert np.array_equal(located_rows(field, inside, elements, lam, slice(3, 9)), rows[6:18])
+        # A slice of the points gives the same rows as slicing all of them, and counts its own
+        # points outside.
+        for points_slice, count in ((slice(3, 8), 0), (slice(3, 9), 1), (slice(7, 10), 2)):
+            sliced, sliced_count = located_rows(field, inside, elements, lam, points_slice)
+            assert np.array_equal(sliced, rows[2 * points_slice.start:2 * points_slice.stop])
+            assert sliced_count == count
 
     def test_base_class_without_an_implementation_raises(self):
         with pytest.raises(NotImplementedError):

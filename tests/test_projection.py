@@ -1,4 +1,5 @@
 """End-to-end projection: identities, error norm, field evaluation, probes."""
+import re
 import warnings
 
 import numpy as np
@@ -292,6 +293,14 @@ class TestProbeTimeseries:
         with pytest.raises(ValueError, match="samples"):
             probe_timeseries(np.zeros((table.edge_count, 2)), square_mesh_2, table,
                              locator, grid, np.array([0.5, 0.5]), 1)
+        # A count that is not a whole number is named, like every other count setting.
+        for samples in (2.5, np.float64(3.0), "5", True):
+            with pytest.raises(ValueError, match=re.escape(f"samples must be a whole number, got {samples!r}")):
+                probe_timeseries(np.zeros((table.edge_count, 2)), square_mesh_2, table,
+                                 locator, grid, np.array([0.5, 0.5]), samples)
+        times, values = probe_timeseries(np.zeros((table.edge_count, 2)), square_mesh_2, table,
+                                         locator, grid, np.array([0.5, 0.5]), np.int64(3))
+        assert times.shape == (3,) and values.shape == (3, 2)
 
 
 class TestOutsidePolicyFlow:
