@@ -50,10 +50,11 @@ from .mesh import (EdgeTable, Mesh, MeshFormatError, _format_row, _join_lines, _
 
 # Source samples (rows x columns) held at once by one block of the sweep.
 # Larger blocks raised the peak RSS (2**18: +7 % on the benchmark's
-# transfer-2d workload) and are slower past 2**16: one multipole-windows-2d
-# window's energy error took 15.1 / 14.1 / 15.3 / 17.1 / 21.8 ms at blocks of
-# 2**15 / 2**16 / 2**17 / 2**18 / 2**20 (24.7 / 21.9 / 24.2 / 29.7 / 44.6 ms
-# before the weights were folded into the factors); pinned BLAS, 2-vCPU host.
+# transfer-2d workload, 9-point triangle rule) and are slower past 2**16: one
+# multipole-windows-2d window's energy error took 13.1 / 12.2 / 14.3 / 15.4 /
+# 21.6 ms at blocks of 2**15 / 2**16 / 2**17 / 2**18 / 2**20 with the 7-point
+# rule (16.5 / 14.7 / 15.7 / 17.3 / 26.0 ms with the 9-point one); medians of
+# 15 interleaved calls, pinned BLAS, 2-vCPU host.
 SWEEP_SAMPLES = 2**15
 # Most Gauss points per temporal subinterval.
 MAX_TIME_QUAD_POINTS = 6
@@ -356,9 +357,14 @@ def energy_error(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid, source: 
         raise ValueError("dofs shape must be (edge count, time steps)")
     samples = _samples_for(samples, mesh, edge_table, grid, source, space_quad, time_quad_points, policy)
     n_t, n_r = len(samples.table.points), samples.source_time.shape[0]
-    root_diag = _diagonal(np.sqrt(samples.table.weights))
-    hats = (samples.target_hats @ root_diag).T                             # (T, N), CSC
-    source_time = samples.source_time @ root_diag                           # (R, T), its own type
+    root_w = np.sqrt(samples.table.weights)
+    # Each hat times sqrt(w_t) of its time point, in a copy's CSR data: the
+    # same single product per entry as target_hats @ diag(sqrt w_t), without
+    # that scipy product's set-up (about 100 us a call).
+    hats = samples.target_hats.copy()
+    hats.data *= root_w[hats.indices]
+    hats = hats.T                                                          # (T, N), CSC
+    source_time = samples.source_time @ _diagonal(root_w)                  # (R, T), its own type
     gram = source_time @ source_time.T                                     # (R, R), symmetric
     err = src = 0.0
     outside = 0

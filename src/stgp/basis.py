@@ -1,6 +1,7 @@
 """Whitney edge basis, temporal hat functions, and quadrature on simplices and intervals."""
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from functools import reduce
@@ -162,8 +163,50 @@ def _collapsed_simplex(dim: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([*lam, last], axis=1), weights
 
 
+# Symmetric rules by (dim, the degree each integrates exactly), as orbits of
+# barycentric generators: every distinct permutation of a generator takes its
+# weight. Degree 1 is the centroid and degree 2 one orbit; degree 5 is Radon's
+# 7-point triangle rule (1948) and the 14-point positive-weight tetrahedral
+# rule (Walkington 2000; tabulated by Jaskowiec & Sukumar 2020).
+_R15 = np.sqrt(15.0)
+_A2, _B2 = (6.0 - _R15) / 21.0, (6.0 + _R15) / 21.0
+_A3, _B3, _C3 = 0.0927352503108912, 0.3108859192633006, 0.4544962958743504
+_SYMMETRIC_RULES = {
+    (2, 1): [((1 / 3, 1 / 3, 1 / 3), 1 / 2)],
+    (3, 1): [((1 / 4, 1 / 4, 1 / 4, 1 / 4), 1 / 6)],
+    (2, 2): [((2 / 3, 1 / 6, 1 / 6), 1 / 6)],
+    (3, 2): [((0.5854101966249685, *[0.1381966011250105] * 3), 1 / 24)],
+    (2, 5): [((1 / 3, 1 / 3, 1 / 3), 9 / 80),
+             ((1.0 - 2.0 * _A2, _A2, _A2), (155.0 - _R15) / 2400.0),
+             ((1.0 - 2.0 * _B2, _B2, _B2), (155.0 + _R15) / 2400.0)],
+    (3, 5): [((1.0 - 3.0 * _A3, _A3, _A3, _A3), 0.01224884051939366),
+             ((1.0 - 3.0 * _B3, _B3, _B3, _B3), 0.01878132095300264),
+             ((_C3, _C3, 0.5 - _C3, 0.5 - _C3), 0.007091003462846911)],
+}
+
+
+def _symmetric_simplex(dim: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """A rule of _SYMMETRIC_RULES, each orbit's points in the order permutations first give them:
+    the degree-2 rule's point k lies nearest vertex k."""
+    points, weights = [], []
+    for generator, weight in _SYMMETRIC_RULES[dim, degree]:
+        orbit = list(dict.fromkeys(itertools.permutations(generator)))
+        points += orbit
+        weights += [weight] * len(orbit)
+    return np.array(points), np.array(weights)
+
+
 def simplex_quadrature(dim: int, order: int) -> QuadratureRule:
-    """Rule exact for polynomials up to `order` on the reference simplex/interval."""
+    """Rule exact for polynomials up to `order` on the reference simplex/interval.
+
+    The interval takes n-point Gauss-Legendre, n = (order + 2) // 2. On the
+    triangle (tetrahedron): order 1 is the centroid; order 2 is the symmetric
+    3-point (4-point) rule of degree 2; order 3 is the 2^d collapsed Gauss
+    rule, 4 (8) points of degree 3; orders 4 and 5 are the symmetric degree-5
+    rules, 7 points (Radon) and 14 points (Walkington); order 6 is the 4^d
+    collapsed Gauss rule, 16 (64) points of degree 7. `order` on the rule is
+    the degree it integrates exactly.
+    """
     dim, order = _whole(dim, "dim"), _whole(order, "order")
     if dim not in (1, 2, 3):
         raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
@@ -173,14 +216,11 @@ def simplex_quadrature(dim: int, order: int) -> QuadratureRule:
     exact = 2 * n - 1
     if dim == 1:
         points, weights = gauss_unit_interval(n)
-    elif order == 1:  # the centroid
-        points, weights = np.full((1, dim + 1), 1.0 / (dim + 1)), np.array([REFERENCE_MEASURE[dim]])
-    elif order == 2:  # symmetric: a at one vertex, b at the others
-        a, b = {2: (2 / 3, 1 / 6), 3: (0.5854101966249685, 0.1381966011250105)}[dim]
-        points = np.where(np.eye(dim + 1, dtype=bool), a, b)
-        weights, exact = np.full(dim + 1, REFERENCE_MEASURE[dim] / (dim + 1)), 2
-    else:
+    elif order in (3, 6):
         points, weights = _collapsed_simplex(dim, n)
+    else:  # the symmetric rule of the least degree >= order
+        exact = min(degree for degree in (1, 2, 5) if degree >= order)
+        points, weights = _symmetric_simplex(dim, exact)
     return QuadratureRule(dim=dim, points=points, weights=weights, order=exact)
 
 

@@ -1,5 +1,6 @@
 """Assembly of the spatial mass, temporal Gram, and source matrices."""
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,7 @@ from stgp import (AnalyticField, DiscreteField, Mesh, MeshFormatError, PointLoca
 import stgp.assembly
 from stgp.assembly import (SWEEP_SAMPLES, SourceSamples, TriDiagMatrix, build_time_table,
                            sample_source)
-from stgp.basis import hat_matrix, whitney_local
+from stgp.basis import QuadratureRule, _collapsed_simplex, hat_matrix, whitney_local
 from stgp.fields import edge_circulations, locate_points
 from stgp.mesh import barycentric_transforms, signed_volumes
 
@@ -328,7 +329,7 @@ class TestSourceMatrix:
         source = DiscreteField(src_mesh, src_table, src_grid,
                                jitter_rng.standard_normal((src_table.edge_count, 7)))
         grid = TemporalGrid(np.linspace(0.05, 0.9, 9))
-        mesh = jittered_mesh("unit-square-tri", 9, jitter_rng)
+        mesh = jittered_mesh("unit-square-tri", 10, jitter_rng)
         quad = simplex_quadrature(2, 4)
         n_times = len(build_time_table(grid, source, 2).points)
         block = max(1, SWEEP_SAMPLES // (len(quad.points) * n_times * mesh.dim))
@@ -479,6 +480,70 @@ class TestForeignEvaluation:
         assert np.max(np.abs(c - c_ref)) <= 1e-13 * np.max(np.abs(c))
 
 
+class TravellingWave:
+    """A smooth, non-polynomial source behind the batched protocol: component k is
+    sin(pi x_{k+1} + 2 pi t + phase_k), the coordinate index taken cyclically."""
+
+    def __init__(self, phase):
+        self._phase = np.asarray(phase)
+
+    def time_span(self):
+        return None
+
+    def interior_time_nodes(self):
+        return np.empty(0)
+
+    def eval_points(self, points, ts, policy="zero"):
+        values = np.sin(np.pi * np.roll(points, -1, axis=1)[:, None, :]
+                        + 2 * np.pi * np.asarray(ts)[None, :, None] + self._phase)
+        return values, np.ones(len(points), dtype=bool)
+
+
+def composite_rule(dim, k):
+    """The order-6 rule on each of the k^dim sub-simplices of Freudenthal's subdivision of the
+    reference simplex, as one rule."""
+    base = simplex_quadrature(dim, 6)
+    points, weights = [], []
+    for corner in itertools.product(range(k), repeat=dim):
+        for axes in itertools.permutations(range(dim)):
+            # vertices in y_i = lambda_i + ... + lambda_dim, where the simplex is 1 >= y_1 >= ... >= 0
+            y = np.cumsum(np.vstack([corner, np.eye(dim)[list(axes)]]), axis=0) / k
+            if np.all(np.diff(y, axis=1) <= 0) and y.max() <= 1:
+                lam = np.column_stack([1 - y[:, 0], -np.diff(y, axis=1), y[:, -1]])
+                points.append(base.points @ lam)
+                weights.append(base.weights * abs(np.linalg.det(lam)))
+    assert len(points) == k ** dim
+    return QuadratureRule(dim=dim, points=np.vstack(points), weights=np.concatenate(weights), order=7)
+
+
+class TestSpatialRuleAccuracy:
+    """The symmetric degree-5 rule of orders 4 and 5 against the 3^d collapsed Gauss rule of the
+    same degree: the distance of each one's C from a composite order-6 reference, max and rms
+    over C's entries. The source is smooth, so the rule's degree decides the error: a degree-3
+    rule, or the symmetric points with their weights reversed, is over 100 times farther off.
+    Across 40 seeds of this case the max distance read 0.52-1.2 times the collapsed rule's, the
+    rms 0.71-1.01 times. Across non-nested discrete meshes both rules are about as far off as
+    a degree-2 rule, as the source's kinks decide the error there, so such a case tells no rule
+    from another."""
+
+    @pytest.mark.parametrize("kind,n,k", [("unit-square-tri", 4, 16), ("unit-cube-tet", 2, 4)])
+    def test_no_less_accurate_than_the_collapsed_rule(self, kind, n, k, jitter_rng):
+        mesh = jittered_mesh(kind, n, jitter_rng)
+        table = build_edge_table(mesh)
+        grid = TemporalGrid(np.array([0.0, 0.15, 0.55, 0.9]))
+        source = TravellingWave(jitter_rng.uniform(0.0, 2 * np.pi, mesh.dim))
+        ref, _ = assemble_source_matrix(mesh, table, grid, source, space_quad=composite_rule(mesh.dim, k))
+
+        def distance(rule):
+            c, _ = assemble_source_matrix(mesh, table, grid, source, space_quad=rule)
+            return np.abs(c - ref).max(), np.sqrt(np.mean((c - ref) ** 2))
+
+        new = distance(simplex_quadrature(mesh.dim, 4))
+        collapsed = distance(QuadratureRule(mesh.dim, *_collapsed_simplex(mesh.dim, 3), order=5))
+        assert new[0] <= 1.5 * collapsed[0]
+        assert new[1] <= 1.1 * collapsed[1]
+
+
 class TestErrorAgainstMassAndGram:
     """The error's target side against an independent reference: for a source Y on the target's
     own mesh and grid, the energy error of X is 1/2 <E, A E B> with E = X - Y, where A and B
@@ -534,7 +599,7 @@ class TestErrorKernel:
     give the numbers of the per-sample arithmetic, and still square the local difference."""
 
     def _case(self, name, rng):
-        mesh = jittered_mesh("unit-square-tri", 9, rng)
+        mesh = jittered_mesh("unit-square-tri", 10, rng)
         if name == "multipole":
             return (AnalyticField("rotating-multipole", pole_pairs=3, amplitude=1.2, omega=2 * np.pi,
                                   center=(0.4, -1.0), modulation=0.3),

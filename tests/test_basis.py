@@ -1,4 +1,5 @@
 """Whitney basis values, hat functions, quadrature exactness."""
+import itertools
 import math
 
 import numpy as np
@@ -167,6 +168,27 @@ class TestQuadrature:
             exact = sum(c * monomial_integral(dim, e) for c, e in zip(coeff, exps))
             value = sum(c * quad_integrate_monomial(rule, e) for c, e in zip(coeff, exps))
             assert abs(value - exact) <= 1e-12
+
+    @pytest.mark.parametrize("dim,count", [(2, 7), (3, 14)])
+    @pytest.mark.parametrize("order", [4, 5])
+    def test_orders_4_and_5_are_the_symmetric_degree5_rules(self, dim, count, order):
+        rule = simplex_quadrature(dim, order)
+        assert len(rule.points) == len(rule.weights) == count
+        assert rule.order == 5
+        assert np.all((rule.points > 0.0) & (rule.points < 1.0))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_symmetric_rules_are_invariant_under_permutations(self, dim):
+        # every permutation of the barycentric coordinates maps the rule onto itself,
+        # each point onto a point of equal weight
+        rule = simplex_quadrature(dim, 5)
+
+        def rows(points):
+            table = np.column_stack([points, rule.weights])
+            return table[np.lexsort(table.T[::-1])]
+
+        for perm in itertools.permutations(range(dim + 1)):
+            assert np.array_equal(rows(rule.points[:, list(perm)]), rows(rule.points))
 
     def test_rejects_unsupported_order(self):
         with pytest.raises(ValueError):
