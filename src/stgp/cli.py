@@ -29,14 +29,31 @@ EXIT_CONFIG = 1
 EXIT_SOLVER = 2
 EXIT_IO = 3
 
+
+def _true_or_false(value: str) -> bool:
+    if value not in ("true", "false"):
+        raise ValueError(value)
+    return value == "true"
+
+
+# Each projection setting: config key -> (the library class whose field it sets,
+# that field, its parser, what the parser takes). A key the config leaves out
+# is not passed, so the field keeps the library's default.
+_SETTINGS = {
+    "space_quad_order": (ProjectionProblem, "space_quad_order", int, "an integer"),
+    "time_quad_points": (ProjectionProblem, "time_quad_points", int, "an integer"),
+    "outside_policy": (ProjectionProblem, "outside_policy", str, "a policy name"),
+    "threads": (ProjectionProblem, "threads", int, "an integer"),
+    "allow_nonconverged": (ProjectionProblem, "allow_nonconverged", _true_or_false,
+                           "true or false"),
+    "solver_tol": (SolverConfig, "tol", float, "a number"),
+    "solver_max_iterations": (SolverConfig, "max_iterations", int, "an integer"),
+}
 _ANALYTIC_KEYS = {"analytic_kind"} | {f"analytic_{name}" for entries in AnalyticField.KINDS.values()
                                        for name, _, _ in entries}
-_KNOWN_KEYS = _ANALYTIC_KEYS | {
+_KNOWN_KEYS = _ANALYTIC_KEYS | _SETTINGS.keys() | {
     "target_mesh", "target_times", "target_time_start", "target_time_stop", "target_time_count",
     "source_mesh", "source_field",
-    "space_quad_order", "time_quad_points",
-    "solver_tol", "solver_max_iterations", "preconditioner",
-    "outside_policy", "threads", "allow_nonconverged",
     "probe", "probe_samples",
     "out_field", "out_report", "out_probe_prefix",
 }
@@ -93,8 +110,22 @@ def _build_grid(config: dict) -> TemporalGrid:
     return TemporalGrid(np.linspace(start, stop, count))
 
 
+def _settings(config: dict, owner: type) -> dict:
+    """The fields of owner that the config sets, parsed; the others keep the library's defaults."""
+    fields = {}
+    for key, (cls, name, parse, takes) in _SETTINGS.items():
+        if cls is owner and key in config:
+            try:
+                fields[name] = parse(config[key])
+            except ValueError:
+                raise ConfigError(f"{key} must be {takes}, got {config[key]!r}") from None
+    return fields
+
+
 def _build_analytic(config: dict, dim: int) -> AnalyticField:
     """The analytic source a config names; a parameter left out takes the field's default."""
+    if "analytic_kind" not in config:
+        raise ConfigError("missing key analytic_kind")
     kind = config["analytic_kind"]
     if kind not in AnalyticField.KINDS:
         raise ConfigError(f"unknown analytic_kind {kind!r}")
@@ -105,6 +136,9 @@ def _build_analytic(config: dict, dim: int) -> AnalyticField:
             params[name] = float(raw) if count is None else _floats(raw)
         elif default is None:
             raise ConfigError(f"missing key analytic_{name} for analytic_kind = {kind}")
+    for key in sorted(config):
+        if key.startswith("analytic_") and key.removeprefix("analytic_") not in {"kind", *params}:
+            raise ConfigError(f"{key} does not apply to analytic_kind = {kind}")
     return AnalyticField(kind, dim=dim, **params)
 
 
@@ -140,19 +174,13 @@ def cmd_project(config_path: str) -> int:
 
     try:
         config = parse_config(_read_text(config_path))
-    except InputFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
         has_discrete = "source_mesh" in config or "source_field" in config
-        has_analytic = "analytic_kind" in config
+        has_analytic = any(key.startswith("analytic_") for key in config)
         if has_discrete == has_analytic:
+            given = sorted(key for key in config if key.startswith(("source_", "analytic_")))
             raise ConfigError("specify exactly one of a discrete source (source_mesh + "
-                              "source_field) or an analytic source (analytic_kind)")
+                              "source_field) or an analytic source (analytic_kind); the "
+                              f"config gives {', '.join(given) or 'neither'}")
         if has_discrete and ("source_mesh" not in config or "source_field" not in config):
             raise ConfigError("a discrete source needs both source_mesh and source_field")
         if "target_mesh" not in config:
@@ -174,28 +202,10 @@ def cmd_project(config_path: str) -> int:
             source_kind = f"analytic:{source.kind}"
             source_steps = None
 
-        # The threads key is still validated but changes nothing.
-        int(config.get("threads", "1"))
-        solver = SolverConfig(
-            tol=float(config.get("solver_tol", "1e-10")),
-            max_iterations=(int(config["solver_max_iterations"])
-                            if "solver_max_iterations" in config else None),
-            preconditioner=config.get("preconditioner", "jacobi"),
-        )
-        allow = config.get("allow_nonconverged", "false")
-        if allow not in ("true", "false"):
-            raise ConfigError(f"allow_nonconverged must be true or false, got {allow!r}")
         problem = ProjectionProblem(
-            mesh=target_mesh,
-            edge_table=build_edge_table(target_mesh),
-            grid=grid,
-            source=source,
-            space_quad_order=int(config.get("space_quad_order", "4")),
-            time_quad_points=int(config.get("time_quad_points", "2")),
-            outside_policy=config.get("outside_policy", "zero"),
-            solver=solver,
-            allow_nonconverged=allow == "true",
-        )
+            mesh=target_mesh, edge_table=build_edge_table(target_mesh), grid=grid,
+            source=source, solver=SolverConfig(**_settings(config, SolverConfig)),
+            **_settings(config, ProjectionProblem))
         check_span(grid, source)
         probes = [np.array(_floats(p)) for p in config["probe"]]
         locator = PointLocator(target_mesh) if probes else None
@@ -210,7 +220,7 @@ def cmd_project(config_path: str) -> int:
     except InputFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ConfigError, MeshFormatError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError and MeshFormatError among them
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     lap("setup")
@@ -282,7 +292,6 @@ def _render_report(config_path: str, config: dict, problem: ProjectionProblem,
         f"restarts = {result.report.restarts}",
         f"relative_residual = {_fmt(result.report.relative_residual)}",
         f"converged = {_fmt(result.report.converged)}",
-        f"preconditioner = {result.report.preconditioner}",
         "# diagnostics",
         f"error = {_fmt(result.error)}",
         f"source_energy = {_fmt(result.source_energy)}",

@@ -15,7 +15,6 @@ dense_oracle_solve materializes it for small systems.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,6 @@ DENSE_ORACLE_LIMIT = 2000
 class SolverConfig:
     tol: float = 1e-10                 # relative Frobenius residual
     max_iterations: int | None = None  # default 10 * M * N; one covers all N columns
-    preconditioner: str = "jacobi"     # 'jacobi' | 'none'
 
     def __post_init__(self):
         if not 0.0 < self.tol < 1.0:
@@ -41,17 +39,14 @@ class SolverConfig:
         cap = self.max_iterations
         if cap is not None and _whole(cap, "max_iterations") < 1:
             raise ValueError(f"max_iterations must be a whole number >= 1, got {cap!r}")
-        if self.preconditioner not in ("jacobi", "none"):
-            raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
 
 
 @dataclass(frozen=True)
 class SolveReport:
+    """How a solve ended: the CG count, the true relative residual and which solve ran."""
     iterations: int
     relative_residual: float
     converged: bool
-    wall_time: float
-    preconditioner: str
     restarts: int = 0  # true-residual confirmations that sent the loop back
     method: str = "cg"  # 'factored' (sparse LU of A) | 'cg'
 
@@ -111,23 +106,19 @@ def _checked_system(a, b: TriDiagMatrix, c) -> tuple:
 
 
 def _cg(a, b: TriDiagMatrix, c: np.ndarray, norm_c: float, y: np.ndarray, x: np.ndarray,
-        config: SolverConfig, start: float) -> tuple[np.ndarray, SolveReport]:
-    """cg_solve's loop on A X = Y (Y = C B^-1) from X = x, updated in place; wall time from start."""
+        config: SolverConfig) -> tuple[np.ndarray, SolveReport]:
+    """cg_solve's loop on A X = Y (Y = C B^-1) from X = x, updated in place."""
     max_iters = config.max_iterations
     if max_iters is None:
         max_iters = 10 * c.size
-    if config.preconditioner == "jacobi":
-        inv_diag = 1.0 / (a.diagonal() if sp.issparse(a) else np.diag(a))[:, None]
-        precondition = lambda r: r * inv_diag
-    else:
-        precondition = lambda r: r
+    inv_diag = 1.0 / (a.diagonal() if sp.issparse(a) else np.diag(a))[:, None]  # Jacobi
 
     threshold = config.tol * norm_c
     bound_sq = (threshold / _norm_bound(b)) ** 2  # stop once ||R||_F^2 <= bound_sq
     iterations = restarts = 0
     while True:
         r = y - a @ x
-        z = precondition(r)
+        z = r * inv_diag
         d = z.copy()
         rho = _column_inner(r, z)
         # After a restart the loop takes at least one step, so a cheap bound that
@@ -140,7 +131,7 @@ def _cg(a, b: TriDiagMatrix, c: np.ndarray, norm_c: float, y: np.ndarray, x: np.
                               where=rho != 0.0)
             x += alpha * d
             r -= alpha * q
-            z = precondition(r)
+            z = r * inv_diag
             rho_new = _column_inner(r, z)
             beta = np.divide(rho_new, rho, out=np.zeros_like(rho), where=rho != 0.0)
             d *= beta
@@ -156,9 +147,7 @@ def _cg(a, b: TriDiagMatrix, c: np.ndarray, norm_c: float, y: np.ndarray, x: np.
 
     rel = true_norm / norm_c
     report = SolveReport(iterations=iterations, relative_residual=rel,
-                         converged=rel <= config.tol,
-                         wall_time=time.perf_counter() - start,
-                         preconditioner=config.preconditioner, restarts=restarts)
+                         converged=rel <= config.tol, restarts=restarts)
     return x, report
 
 
@@ -166,8 +155,8 @@ def cg_solve(a, b: TriDiagMatrix, c: np.ndarray,
              config: SolverConfig | None = None) -> tuple[np.ndarray, SolveReport]:
     """Solve A X B = C as A X = C B^-1: one banded time solve, then CG on A per column.
 
-    Every column runs its own preconditioned CG recurrence (its own rho, alpha and
-    beta); one iteration advances all N columns with one sparse product A @ D.
+    Every column runs its own Jacobi-preconditioned CG recurrence (its own rho,
+    alpha and beta); one iteration advances all N columns with one sparse product A @ D.
     Since A X B - C = -R B for the recurrence residual R of A X = C B^-1, the
     loop stops once ||R||_F * g <= tol * ||C||_F, with g the Gershgorin bound of
     ||B||_2. The true residual ||A X B - C||_F then confirms convergence; if it is
@@ -180,12 +169,10 @@ def cg_solve(a, b: TriDiagMatrix, c: np.ndarray,
     if config is None:
         config = SolverConfig()
     a, c = _checked_system(a, b, c)
-    start = time.perf_counter()
     norm_c = math.sqrt(_square_sum(c))
     if norm_c == 0.0:
-        return np.zeros_like(c), SolveReport(0, 0.0, True, time.perf_counter() - start,
-                                             config.preconditioner)
-    return _cg(a, b, c, norm_c, _time_solve(b, c), np.zeros_like(c), config, start)
+        return np.zeros_like(c), SolveReport(0, 0.0, True)
+    return _cg(a, b, c, norm_c, _time_solve(b, c), np.zeros_like(c), config)
 
 
 def factored_solve(a, b: TriDiagMatrix, c: np.ndarray,
@@ -198,32 +185,28 @@ def factored_solve(a, b: TriDiagMatrix, c: np.ndarray,
     tolerance, or not finite, cg_solve's loop continues from the factored answer
     (from zero if that is not finite), so converged, max_iterations and
     SolverNonConvergence keep their meaning. A confirmed factored solve reports
-    method 'factored', 0 iterations and preconditioner 'none'; a continued one
-    reports the CG count, method 'cg' and config.preconditioner. If SuperLU
+    method 'factored' and 0 iterations; a continued one reports the CG count and
+    method 'cg'. If SuperLU
     finds A exactly singular, as it does for an A holding a NaN, the loop runs
     from zero instead.
     """
     if config is None:
         config = SolverConfig()
     a, c = _checked_system(a, b, c)
-    start = time.perf_counter()
     norm_c = math.sqrt(_square_sum(c))
     if norm_c == 0.0:
-        return np.zeros_like(c), SolveReport(0, 0.0, True, time.perf_counter() - start,
-                                             "none", method="factored")
+        return np.zeros_like(c), SolveReport(0, 0.0, True, method="factored")
     y = _time_solve(b, c)
     try:
         lu = splu(sp.csc_matrix(a), permc_spec="MMD_AT_PLUS_A",
                   options={"SymmetricMode": True})
     except RuntimeError:
-        return _cg(a, b, c, norm_c, y, np.zeros_like(c), config, start)
+        return _cg(a, b, c, norm_c, y, np.zeros_like(c), config)
     x = lu.solve(y)
     true_norm = math.sqrt(_square_sum(apply_operator(a, b, x) - c))
     if true_norm <= config.tol * norm_c:  # False for a NaN residual too
-        return x, SolveReport(0, true_norm / norm_c, True, time.perf_counter() - start,
-                              "none", method="factored")
-    return _cg(a, b, c, norm_c, y, x if np.all(np.isfinite(x)) else np.zeros_like(c),
-               config, start)
+        return x, SolveReport(0, true_norm / norm_c, True, method="factored")
+    return _cg(a, b, c, norm_c, y, x if np.all(np.isfinite(x)) else np.zeros_like(c), config)
 
 
 def dense_oracle_solve(a, b: TriDiagMatrix, c: np.ndarray) -> np.ndarray:

@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stgp import (AnalyticField, Mesh, TemporalGrid, build_edge_table, read_field, read_mesh,
-                  sample_field, write_field, write_mesh)
+from stgp import (AnalyticField, Mesh, ProjectionProblem, SolverConfig, TemporalGrid,
+                  build_edge_table, read_field, read_mesh, sample_field, write_field, write_mesh)
 import stgp.cli
 from stgp.cli import main, parse_config
 
@@ -73,6 +73,20 @@ class TestReadmeConfig:
         config = parse_config(self._sample())
         assert {"target_mesh", "source_mesh", "source_field", "out_field"} <= config.keys()
 
+    def test_sample_settings_are_the_library_defaults(self):
+        config = parse_config(self._sample())
+        for cls in (ProjectionProblem, SolverConfig):
+            defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+            given = stgp.cli._settings(config, cls)
+            assert given == {name: defaults[name] for name in given}
+        assert len(config.keys() & stgp.cli._SETTINGS.keys()) == 6
+
+    def test_every_accepted_key_is_documented(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        missing = sorted(key for key in stgp.cli._KNOWN_KEYS
+                         if not re.search(rf"(?<!\w){re.escape(key)}(?!\w)", readme))
+        assert missing == []
+
     def test_commented_analytic_alternative_parses(self):
         lines = [line[2:] for line in self._sample().splitlines() if line.startswith("# analytic_")]
         config = parse_config("\n".join(lines))
@@ -116,6 +130,53 @@ class TestAnalyticConfig:
                 == from_library.eval_points(points, ts)[0].tobytes())
 
 
+class TestSettings:
+    """Each projection setting is defined once, by ProjectionProblem or SolverConfig."""
+
+    # ProjectionProblem fields that a config gives as files and grids, not as settings.
+    STRUCTURAL = {"mesh", "edge_table", "grid", "source", "solver"}
+
+    def test_every_key_names_a_library_field(self):
+        set_by_keys = {(cls, name) for cls, name, _, _ in stgp.cli._SETTINGS.values()}
+        library = {(cls, f.name) for cls in (ProjectionProblem, SolverConfig)
+                   for f in dataclasses.fields(cls) if f.name not in self.STRUCTURAL}
+        assert set_by_keys == library
+        assert len(set_by_keys) == len(stgp.cli._SETTINGS)
+
+    def test_spelled_out_library_defaults_change_nothing(self, tmp_path):
+        write_demo_inputs(tmp_path)
+        target = read_mesh((tmp_path / "tgt.stgp").read_text())
+        n_steps = 5  # BASE_CONFIG's target_time_count
+        lines = []
+        for key, (cls, name, _, _) in stgp.cli._SETTINGS.items():
+            default = {f.name: f.default for f in dataclasses.fields(cls)}[name]
+            if default is None:  # max_iterations: 10 * M * N
+                default = 10 * build_edge_table(target).edge_count * n_steps
+            lines.append(f"{key} = {stgp.cli._fmt(default)}\n")
+        outputs = []
+        for config in (BASE_CONFIG, BASE_CONFIG + "".join(lines)):
+            (tmp_path / "p.cfg").write_text(config)
+            result = run_cli("project", "p.cfg", cwd=tmp_path)
+            assert result.returncode == 0, result.stderr
+            report = (tmp_path / "report.txt").read_text().splitlines()
+            outputs.append({
+                "field": (tmp_path / "out.stgpf").read_bytes(),
+                "probe": (tmp_path / "probe_000.csv").read_bytes(),
+                "report": report[report.index("# problem"):report.index(
+                    "# timings (seconds; excluded from determinism guarantees)")],
+            })
+        assert outputs[0] == outputs[1]
+
+    def test_preconditioner_is_not_a_setting(self, tmp_path):
+        write_demo_inputs(tmp_path)
+        (tmp_path / "p.cfg").write_text(BASE_CONFIG + "preconditioner = jacobi\n")
+        result = run_cli("project", "p.cfg", cwd=tmp_path)
+        assert result.returncode == 1
+        assert "unknown key 'preconditioner'" in result.stderr
+        with pytest.raises(TypeError):
+            SolverConfig(preconditioner="jacobi")
+
+
 class TestMeshgen:
     def test_writes_mesh_with_expected_counts(self, tmp_path):
         result = run_cli("meshgen", "unit-square-tri", "4", "1.0", "m.stgp", cwd=tmp_path)
@@ -146,7 +207,6 @@ class TestProject:
                       if " = " in line)
         assert values["converged"] == "true"
         assert values["method"] == "factored"
-        assert values["preconditioner"] == "none"
         assert values["iterations"] == "0" and values["restarts"] == "0"
         assert float(values["relative_error"]) <= 1e-8
         assert values["outside_points"] == "0"
@@ -245,6 +305,18 @@ out_report = report.txt
         assert result.returncode == 0, result.stderr
         field = read_field((tmp_path / "out.stgpf").read_text())
         assert field.dofs.shape[1] == 3
+
+    def test_analytic_optional_keys_accepted(self, tmp_path):
+        write_demo_inputs(tmp_path)
+        config = BASE_CONFIG.replace("source_mesh = src.stgp\nsource_field = src.stgpf\n",
+                                     "analytic_kind = rotating-multipole\n"
+                                     "analytic_pole_pairs = 2\nanalytic_omega = 1\n"
+                                     "analytic_amplitude = 2\nanalytic_center = 0.5 -1\n"
+                                     "analytic_modulation = 0.3\n")
+        (tmp_path / "p.cfg").write_text(config)
+        result = run_cli("project", "p.cfg", cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert "analytic_modulation = 0.3" in (tmp_path / "report.txt").read_text()
 
     def test_repeat_runs_bitwise_identical(self, tmp_path):
         write_demo_inputs(tmp_path, n_source=3, n_target=4, steps=5)
@@ -496,6 +568,33 @@ class TestProjectFaultsAreConfigErrors:
         write_demo_inputs(tmp_path)
         config = BASE_CONFIG.replace("source_mesh = src.stgp\nsource_field = src.stgpf\n", lines)
         assert f"'{name}'" in self._run(tmp_path, config)
+
+    def test_analytic_key_the_kind_does_not_take(self, tmp_path):
+        write_demo_inputs(tmp_path)
+        config = BASE_CONFIG.replace("source_mesh = src.stgp\nsource_field = src.stgpf\n",
+                                     "analytic_kind = sinusoid\nanalytic_wavenumber = 3\n"
+                                     "analytic_pole_pairs = 6\nanalytic_omega = 99\n")
+        stderr = self._run(tmp_path, config)
+        assert "analytic_omega does not apply to analytic_kind = sinusoid" in stderr
+
+    def test_analytic_key_beside_a_discrete_source(self, tmp_path):
+        write_demo_inputs(tmp_path)
+        stderr = self._run(tmp_path, BASE_CONFIG + "analytic_omega = 99\n")
+        assert "exactly one" in stderr and "analytic_omega" in stderr
+
+    def test_analytic_key_without_a_kind(self, tmp_path):
+        write_demo_inputs(tmp_path)
+        config = BASE_CONFIG.replace("source_mesh = src.stgp\nsource_field = src.stgpf\n",
+                                     "analytic_omega = 99\n")
+        assert "missing key analytic_kind" in self._run(tmp_path, config)
+
+    def test_setting_that_does_not_parse_names_its_key(self, tmp_path):
+        write_demo_inputs(tmp_path)
+        for line, message in (("threads = x", "threads must be an integer, got 'x'"),
+                              ("space_quad_order = 4.0",
+                               "space_quad_order must be an integer, got '4.0'"),
+                              ("solver_tol = tight", "solver_tol must be a number, got 'tight'")):
+            assert message in self._run(tmp_path, BASE_CONFIG + line + "\n")
 
     def test_probe_outside_target_mesh(self, tmp_path):
         write_demo_inputs(tmp_path)
