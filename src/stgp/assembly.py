@@ -58,6 +58,12 @@ from .mesh import (EdgeTable, Mesh, MeshFormatError, _format_row, _join_lines, _
 SWEEP_SAMPLES = 2**15
 # Most Gauss points per temporal subinterval.
 MAX_TIME_QUAD_POINTS = 6
+# The projection's defaults, which ProjectionProblem, error_norm and every
+# assembly entry point take: the spatial rule's order (4 makes the mass
+# matrix exact), Gauss points per temporal subinterval and the outside policy.
+DEFAULT_SPACE_QUAD_ORDER = 4
+DEFAULT_TIME_QUAD_POINTS = 2
+DEFAULT_OUTSIDE_POLICY = "zero"
 
 
 @dataclass(frozen=True)
@@ -103,9 +109,9 @@ def assemble_temporal_gram(grid: TemporalGrid) -> TriDiagMatrix:
 
 
 def _fitted_rule(mesh: Mesh, quad: QuadratureRule | None) -> QuadratureRule:
-    """The spatial rule, order 4 by default, once it is checked to fit the mesh."""
+    """The spatial rule, DEFAULT_SPACE_QUAD_ORDER if none is given, once it is checked to fit the mesh."""
     if quad is None:
-        return simplex_quadrature(mesh.dim, 4)
+        return simplex_quadrature(mesh.dim, DEFAULT_SPACE_QUAD_ORDER)
     if quad.dim != mesh.dim:
         raise ValueError(f"a {quad.dim}-D quadrature rule does not fit a {mesh.dim}-D mesh")
     return quad
@@ -229,8 +235,9 @@ def _evaluated_rows(evaluate: Callable, xq: np.ndarray, times: np.ndarray, polic
 
 
 def sample_source(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid, source: SourceField,
-                  space_quad: QuadratureRule | None = None, time_quad_points: int = 2,
-                  policy: str = "zero") -> SourceSamples:
+                  space_quad: QuadratureRule | None = None,
+                  time_quad_points: int = DEFAULT_TIME_QUAD_POINTS,
+                  policy: str = DEFAULT_OUTSIDE_POLICY) -> SourceSamples:
     """Prepare a source for the target's space-time quadrature, once.
 
     Fills in the default spatial rule, checks the policy, the time span and
@@ -306,7 +313,8 @@ def _sweep(samples: SourceSamples, width: int):
 
 def assemble_source_matrix(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid,
                            source: SourceField, space_quad: QuadratureRule | None = None,
-                           time_quad_points: int = 2, policy: str = "zero", *,
+                           time_quad_points: int = DEFAULT_TIME_QUAD_POINTS,
+                           policy: str = DEFAULT_OUTSIDE_POLICY, *,
                            samples: SourceSamples | None = None) -> tuple[np.ndarray, int]:
     """Moments of the source field against every space-time basis function (M x N, dense).
 
@@ -336,7 +344,8 @@ def assemble_source_matrix(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid
 
 def energy_error(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid, source: SourceField,
                  dofs: np.ndarray, space_quad: QuadratureRule | None = None,
-                 time_quad_points: int = 2, policy: str = "zero", *,
+                 time_quad_points: int = DEFAULT_TIME_QUAD_POINTS,
+                 policy: str = DEFAULT_OUTSIDE_POLICY, *,
                  samples: SourceSamples | None = None) -> tuple[float, float, int]:
     """Energy-weighted error of a trial DOF matrix against the source, plus source energy.
 

@@ -413,8 +413,8 @@ def read_field(text: str) -> FieldFile:
 
     (dofs,), lines = rd.block(m, n, "dof row {i}", f"dof row {{i}} must hold {n} values, got {{got}}",
                               ("dof value",))
-    bad = np.flatnonzero(~np.isfinite(dofs).all(axis=1))
-    if bad.size:
+    if not np.isfinite(dofs).all():  # one flat pass; rows are searched only for the message
+        bad = np.flatnonzero(~np.isfinite(dofs).all(axis=1))
         raise MeshFormatError(lines[bad[0]], f"dof row {bad[0]} must hold finite values")
     rd.expect_done()
     return FieldFile(mesh_name=mesh_name, times=times, dofs=dofs)

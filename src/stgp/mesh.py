@@ -24,6 +24,7 @@ class MeshFormatError(ValueError):
     """Malformed stgp-mesh, stgp-field or stgp-matrix text. Carries the offending line number."""
 
     def __init__(self, line: int, message: str):
+        line = int(line)
         super().__init__(f"line {line}: {message}")
         self.line = line
 
@@ -245,7 +246,9 @@ class PointLocator:
             bins += (first[elements, axis] + rank % step) * stride
             rank //= step
             stride *= int(counts[axis])
-        self._ids = elements[np.lexsort((elements, bins))]
+        # elements is nondecreasing and holds no bin twice, so a stable sort by bin
+        # leaves each bin's ids ascending, as sorting by (bin, element) would.
+        self._ids = elements[np.argsort(bins, kind="stable")]
         self._offsets = np.zeros(stride + 1, dtype=np.int64)
         np.cumsum(np.bincount(bins, minlength=stride), out=self._offsets[1:])
 
@@ -395,38 +398,68 @@ def _row_dtype(width: int, lead: int, integer: bool, keyword: str | None) -> np.
     return np.dtype(fields)
 
 
+# Characters of text that _LineReader splits into lines at a time, running on
+# to the end of the last line: few enough that a chunk's line objects are
+# small beside a long text, many enough that the chunks are few. Each chunk
+# costs one np.loadtxt call per block, about 20 us of fixed cost, so 64 KiB
+# chunks made a 2 MB field of 680-character lines read 1-2 % slower.
+_READ_CHUNK_CHARS = 2**18
+
+
 class _LineReader:
     """The content lines of an stgp text file after its '<kind> 1' header, '#' starting a comment.
 
-    Lines are kept as text. `next` splits one line into tokens; `block`
-    parses a run of numeric lines with one np.loadtxt call, and only when
-    that fails does `_diagnose` look for the faulty line. Every fault raises
-    MeshFormatError naming its line.
+    A cursor over the text, which it splits into lines one chunk at a time,
+    when it reaches the chunk. A chunk is cut just after a newline, so its
+    lines and their numbers are those of the whole text's splitlines(). `next`
+    splits one line into tokens; `block` parses each chunk's share of a run of
+    numeric lines with one np.loadtxt call, and only when that fails does
+    `_diagnose` look for the faulty line. Every fault raises MeshFormatError
+    naming its line.
     """
 
     def __init__(self, text: str, kind: str):
-        lines = text.splitlines()
-        if "#" in text:
-            lines = [line.split("#", 1)[0] for line in lines]
-        self._lines = [(lineno, line) for lineno, line in enumerate(lines, 1) if line and not line.isspace()]
+        self._text = text
+        self._end = 0     # where the next chunk starts in the text
+        self._first = 1   # the number of the next chunk's first line
+        self._lines: list[str] = []                   # the chunk's content lines
+        self._numbers = np.zeros(0, dtype=np.int64)   # and their line numbers
         self._pos = 0
         self.last_line = 0
         lineno, tokens = self.next(f"header '{kind} 1'")
         if tokens != [kind, "1"]:
             raise MeshFormatError(lineno, f"expected header '{kind} 1'")
 
+    def _take(self, count: int) -> tuple[list[str], np.ndarray]:
+        """Up to `count` next content lines, all of one chunk, and their line numbers;
+        none only at the end of the text."""
+        while self._pos == len(self._lines) and self._end < len(self._text):
+            cut = self._text.find("\n", self._end + _READ_CHUNK_CHARS)
+            start, self._end = self._end, len(self._text) if cut < 0 else cut + 1
+            chunk = self._text[start:self._end]
+            lines = chunk.splitlines()
+            if "#" in chunk:
+                lines = [line.split("#", 1)[0] for line in lines]
+            numbers = np.arange(self._first, self._first + len(lines))
+            self._first += len(lines)
+            if "" in lines or any(map(str.isspace, lines)):
+                keep = [line != "" and not line.isspace() for line in lines]
+                lines, numbers = list(itertools.compress(lines, keep)), numbers[keep]
+            self._lines, self._numbers, self._pos = lines, numbers, 0
+        start, self._pos = self._pos, min(self._pos + count, len(self._lines))
+        return self._lines[start:self._pos], self._numbers[start:self._pos]
+
     def next(self, what: str):
-        if self._pos >= len(self._lines):
+        texts, lines = self._take(1)
+        if not texts:
             raise MeshFormatError(self.last_line + 1, f"unexpected end of file, expected {what}")
-        lineno, text = self._lines[self._pos]
-        self._pos += 1
-        self.last_line = lineno
-        return lineno, text.split()
+        self.last_line = int(lines[0])
+        return self.last_line, texts[0].split()
 
     def expect_done(self):
-        if self._pos < len(self._lines):
-            lineno, text = self._lines[self._pos]
-            raise MeshFormatError(lineno, f"unexpected trailing content: {' '.join(text.split())}")
+        texts, lines = self._take(1)
+        if texts:
+            raise MeshFormatError(int(lines[0]), f"unexpected trailing content: {' '.join(texts[0].split())}")
 
     def parse(self, token: str, what: str, convert=int):
         """A token of the last line read, converted by `convert` (int or float) as `block` converts it."""
@@ -446,7 +479,7 @@ class _LineReader:
         return self.parse(tokens[1], label)
 
     def block(self, count: int, width: int, what: str, shape: str, labels: tuple[str, ...],
-              convert=float, keyword: str | None = None) -> tuple[list[np.ndarray], list[int]]:
+              convert=float, keyword: str | None = None) -> tuple[list[np.ndarray], np.ndarray]:
         """The next `count` lines of `width` tokens each, as arrays (one per label) and line numbers.
 
         Each label but the last names one leading integer column, (count,);
@@ -456,28 +489,39 @@ class _LineReader:
         """
         if count < 0:
             raise MeshFormatError(self.last_line, f"count must be >= 0, got {count}")
-        rows = self._lines[self._pos:self._pos + count]
-        texts = [text for _, text in rows]
-        try:
-            # A line of `width` tokens holds at least 2 * width - 1 characters. np.loadtxt
-            # allocates whole rows of the dtype, so none is built wider than the text can fill.
-            if len(rows) < count or (texts and min(map(len, texts)) < 2 * width - 1):
-                raise ValueError("too few lines, or a line too short")
-            dtype = _row_dtype(width, len(labels) - 1, convert is int, keyword)
-            table = _parse_rows(texts, dtype) if texts else np.zeros(0, dtype)
-            if keyword is not None and np.any(table["keyword"] != keyword):
-                raise ValueError(f"a line does not open with {keyword!r}")
-        except ValueError:
-            self._diagnose(rows, width, what, shape, labels, convert, keyword)
-        self._pos += count
-        self.last_line = rows[-1][0] if rows else self.last_line
-        return [*table["lead"].T, table["rest"]], [lineno for lineno, _ in rows]
+        leads, rests, numbers, done = [], [], [], 0
+        while not rests or done < count:  # an empty block still gives one empty table
+            texts, lines = self._take(count - done)
+            try:
+                # A line of `width` tokens holds at least 2 * width - 1 characters. np.loadtxt
+                # allocates whole rows of the dtype, so none is built wider than the text can fill.
+                if done < count and (not texts or min(map(len, texts)) < 2 * width - 1):
+                    raise ValueError("the end of the file, or a line too short")
+                dtype = _row_dtype(width, len(labels) - 1, convert is int, keyword)
+                table = _parse_rows(texts, dtype) if texts else np.zeros(0, dtype)
+                if keyword is not None and np.any(table["keyword"] != keyword):
+                    raise ValueError(f"a line does not open with {keyword!r}")
+            except ValueError:
+                self._diagnose(texts, lines, done, width, what, shape, labels, convert, keyword)
+            leads.append(table["lead"])
+            rests.append(table["rest"])
+            numbers.append(lines)
+            done += len(texts)
+            if texts:
+                self.last_line = int(lines[-1])
+        # A block within one chunk is not copied. Columns are joined one field at a time:
+        # np.concatenate copies structured rows several times slower than plain arrays.
+        lead, rest, lines = (parts[0] if len(parts) == 1 else np.concatenate(parts)
+                             for parts in (leads, rests, numbers))
+        return [*lead.T, rest], lines
 
-    def _diagnose(self, rows, width, what, shape, labels, convert, keyword):
-        """Raise for the first faulty line of a block that `block` could not parse, or for the
-        early end of the file. A line is faulty exactly when it does not parse on its own."""
+    def _diagnose(self, texts, lines, first, width, what, shape, labels, convert, keyword):
+        """Raise for the first faulty line of a chunk's share of a block that `block` could not
+        parse, or for the early end of the file. `texts` are the lines, `lines` their numbers
+        and `first` the block row of the first. A line is faulty exactly when it does not
+        parse on its own."""
         skip, lead = int(keyword is not None), len(labels) - 1
-        for i, (lineno, text) in enumerate(rows):
+        for i, (lineno, text) in enumerate(zip(lines.tolist(), texts), first):
             tokens = text.split()
             if len(tokens) != width or (skip and tokens[0] != keyword):
                 raise MeshFormatError(lineno, shape.format(i=i, got=len(tokens)))
@@ -489,11 +533,11 @@ class _LineReader:
                     self.parse(token, labels[min(j, lead)], int if j < lead else convert)
                 # Each token parses alone, yet the line does not.
                 raise MeshFormatError(lineno, shape.format(i=i, got=len(tokens))) from None
-        last = rows[-1][0] if rows else self.last_line
-        raise MeshFormatError(last + 1, f"unexpected end of file, expected {what.format(i=len(rows))}")
+        last = int(lines[-1]) if texts else self.last_line
+        raise MeshFormatError(last + 1, f"unexpected end of file, expected {what.format(i=first + len(texts))}")
 
 
-def _check_ids(ids: np.ndarray, lines: list[int], what: str) -> None:
+def _check_ids(ids: np.ndarray, lines: np.ndarray, what: str) -> None:
     bad = np.flatnonzero(ids != np.arange(len(ids)))
     if bad.size:
         i = bad[0]

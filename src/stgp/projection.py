@@ -6,7 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import (MAX_TIME_QUAD_POINTS, assemble_source_matrix, assemble_spatial_mass,
+from .assembly import (DEFAULT_OUTSIDE_POLICY, DEFAULT_SPACE_QUAD_ORDER, DEFAULT_TIME_QUAD_POINTS,
+                       MAX_TIME_QUAD_POINTS, assemble_source_matrix, assemble_spatial_mass,
                        assemble_temporal_gram, energy_error, sample_source)
 from .basis import MAX_QUAD_ORDER, TemporalGrid, _whole, _within_span, simplex_quadrature
 from .fields import DiscreteField, PointOutsideDomainError, SourceField, check_policy
@@ -20,9 +21,9 @@ class ProjectionProblem:
     edge_table: EdgeTable
     grid: TemporalGrid
     source: SourceField
-    space_quad_order: int = 4
-    time_quad_points: int = 2
-    outside_policy: str = "zero"
+    space_quad_order: int = DEFAULT_SPACE_QUAD_ORDER
+    time_quad_points: int = DEFAULT_TIME_QUAD_POINTS
+    outside_policy: str = DEFAULT_OUTSIDE_POLICY
     solver: SolverConfig = field(default_factory=SolverConfig)
     threads: int = 1  # accepted and ignored: assembly runs as whole-array kernels
     allow_nonconverged: bool = False
@@ -79,8 +80,9 @@ def project(problem: ProjectionProblem) -> ProjectionResult:
 
 
 def error_norm(mesh: Mesh, edge_table: EdgeTable, grid: TemporalGrid, source: SourceField,
-               dofs: np.ndarray, space_quad_order: int = 4, time_quad_points: int = 2,
-               policy: str = "zero") -> tuple[float, float]:
+               dofs: np.ndarray, space_quad_order: int = DEFAULT_SPACE_QUAD_ORDER,
+               time_quad_points: int = DEFAULT_TIME_QUAD_POINTS,
+               policy: str = DEFAULT_OUTSIDE_POLICY) -> tuple[float, float]:
     """Energy-weighted squared distance between a trial DOF field and the source.
 
     Returns (error, source_energy); source_energy normalizes the error so the

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from stgp import (Mesh, MeshFormatError, generate_structured_mesh, read_field, read_matrix, read_mesh,
-                  write_field, write_matrix, write_mesh)
+import stgp.mesh
+from stgp import (FieldFile, Mesh, MeshFormatError, generate_structured_mesh, read_field, read_matrix,
+                  read_mesh, write_field, write_matrix, write_mesh)
 from stgp.assembly import TriDiagMatrix
 from stgp.mesh import _format_row, _LineReader
 
@@ -169,6 +170,31 @@ class TestWriterBytes:
             tracemalloc.stop()
         assert len(text) > 2**18
         assert peak < 2.5 * len(text), f"peak {peak / len(text):.2f}x the text"
+
+
+class TestReaderMemory:
+    @pytest.mark.parametrize("case, bound", [("field", 1.25), ("dense-matrix", 1.25), ("mesh", 7.0),
+                                             ("sparse-matrix", 6.5)])
+    def test_reading_holds_the_text_once(self, case, bound):
+        """A reader splits its text into lines a chunk at a time. Holding every line at once
+        read 1.70 (field), 1.51 (dense), 12.3 (mesh) and 9.8 (sparse) times the text beyond
+        it; the rest is the parsed arrays and, for a mesh or a sparse matrix, their checks."""
+        rng = np.random.default_rng(3)
+        read, text = {
+            "field": (read_field, write_field("m.stgp", np.linspace(0.0, 1.0, 32), rng.standard_normal((3400, 32)))),
+            "dense-matrix": (read_matrix, write_matrix(rng.standard_normal((800, 136)))),
+            "mesh": (read_mesh, write_mesh(generate_structured_mesh("unit-square-tri", 104, 1.0))),
+            "sparse-matrix": (read_matrix, write_matrix(
+                sp.diags([rng.standard_normal(20000), rng.standard_normal(19999)], [0, 1]).tocsr())),
+        }[case]
+        tracemalloc.start()
+        try:
+            read(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(text) >= 2**20
+        assert peak < bound * len(text), f"peak {peak / len(text):.2f}x the text"
 
 
 def _doubles(seed: int, n: int) -> np.ndarray:
@@ -343,6 +369,18 @@ class TestNumberGrammar:
             tracemalloc.stop()
         assert peak < 2**20
 
+    @pytest.mark.parametrize("reader, text, line", [
+        (read_field, CANONICAL_FIELD.replace("steps 2", f"steps {10**18}"), 4),
+        (read_matrix, f"stgp-matrix 1\ndense 2 {10**18}\n1.0 2.0\n", 3),
+        (read_matrix, f"stgp-matrix 1\ndense 0 {10**18}\n", 3),
+        (read_matrix, f"stgp-matrix 1\ntridiag {10**18}\n", 3),
+    ], ids=["field-times", "dense-row", "dense-no-rows", "tridiag"])
+    def test_declared_width_beyond_any_row_type_is_a_format_error(self, reader, text, line):
+        """A width too large for a numpy row type fails as a format error, not a ValueError."""
+        with pytest.raises(MeshFormatError) as err:
+            reader(text)
+        assert err.value.line == line
+
     def test_int_read_through_float_is_a_fault(self, monkeypatch):
         """numpy releases that read an int64 token '3.0' through float only warn; the reader rejects it."""
         real = np.loadtxt
@@ -390,7 +428,139 @@ class TestNumberGrammar:
                 assert np.array_equal(values[:, 0], [float(tokens[2])], equal_nan=True)
 
             rd = _LineReader(text, "stgp-test")
+            texts, lines = rd._take(1)
             with pytest.raises(MeshFormatError) as err:
-                rd._diagnose(rd._lines[1:], width, "row", "bad row", labels, float, None)
+                rd._diagnose(texts, lines, 0, width, "row", "bad row", labels, float, None)
             found_fault = "unexpected end of file" not in str(err.value)
             assert found_fault == (not good), (line, err.value)
+
+
+# Line separators that str.splitlines() honours besides "\n": a chunk is cut only
+# after a "\n", and the others still split lines inside it.
+SEPARATORS = ["\r\n", "\r", "\x0b", "\u2028"]
+SMALL_CHUNK = 300
+
+
+def _decorated(text: str, rng: np.random.Generator) -> str:
+    """`text` with blank, whitespace-only and comment lines put in, trailing comments and
+    other separators on some lines; the content lines and their order are kept."""
+    out = []
+    for k, line in enumerate(text.splitlines()):
+        if k and rng.random() < 0.15:
+            out.append(str(rng.choice(["", "  \t", "# a comment line", "\x0c"])) + "\n")
+        if k and rng.random() < 0.1:
+            line += " # trailing 1 2 3"
+        out.append(line + (str(rng.choice(SEPARATORS)) if rng.random() < 0.25 else "\n"))
+    return "".join(out)
+
+
+def _chunk_ends(text: str, size: int) -> list[int]:
+    """Where the reader cuts the text: just after the first newline `size` or more characters on."""
+    ends, start = [], 0
+    while start < len(text):
+        cut = text.find("\n", start + size)
+        start = len(text) if cut < 0 else cut + 1
+        ends.append(start)
+    return ends
+
+
+def _outcome(reader, text: str, chunk: int, monkeypatch):
+    """The arrays a reader gives for the text with the given chunk size, or its fault."""
+    monkeypatch.setattr(stgp.mesh, "_READ_CHUNK_CHARS", chunk)
+    try:
+        read = reader(text)
+    except MeshFormatError as exc:
+        return exc.line, str(exc)
+    if isinstance(read, Mesh):
+        arrays = [read.nodes, read.elements, read.mu]
+    elif isinstance(read, FieldFile):
+        arrays = [np.array(read.mesh_name), read.times, read.dofs]
+    elif isinstance(read, TriDiagMatrix):
+        arrays = [read.diag, read.off]
+    elif sp.issparse(read):
+        arrays = [read.data, read.indices, read.indptr]
+    else:
+        arrays = [read]
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+def _long_texts():
+    rng = np.random.default_rng(17)
+    mesh = generate_structured_mesh("unit-square-tri", 5, 1.0)
+    return {
+        "mesh": (read_mesh, write_mesh(Mesh(dim=2, nodes=mesh.nodes, elements=mesh.elements,
+                                            mu=rng.uniform(0.5, 2.0, mesh.n_elements)))),
+        "field": (read_field, write_field("m.stgp", np.linspace(0.0, 1.0, 6), rng.standard_normal((40, 6)))),
+        "dense": (read_matrix, write_matrix(rng.standard_normal((30, 5)))),
+        "sparse": (read_matrix, write_matrix(sp.diags([rng.standard_normal(40), rng.standard_normal(39)],
+                                                      [0, 1]).tocsr())),
+        "tridiag": (read_matrix, write_matrix(TriDiagMatrix(diag=rng.uniform(1, 2, 30), off=rng.uniform(0, 1, 29)))),
+    }
+
+
+def _faults_at_chunk_ends(text: str, size: int):
+    """(label, text) with one fault on the content line just before, and just after, each
+    chunk end: a digit made 'x' or two tokens joined, which keep the length and so the
+    chunk ends, or the text cut off at the chunk end."""
+    lines = text.splitlines(keepends=True)
+    for n_end, end in enumerate(_chunk_ends(text, size)[:-1]):
+        at = len(text[:end].splitlines())       # lines[at] starts a chunk
+        yield f"cut-{n_end}", text[:end]
+        for side, order in (("before", range(at - 1, -1, -1)), ("after", range(at, len(lines)))):
+            for k in order:
+                content = lines[k].split("#", 1)[0]
+                digit = re.search(r"[0-9](?=[^0-9]*$)", content)
+                gap = re.search(r"(?<=\S) (?=\S)", content)
+                if digit and gap:
+                    break
+            else:
+                continue
+            for kind, m, new in (("x", digit, "x"), ("join", gap, "_")):
+                changed = lines[k][:m.start()] + new + lines[k][m.end():]
+                yield f"{side}-{n_end}-{kind}", "".join(lines[:k] + [changed] + lines[k + 1:])
+
+
+class TestChunkBoundaries:
+    """A text several chunks long reads as it does in one chunk, which splits it with one
+    text.splitlines(): the same arrays, or the same fault at the same line."""
+
+    @pytest.mark.parametrize("name", ["mesh", "field", "dense", "sparse", "tridiag"])
+    @pytest.mark.parametrize("decorate", [False, True], ids=["plain", "decorated"])
+    def test_same_arrays_and_faults_as_one_chunk(self, name, decorate, monkeypatch):
+        reader, text = _long_texts()[name]
+        if decorate:
+            text = _decorated(text, np.random.default_rng(len(name)))
+        ends = _chunk_ends(text, SMALL_CHUNK)
+        # A tridiag text is two long lines, each longer than a chunk.
+        assert len(ends) >= (2 if name == "tridiag" else 4)
+        whole = len(text) + 1
+        reference = _outcome(reader, text, whole, monkeypatch)
+        assert isinstance(reference, list)
+        assert _outcome(reader, text, SMALL_CHUNK, monkeypatch) == reference
+        faults = 0
+        for label, variant in _faults_at_chunk_ends(text, SMALL_CHUNK):
+            if label.startswith(("before", "after")):
+                assert len(variant) == len(text)
+            expected = _outcome(reader, variant, whole, monkeypatch)
+            assert _outcome(reader, variant, SMALL_CHUNK, monkeypatch) == expected, label
+            faults += isinstance(expected, tuple)
+        assert faults >= 3 * (len(ends) - 1)
+
+    def test_separators_split_inside_a_chunk(self, monkeypatch):
+        """Each separator but '\\n' leaves a chunk running on; the line numbers still count it."""
+        field = "stgp-field 1\nmesh m.stgp\nedges 4 steps 2\ntimes 0.0 1.0\n1.0 2.0\n3.0 4.0\n5.0 6.0\n7.0 8.0\n"
+        for separator in SEPARATORS:
+            text = field.replace("\n", separator, 6).replace("7.0 8.0", "7.0 x")
+            expected = _outcome(read_field, text, len(text) + 1, monkeypatch)
+            assert expected == (8, "line 8: expected number dof value, got 'x'")
+            for chunk in range(0, len(text)):
+                assert _outcome(read_field, text, chunk, monkeypatch) == expected
+
+    def test_default_chunk_size(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        text = _decorated(write_field("m.stgp", np.linspace(0.0, 1.0, 16), rng.standard_normal((4000, 16))), rng)
+        size = stgp.mesh._READ_CHUNK_CHARS
+        assert len(_chunk_ends(text, size)) >= 4
+        for label, variant in [("valid", text), *_faults_at_chunk_ends(text, size)]:
+            expected = _outcome(read_field, variant, len(variant) + 1, monkeypatch)
+            assert _outcome(read_field, variant, size, monkeypatch) == expected, label

@@ -386,15 +386,12 @@ class TestLocatorBins:
     def bins(locator, b):
         return locator._ids[locator._offsets[b]:locator._offsets[b + 1]]
 
-    @pytest.mark.parametrize("kind,n", [("unit-square-tri", 1), ("unit-square-tri", 5),
-                                        ("unit-cube-tet", 1), ("unit-cube-tet", 3)])
-    def test_element_listed_in_every_bin_its_box_touches(self, kind, n, jitter_rng):
-        # The box of each element is padded by the snap distance.
-        mesh = jittered_mesh(kind, n, jitter_rng)
-        locator = PointLocator(mesh)
+    @staticmethod
+    def box_entries(locator, mesh):
+        """(bin, element) for every bin that an element's box, padded by the snap distance,
+        touches, in element order."""
         snap = SNAP_REL_TOL * mesh.bbox_diagonal()
         counts = [count for _, _, count in locator._axes]
-        expected = {}
         for e, verts in enumerate(mesh.nodes[mesh.elements]):
             ranges = []
             for (start, size, count), a, b in zip(locator._axes, verts.min(axis=0) - snap,
@@ -402,7 +399,17 @@ class TestLocatorBins:
                 first, last = (min(max(math.floor((c - start) / size), 0), count - 1) for c in (a, b))
                 ranges.append(range(first, last + 1))
             for key in itertools.product(*ranges):
-                expected.setdefault(int(np.ravel_multi_index(key, counts)), []).append(e)
+                yield int(np.ravel_multi_index(key, counts)), e
+
+    @pytest.mark.parametrize("kind,n", [("unit-square-tri", 1), ("unit-square-tri", 5),
+                                        ("unit-cube-tet", 1), ("unit-cube-tet", 3)])
+    def test_element_listed_in_every_bin_its_box_touches(self, kind, n, jitter_rng):
+        mesh = jittered_mesh(kind, n, jitter_rng)
+        locator = PointLocator(mesh)
+        counts = [count for _, _, count in locator._axes]
+        expected = {}
+        for b, e in self.box_entries(locator, mesh):
+            expected.setdefault(b, []).append(e)
         assert len(locator._offsets) == math.prod(counts) + 1
         for b in range(math.prod(counts)):
             assert self.bins(locator, b).tolist() == expected.get(b, [])
@@ -436,6 +443,18 @@ class TestLocatorBins:
                 b = b * count + min(max(math.floor((c - start) / size), 0), count - 1)
             holders = np.flatnonzero(np.all((box_lo <= p) & (p <= box_hi), axis=1))
             assert set(holders.tolist()) <= set(self.bins(locator, b).tolist())
+
+    @pytest.mark.parametrize("kind,n", [("unit-square-tri", 9), ("unit-cube-tet", 4)])
+    def test_csr_is_the_two_key_sort(self, kind, n, jitter_rng):
+        """The stable sort by bin gives the arrays of sorting the entries by (bin, element)."""
+        mesh = jittered_mesh(kind, n, jitter_rng)
+        locator = PointLocator(mesh)
+        bins, elements = np.array(list(self.box_entries(locator, mesh))).T
+        shuffle = jitter_rng.permutation(len(bins))
+        bins, elements = bins[shuffle], elements[shuffle]
+        n_bins = len(locator._offsets) - 1
+        assert np.array_equal(locator._ids, elements[np.lexsort((elements, bins))])
+        assert np.array_equal(locator._offsets, np.concatenate([[0], np.cumsum(np.bincount(bins, minlength=n_bins))]))
 
     @pytest.mark.parametrize("kind,n", [("unit-square-tri", 6), ("unit-cube-tet", 3)])
     def test_bin_ids_strictly_ascending(self, kind, n, jitter_rng):

@@ -1,4 +1,6 @@
 """End-to-end projection: identities, error norm, field evaluation, probes."""
+import dataclasses
+import inspect
 import re
 import warnings
 
@@ -8,7 +10,9 @@ import pytest
 from stgp import (AnalyticField, DiscreteField, Mesh, PointLocator, ProjectionProblem,
                   SolverConfig, TemporalGrid, apply_operator, assemble_spatial_mass,
                   assemble_temporal_gram, build_edge_table, error_norm, eval_projected,
-                  generate_structured_mesh, probe_timeseries, project, sample_field)
+                  generate_structured_mesh, probe_timeseries, project, sample_field,
+                  simplex_quadrature)
+from stgp import assembly
 from stgp.fields import edge_circulations, locate_points
 from stgp.solver import SolverNonConvergence
 
@@ -457,6 +461,25 @@ class TestProblemSettings:
             result = project(make_problem(square_mesh_2, grid, source, space_quad_order=order,
                                           time_quad_points=points))
             assert result.relative_error <= 1e-8
+
+    def test_defaults_are_the_module_constants(self, square_mesh_2):
+        """Every entry point that defaults a projection setting takes it from one constant."""
+        defaults = {"space_quad_order": assembly.DEFAULT_SPACE_QUAD_ORDER,
+                    "time_quad_points": assembly.DEFAULT_TIME_QUAD_POINTS,
+                    "policy": assembly.DEFAULT_OUTSIDE_POLICY,
+                    "outside_policy": assembly.DEFAULT_OUTSIDE_POLICY}
+        fields = {f.name: f.default for f in dataclasses.fields(ProjectionProblem)}
+        assert {name: fields[name] for name in ("space_quad_order", "time_quad_points", "outside_policy")} \
+            == {name: defaults[name] for name in ("space_quad_order", "time_quad_points", "outside_policy")}
+        for function, names in ((assembly.sample_source, ("time_quad_points", "policy")),
+                                (assembly.assemble_source_matrix, ("time_quad_points", "policy")),
+                                (assembly.energy_error, ("time_quad_points", "policy")),
+                                (error_norm, ("space_quad_order", "time_quad_points", "policy"))):
+            parameters = inspect.signature(function).parameters
+            assert {name: parameters[name].default for name in names} \
+                == {name: defaults[name] for name in names}, function.__name__
+        rule, own = assembly._fitted_rule(square_mesh_2, None), simplex_quadrature(2, defaults["space_quad_order"])
+        assert np.array_equal(rule.points, own.points) and np.array_equal(rule.weights, own.weights)
 
 
 class TestPointDimension:
