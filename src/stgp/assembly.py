@@ -46,7 +46,7 @@ from .basis import (QuadratureRule, TemporalGrid, _whole, _within_span, gauss_un
 from .fields import (AnalyticField, DiscreteField, SourceField, check_policy, eval_points_per_point,
                      locate_points, located_rows)
 from .mesh import (EdgeTable, Mesh, MeshFormatError, _format_row, _join_lines, _LineReader,
-                   barycentric_transforms, check_edge_table, signed_volumes)
+                   check_edge_table)
 
 # Source samples (rows x columns) held at once by one block of the sweep.
 # Larger blocks raised the peak RSS (2**18: +7 % on the benchmark's
@@ -129,9 +129,8 @@ def assemble_spatial_mass(mesh: Mesh, edge_table: EdgeTable,
     if quad.order < 2:
         raise ValueError("spatial mass assembly needs a simplex rule of order >= 2")
 
-    _, _, grads = barycentric_transforms(mesh)
-    jac = np.abs(signed_volumes(mesh)) / (quad.weights.sum())
-    w = whitney_local(mesh.dim, grads, edge_table.element_signs, quad.points)  # (E, Q, nl, d)
+    jac = np.abs(mesh.volumes) / (quad.weights.sum())
+    w = whitney_local(mesh.dim, mesh.grads, edge_table.element_signs, quad.points)  # (E, Q, nl, d)
     local = np.einsum("q,eqid,eqjd->eij", quad.weights, w, w) * (mesh.mu * jac)[:, None, None]
     local = np.triu(local) + np.swapaxes(np.triu(local, 1), 1, 2)  # exact numeric symmetry
     ge = edge_table.element_edges
@@ -300,10 +299,9 @@ def _sweep(samples: SourceSamples, width: int):
     mesh, edge_table, _, _, space_quad, _, _ = samples.args
     n_q, dim = len(space_quad.points), mesh.dim
     block = max(1, SWEEP_SAMPLES // width // (n_q * dim))
-    _, _, grads = barycentric_transforms(mesh)
-    jac = np.abs(signed_volumes(mesh)) / space_quad.weights.sum()
+    jac = np.abs(mesh.volumes) / space_quad.weights.sum()
     scale = np.repeat((mesh.mu * jac)[:, None] * space_quad.weights, dim, axis=1)  # (E, P)
-    whitney = whitney_local(dim, grads, edge_table.element_signs, space_quad.points)
+    whitney = whitney_local(dim, mesh.grads, edge_table.element_signs, space_quad.points)
     whitney = np.swapaxes(whitney, 1, 2).reshape(mesh.n_elements, -1, n_q * dim)  # (E, nl, P)
     for start in range(0, mesh.n_elements, block):
         el = slice(start, min(start + block, mesh.n_elements))

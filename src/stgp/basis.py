@@ -243,10 +243,7 @@ def whitney_edge_eval(mesh: Mesh, edge_table: EdgeTable, element: int, x_bary) -
     element = operator.index(element)
     if not 0 <= element < mesh.n_elements:
         raise ValueError(f"element {element} is out of range; valid range is 0..{mesh.n_elements - 1}")
-    verts = mesh.nodes[mesh.elements[element]]
-    inv_edges = np.linalg.inv((verts[1:] - verts[0]).T)
-    grads = np.concatenate([-inv_edges.sum(axis=0, keepdims=True), inv_edges])
-    return whitney_local(mesh.dim, grads, edge_table.element_signs[element], lam[None, :])[0]
+    return whitney_local(mesh.dim, mesh.grads[element], edge_table.element_signs[element], lam[None, :])[0]
 
 
 def whitney_local(dim: int, grads: np.ndarray, signs: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -263,8 +260,3 @@ def whitney_local(dim: int, grads: np.ndarray, signs: np.ndarray, lam: np.ndarra
     lam = np.asarray(lam)
     w = lam[..., pa, None] * grads[..., pb, :] - lam[..., pb, None] * grads[..., pa, :]
     return w * np.asarray(signs)[..., None, :, None]
-
-
-def edge_circulation_rule(n: int = 8) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss points/weights on [0, 1] used to sample edge circulations."""
-    return gauss_unit_interval(n)

@@ -94,15 +94,24 @@ def _floats(value: str) -> list[float]:
     return [float(tok) for tok in value.split()]
 
 
+def _parsed(key: str, raw: str, parse, takes: str):
+    """The value of a config key, parse(raw); a ConfigError naming the key if raw does not parse."""
+    try:
+        return parse(raw)
+    except ValueError:
+        raise ConfigError(f"{key} must be {takes}, got {raw!r}") from None
+
+
 def _build_grid(config: dict) -> TemporalGrid:
     if "target_times" in config:
         if any(k in config for k in ("target_time_start", "target_time_stop", "target_time_count")):
             raise ConfigError("give either target_times or the start/stop/count triple, not both")
-        return TemporalGrid(np.array(_floats(config["target_times"])))
+        return TemporalGrid(np.array(_parsed("target_times", config["target_times"], _floats,
+                                             "a list of numbers")))
     try:
-        start = float(config["target_time_start"])
-        stop = float(config["target_time_stop"])
-        count = int(config["target_time_count"])
+        start = _parsed("target_time_start", config["target_time_start"], float, "a number")
+        stop = _parsed("target_time_stop", config["target_time_stop"], float, "a number")
+        count = _parsed("target_time_count", config["target_time_count"], int, "an integer")
     except KeyError as exc:
         raise ConfigError(f"missing time grid key {exc.args[0]}") from None
     if count < 2:
@@ -115,10 +124,7 @@ def _settings(config: dict, owner: type) -> dict:
     fields = {}
     for key, (cls, name, parse, takes) in _SETTINGS.items():
         if cls is owner and key in config:
-            try:
-                fields[name] = parse(config[key])
-            except ValueError:
-                raise ConfigError(f"{key} must be {takes}, got {config[key]!r}") from None
+            fields[name] = _parsed(key, config[key], parse, takes)
     return fields
 
 
@@ -133,7 +139,8 @@ def _build_analytic(config: dict, dim: int) -> AnalyticField:
     for name, count, default in AnalyticField.KINDS[kind]:
         raw = config.get(f"analytic_{name}")
         if raw is not None:
-            params[name] = float(raw) if count is None else _floats(raw)
+            parse, takes = (float, "a number") if count is None else (_floats, "a list of numbers")
+            params[name] = _parsed(f"analytic_{name}", raw, parse, takes)
         elif default is None:
             raise ConfigError(f"missing key analytic_{name} for analytic_kind = {kind}")
     for key in sorted(config):
@@ -207,14 +214,14 @@ def cmd_project(config_path: str) -> int:
             source=source, solver=SolverConfig(**_settings(config, SolverConfig)),
             **_settings(config, ProjectionProblem))
         check_span(grid, source)
-        probes = [np.array(_floats(p)) for p in config["probe"]]
+        probes = [np.array(_parsed("probe", p, _floats, "a list of numbers")) for p in config["probe"]]
         locator = PointLocator(target_mesh) if probes else None
         for raw, p in zip(config["probe"], probes):
             if p.shape != (target_mesh.dim,):
                 raise ConfigError(f"probe '{raw}' needs {target_mesh.dim} coordinates")
             if locator.locate(p).status == "outside":
                 raise ConfigError(f"probe '{raw}' is outside the target mesh")
-        probe_samples = int(config.get("probe_samples", "200"))
+        probe_samples = _parsed("probe_samples", config.get("probe_samples", "200"), int, "an integer")
         if probe_samples < 2:
             raise ConfigError("probe_samples must be >= 2")
     except InputFileError as exc:

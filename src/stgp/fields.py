@@ -6,11 +6,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import TemporalGrid, _within_span, edge_circulation_rule, hat_matrix, whitney_local
+from .basis import TemporalGrid, _within_span, gauss_unit_interval, hat_matrix, whitney_local
 from .mesh import (EdgeTable, Mesh, MeshFormatError, PointLocator, _format_row, _join_lines,
                    _LineReader, check_edge_table, check_points)
 
 OUTSIDE_POLICIES = ("zero", "strict")
+# Gauss-Legendre points along each edge for its circulation.
+CIRCULATION_POINTS = 8
 
 
 class PointOutsideDomainError(ValueError):
@@ -338,7 +340,7 @@ def located_rows(field: DiscreteField, inside: np.ndarray, elements: np.ndarray,
     inside = inside[points]
     hit = np.flatnonzero(inside)
     elements, lam = elements[points][hit], lam[points][hit]
-    values = whitney_local(field.dim, field.locator.element_gradients(elements),
+    values = whitney_local(field.dim, field.mesh.grads[elements],
                            field.edge_table.element_signs[elements], lam[:, None, :])[:, 0]  # (H, nl, d)
     rows = np.zeros((len(inside), field.dim, field.dofs.shape[1]))
     rows[hit] = np.swapaxes(values, 1, 2) @ field.dofs[field.edge_table.element_edges[elements]]
@@ -348,7 +350,7 @@ def located_rows(field: DiscreteField, inside: np.ndarray, elements: np.ndarray,
 def _circulations(mesh: Mesh, edge_table: EdgeTable, values_at) -> np.ndarray:
     """The circulation rule on every global edge; values_at(points (M, dim)) -> (M, ..., dim)."""
     check_edge_table(mesh, edge_table)
-    s, w = edge_circulation_rule()
+    s, w = gauss_unit_interval(CIRCULATION_POINTS)
     a = mesh.nodes[edge_table.edges[:, 0]]
     b = mesh.nodes[edge_table.edges[:, 1]]
     tangents = b - a

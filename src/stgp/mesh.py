@@ -1,4 +1,5 @@
-"""Simplicial meshes: edge enumeration, point location, structured generation, file I/O."""
+"""Simplicial meshes, which hold their element geometry; edge enumeration, point location,
+structured generation, file I/O."""
 from __future__ import annotations
 
 import itertools
@@ -6,6 +7,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +45,10 @@ class Mesh:
     """Simplicial mesh (triangles in 2D, tetrahedra in 3D) with per-element permeability.
 
     Immutable after construction; arrays are locked read-only so instances can be
-    shared freely between threads.
+    shared freely between threads. It holds the element geometry that location,
+    assembly and Whitney evaluation read, `volumes` and `grads`, each built on
+    first use. Two threads that first ask for one at once may both build it, a
+    benign race: the arrays are identical.
     """
 
     dim: int
@@ -78,7 +83,7 @@ class Mesh:
             bad = int(np.argmax(~(np.isfinite(mu) & (mu > 0.0))))
             raise MeshRowError("mu", bad, f"mu of element {bad} must be a strictly positive finite value")
 
-        vols = signed_volumes(self)
+        vols = self._signed_volumes()
         scale = float(np.linalg.norm(nodes.max(axis=0) - nodes.min(axis=0))) if len(nodes) else 0.0
         limit = DEGENERACY_REL_TOL * scale**self.dim
         if np.any(np.abs(vols) <= limit):
@@ -87,6 +92,36 @@ class Mesh:
 
         for arr in (nodes, elements, mu):
             arr.flags.writeable = False
+
+    def _signed_volumes(self) -> np.ndarray:
+        edges = self.nodes[self.elements[:, 1:]] - self.nodes[self.elements[:, :1]]
+        return np.linalg.det(edges) / math.factorial(self.dim)
+
+    @cached_property
+    def volumes(self) -> np.ndarray:
+        """(n_elements,) signed measure of every element (area in 2D, volume in 3D), read-only.
+
+        Built on first use: kept from the construction's degeneracy check, it raised a
+        CLI transfer's peak RSS by about 0.4 MiB, though the source mesh never reads it.
+        """
+        vols = self._signed_volumes()
+        vols.flags.writeable = False
+        return vols
+
+    @cached_property
+    def grads(self) -> np.ndarray:
+        """(n_elements, dim+1, dim) gradient of every barycentric coordinate, read-only.
+
+        Rows 1..dim invert the matrix whose columns are the edges from vertex 0,
+        and row 0 is minus their sum. Built on first use, which reading a mesh is not.
+        """
+        edges = self.nodes[self.elements[:, 1:]] - self.nodes[self.elements[:, :1]]
+        inv_edges = np.linalg.inv(np.swapaxes(edges, 1, 2))
+        grads = np.empty((self.n_elements, self.dim + 1, self.dim))
+        grads[:, 1:, :] = inv_edges
+        grads[:, 0, :] = -inv_edges.sum(axis=1)
+        grads.flags.writeable = False
+        return grads
 
     @property
     def n_nodes(self) -> int:
@@ -102,32 +137,6 @@ class Mesh:
     def bbox_diagonal(self) -> float:
         lo, hi = self.bounding_box()
         return float(np.linalg.norm(hi - lo))
-
-
-def signed_volumes(mesh: Mesh) -> np.ndarray:
-    """Signed measure of every element (area in 2D, volume in 3D)."""
-    verts = mesh.nodes[mesh.elements]              # (ne, dim+1, dim)
-    edges = verts[:, 1:, :] - verts[:, :1, :]      # (ne, dim, dim)
-    det = np.linalg.det(edges)
-    return det / math.factorial(mesh.dim)
-
-
-def barycentric_transforms(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-element affine maps for barycentric coordinates.
-
-    Returns (origins, inv_edges, grads):
-      origins   (ne, d)       first vertex of each element
-      inv_edges (ne, d, d)    rows give lambda_1..lambda_d as inv_edges @ (x - origin)
-      grads     (ne, d+1, d)  constant gradient of every barycentric coordinate
-    """
-    verts = mesh.nodes[mesh.elements]
-    origins = verts[:, 0, :]
-    edges = np.swapaxes(verts[:, 1:, :] - verts[:, :1, :], 1, 2)  # columns = edge vectors
-    inv_edges = np.linalg.inv(edges)
-    grads = np.empty((mesh.n_elements, mesh.dim + 1, mesh.dim))
-    grads[:, 1:, :] = inv_edges
-    grads[:, 0, :] = -inv_edges.sum(axis=1)
-    return origins, inv_edges, grads
 
 
 @dataclass(frozen=True)
@@ -215,10 +224,10 @@ class PointLocator:
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
-        origins, self._inv_edges, self._grads = barycentric_transforms(mesh)
-        # Contiguous, so that take() gathers rows without copying the whole array first.
-        self._origins = np.ascontiguousarray(origins)
-        self._grad_norms = np.linalg.norm(self._grads, axis=2)  # (ne, d+1)
+        # Contiguous copies, so that take() gathers rows without copying the whole array first.
+        self._inv_edges = np.ascontiguousarray(mesh.grads[:, 1:, :])
+        self._origins = mesh.nodes[mesh.elements[:, 0]]
+        self._grad_norms = np.linalg.norm(mesh.grads, axis=2)  # (ne, d+1)
         lo, hi = mesh.bounding_box()
         self._snap_dist = pad = SNAP_REL_TOL * mesh.bbox_diagonal()
         self._lower = (lo - pad).tolist()
@@ -251,11 +260,6 @@ class PointLocator:
         self._ids = elements[np.argsort(bins, kind="stable")]
         self._offsets = np.zeros(stride + 1, dtype=np.int64)
         np.cumsum(np.bincount(bins, minlength=stride), out=self._offsets[1:])
-
-    def element_gradients(self, element) -> np.ndarray:
-        """Barycentric-coordinate gradients of an element index, (dim+1, dim), or of an
-        array of element indices (...,), (..., dim+1, dim)."""
-        return self._grads[element]
 
     def locate(self, x, tol: float = 1e-12) -> LocationResult:
         """Locate x among the elements of its bin.

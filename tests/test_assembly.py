@@ -18,7 +18,6 @@ from stgp.assembly import (SWEEP_SAMPLES, SourceSamples, TriDiagMatrix, build_ti
                            sample_source)
 from stgp.basis import QuadratureRule, _collapsed_simplex, hat_matrix, whitney_local
 from stgp.fields import edge_circulations, locate_points
-from stgp.mesh import barycentric_transforms, signed_volumes
 
 from conftest import jittered_mesh, malformed_tables, random_grid
 
@@ -26,8 +25,8 @@ from conftest import jittered_mesh, malformed_tables, random_grid
 def dense_mass_oracle(mesh, table, order=6):
     """Independent A oracle: per-pair quadrature with explicit global basis evaluation."""
     rule = simplex_quadrature(mesh.dim, order)
-    _, _, grads = barycentric_transforms(mesh)
-    vols = np.abs(signed_volumes(mesh))
+    grads = mesh.grads
+    vols = np.abs(mesh.volumes)
     m = table.edge_count
     a = np.zeros((m, m))
     for e in range(mesh.n_elements):
@@ -270,8 +269,8 @@ class TestSourceMatrix:
         xg, wg = leggauss(10)
         xg, wg = (xg + 1) / 2, wg / 2
         rule = simplex_quadrature(2, 4)
-        _, _, grads = barycentric_transforms(mesh)
-        vols = np.abs(signed_volumes(mesh))
+        grads = mesh.grads
+        vols = np.abs(mesh.volumes)
         oracle = np.zeros_like(c)
         for e in range(mesh.n_elements):
             w = whitney_local(2, grads[e], table.element_signs[e], rule.points)

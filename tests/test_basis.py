@@ -11,7 +11,7 @@ from stgp import (TemporalGrid, build_edge_table, generate_structured_mesh, hat_
                   simplex_quadrature, whitney_edge_eval)
 from stgp.basis import hat_matrix, whitney_local
 from stgp.fields import edge_circulations
-from stgp.mesh import LOCAL_EDGE_VERTICES, barycentric_transforms
+from stgp.mesh import LOCAL_EDGE_VERTICES
 
 from conftest import jittered_mesh, malformed_tables
 
@@ -247,7 +247,7 @@ class TestWhitneyBasis:
     def test_element_index_checked(self, kind, n, jitter_rng):
         mesh = jittered_mesh(kind, n, jitter_rng)
         table = build_edge_table(mesh)
-        _, _, grads = barycentric_transforms(mesh)
+        grads = mesh.grads
         lam = np.full(mesh.dim + 1, 1.0 / (mesh.dim + 1))
         last = mesh.n_elements - 1
         for element in (-1, mesh.n_elements):
@@ -274,7 +274,7 @@ class TestWhitneyBasis:
         # 5-point Gauss line quadrature oracle for the edge line integrals
         mesh = jittered_mesh(kind, n, jitter_rng)
         table = build_edge_table(mesh)
-        _, _, grads = barycentric_transforms(mesh)
+        grads = mesh.grads
         xg, wg = leggauss(5)
         xg, wg = (xg + 1) / 2, wg / 2
         pairs = np.array(LOCAL_EDGE_VERTICES[mesh.dim])
@@ -300,7 +300,7 @@ class TestWhitneyBasis:
         table = build_edge_table(mesh)
         c = jitter_rng.standard_normal(mesh.dim)
         dofs = edge_circulations(mesh, table, lambda p: c)
-        _, _, grads = barycentric_transforms(mesh)
+        grads = mesh.grads
         verts = mesh.nodes[mesh.elements]
         for _ in range(10):
             e = int(jitter_rng.integers(mesh.n_elements))
@@ -313,7 +313,7 @@ class TestWhitneyBasis:
     def test_batched_matches_single_element(self, kind, n, jitter_rng):
         mesh = jittered_mesh(kind, n, jitter_rng)
         table = build_edge_table(mesh)
-        _, _, grads = barycentric_transforms(mesh)
+        grads = mesh.grads
         lam = jitter_rng.dirichlet(np.ones(mesh.dim + 1), size=(mesh.n_elements, 4))
         shared = whitney_local(mesh.dim, grads, table.element_signs, lam[0])
         per_point = whitney_local(mesh.dim, grads, table.element_signs, lam)

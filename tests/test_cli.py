@@ -644,3 +644,67 @@ class TestProjectFaultsAreConfigErrors:
         (tmp_path / "tgt.stgp").write_text(write_mesh(wide))
         stderr = self._run(tmp_path, BASE_CONFIG + "outside_policy = strict\n")
         assert "outside the source mesh" in stderr
+
+
+def unparsable_values():
+    """(config lines replaced, lines put in, key) for every key whose value the CLI parses as
+    numbers, each given a value that does not parse."""
+    triple = "target_time_start = 0.0\ntarget_time_stop = 1.0\ntarget_time_count = 5\n"
+    cases = [("target_time_start = 0.0", "target_time_start = x", "target_time_start"),
+             ("target_time_stop = 1.0", "target_time_stop = 1.0.0", "target_time_stop"),
+             ("target_time_count = 5", "target_time_count = 2.5", "target_time_count"),
+             (triple, "target_times = 0 x 1\n", "target_times"),
+             ("probe = 0.4 0.6", "probe = 0.4 y", "probe"),
+             ("probe_samples = 8", "probe_samples = 8.0", "probe_samples")]
+    source = "source_mesh = src.stgp\nsource_field = src.stgpf\n"
+    for kind, params in TestAnalyticConfig.SAMPLES.items():
+        for name in params:
+            lines = [f"analytic_kind = {kind}"]
+            for other, value in params.items():
+                value = " ".join(repr(float(v)) for v in np.ravel(value))
+                lines.append(f"analytic_{other} = {value if other != name else value + ' x'}")
+            cases.append((source, "\n".join(lines) + "\n", f"analytic_{name}"))
+    return cases
+
+
+UNPARSABLE_VALUES = unparsable_values()
+
+
+class TestValuesThatDoNotParse:
+    """A config value that does not parse exits 1 with a message naming its key."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("inputs")
+        write_demo_inputs(path)
+        return path
+
+    @pytest.mark.parametrize("old,new,key", UNPARSABLE_VALUES,
+                             ids=[f"{key}-{i}" for i, (_, _, key) in enumerate(UNPARSABLE_VALUES)])
+    def test_message_names_the_key(self, old, new, key, inputs, tmp_path, monkeypatch, capsys):
+        assert old in BASE_CONFIG
+        config = BASE_CONFIG.replace(old, new)
+        for name in ("tgt.stgp", "src.stgp", "src.stgpf"):
+            config = config.replace(f"= {name}\n", f"= {inputs / name}\n")
+        (tmp_path / "p.cfg").write_text(config)
+        monkeypatch.chdir(tmp_path)
+        assert main(["project", "p.cfg"]) == 1
+        raw = next(line for line in new.splitlines() if line.startswith(f"{key} = ")).split(" = ", 1)[1]
+        stderr = capsys.readouterr().err
+        assert stderr.startswith(f"config error: {key} must be ") and stderr.endswith(f", got {raw!r}\n")
+        assert not any(tmp_path.glob("out*")) and not any(tmp_path.glob("probe_*"))
+
+
+def test_one_transfer_inverts_each_mesh_once(tmp_path, monkeypatch):
+    """A CLI transfer with a probe builds each mesh's barycentric gradients once: one batched
+    inverse for the source mesh and one for the target, shared by location, assembly and probing."""
+    write_demo_inputs(tmp_path)
+    (tmp_path / "p.cfg").write_text(BASE_CONFIG)
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    inverse = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(np.shape(a)) or inverse(a))
+    assert main(["project", "p.cfg"]) == 0
+    assert (tmp_path / "probe_000.csv").exists()
+    source, target = (read_mesh((tmp_path / name).read_text()) for name in ("src.stgp", "tgt.stgp"))
+    assert sorted(calls) == sorted([(source.n_elements, 2, 2), (target.n_elements, 2, 2)])

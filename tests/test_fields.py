@@ -318,8 +318,7 @@ class TestDiscreteField:
         field = DiscreteField(two_triangle_square, table, grid, dofs)
         # points on the shared diagonal from (0,0) to (1,1); evaluate each side
         from stgp.basis import whitney_local
-        from stgp.mesh import barycentric_transforms
-        _, _, grads = barycentric_transforms(two_triangle_square)
+        grads = two_triangle_square.grads
         tangent = np.array([1.0, 1.0]) / np.sqrt(2.0)
         for s in (0.25, 0.5, 0.75):
             values = []

@@ -126,6 +126,57 @@ class TestMeshValidation:
             reference_triangle.nodes[0, 0] = 5.0
 
 
+def scrambled_mesh(kind, n, rng):
+    """A jittered mesh whose elements list their vertices in random order, so some volumes are negative."""
+    mesh = jittered_mesh(kind, n, rng)
+    return Mesh(dim=mesh.dim, nodes=mesh.nodes, elements=rng.permuted(mesh.elements, axis=1), mu=mesh.mu)
+
+
+class TestElementGeometry:
+    @pytest.mark.parametrize("kind,n", [("unit-square-tri", 4), ("unit-cube-tet", 2)])
+    def test_volumes_match_an_independent_formula(self, kind, n, jitter_rng):
+        mesh = scrambled_mesh(kind, n, jitter_rng)
+        v = mesh.nodes[mesh.elements]
+        a, b = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
+        if mesh.dim == 2:  # shoelace
+            expected = 0.5 * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
+        else:  # scalar triple product
+            expected = np.einsum("ed,ed->e", a, np.cross(b, v[:, 3] - v[:, 0])) / 6.0
+        assert mesh.volumes.shape == (mesh.n_elements,)
+        assert np.any(mesh.volumes < 0.0) and np.any(mesh.volumes > 0.0)
+        assert np.allclose(mesh.volumes, expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("kind,n", [("unit-square-tri", 4), ("unit-cube-tet", 2)])
+    def test_grads_give_barycentric_coordinates_at_the_vertices(self, kind, n, jitter_rng):
+        mesh = scrambled_mesh(kind, n, jitter_rng)
+        v = mesh.nodes[mesh.elements]
+        assert mesh.grads.shape == (mesh.n_elements, mesh.dim + 1, mesh.dim)
+        # lambda(v_j) = lambda(v_0) + grads @ (v_j - v_0), with lambda(v_0) the first unit vector.
+        lam = np.einsum("eid,ejd->eij", mesh.grads, v - v[:, :1])
+        lam[:, 0, :] += 1.0
+        assert np.allclose(lam, np.eye(mesh.dim + 1), rtol=0.0, atol=1e-12)
+
+    def test_geometry_is_read_only_and_built_once(self, jitter_rng):
+        mesh = scrambled_mesh("unit-square-tri", 3, jitter_rng)
+        assert mesh.volumes is mesh.volumes and mesh.grads is mesh.grads
+        for arr in (mesh.volumes, mesh.grads):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_equality_and_repr_leave_the_geometry_out(self, jitter_rng):
+        mesh = scrambled_mesh("unit-cube-tet", 1, jitter_rng)
+        twin = Mesh(dim=mesh.dim, nodes=mesh.nodes, elements=mesh.elements, mu=mesh.mu)
+        assert mesh.volumes.size and mesh.grads.size  # built on one mesh only
+        assert mesh == twin and "volumes" not in vars(twin) and "grads" not in vars(twin)
+        assert repr(mesh) == repr(twin) == (f"Mesh(dim=3, nodes={mesh.nodes!r}, elements={mesh.elements!r},"
+                                            f" mu={mesh.mu!r})")
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_a_mesh_with_no_elements(self, dim):
+        mesh = Mesh(dim=dim, nodes=np.eye(dim + 1, dim), elements=np.zeros((0, dim + 1)), mu=[])
+        assert mesh.volumes.shape == (0,) and mesh.grads.shape == (0, dim + 1, dim)
+
+
 class TestEdgeTable:
     def test_single_reference_triangle(self, reference_triangle):
         table = build_edge_table(reference_triangle)
@@ -276,7 +327,7 @@ class TestPointLocation:
         # inside points, points just off the boundary (snapped) and outside points
         mesh = jittered_mesh(kind, n, jitter_rng)
         locator = PointLocator(mesh)
-        origins, inv_edges, grads = (locator._origins, locator._inv_edges, locator._grads)
+        origins, inv_edges, grads = (locator._origins, locator._inv_edges, mesh.grads)
         snap = SNAP_REL_TOL * mesh.bbox_diagonal()
         lo, hi = mesh.bounding_box()
         points = jitter_rng.uniform(-0.1, 1.1, size=(60, mesh.dim))
@@ -517,10 +568,9 @@ class TestStructuredMeshes:
         assert mesh.n_nodes == (n + 1) ** 3
 
     def test_volumes_tile_the_domain(self):
-        from stgp.mesh import signed_volumes
         for kind in ("unit-square-tri", "unit-cube-tet"):
             mesh = generate_structured_mesh(kind, 2, 1.0)
-            assert abs(np.abs(signed_volumes(mesh)).sum() - 1.0) < 1e-12
+            assert abs(np.abs(mesh.volumes).sum() - 1.0) < 1e-12
 
     @pytest.mark.parametrize("kind", ["unit-square-tri", "unit-cube-tet"])
     @pytest.mark.parametrize("n", [1, 2, 3, 5])

@@ -1,5 +1,5 @@
 """Package hygiene: no unused module-level import in stgp, no dangling export, and no
-orphaned private helper."""
+orphaned helper, private or public but not exported."""
 import ast
 from pathlib import Path
 
@@ -58,17 +58,29 @@ def referenced_names(tree: ast.AST) -> list[str]:
     return names
 
 
-def test_every_private_helper_is_referenced():
+def orphans(keep) -> list[str]:
+    """The module-level functions and classes of stgp that `keep(name)` selects and that
+    nothing in stgp refers to but their own definitions."""
     trees = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
              for p in sorted(PACKAGE.glob("*.py"))}
     used = [name for tree in trees.values() for name in referenced_names(tree)]
-    orphans = []
+    found = []
     for module, tree in trees.items():
         for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and node.name.startswith("_")):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and keep(node.name):
                 # A helper that only calls itself is still unreferenced.
                 own = referenced_names(node).count(node.name)
                 if used.count(node.name) <= own:
-                    orphans.append(f"{module}: {node.name} (line {node.lineno})")
-    assert not orphans, f"private helpers nothing in stgp refers to: {orphans}"
+                    found.append(f"{module}: {node.name} (line {node.lineno})")
+    return found
+
+
+def test_every_private_helper_is_referenced():
+    found = orphans(lambda name: name.startswith("_"))
+    assert not found, f"private helpers nothing in stgp refers to: {found}"
+
+
+def test_every_public_name_that_is_not_exported_is_referenced():
+    # A public helper outside stgp.__all__ serves stgp itself, so it goes with its last caller.
+    found = orphans(lambda name: not name.startswith("_") and name not in stgp.__all__)
+    assert not found, f"public helpers that stgp neither exports nor refers to: {found}"
